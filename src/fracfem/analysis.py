@@ -69,7 +69,9 @@ def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSol
     """
     if fine_m < 16:
         raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
-    key = (spec.alpha, spec.bc, spec.f.label, spec.q.label, fine_m)
+    # the frozen spec hashes its fields' evaluators, so unlabeled fields
+    # with different functions get different entries
+    key = (spec, fine_m)
     hit = _reference_cache.get(key)
     if hit is not None:
         return hit

@@ -39,8 +39,8 @@ from .mesh import Mesh, hat_jump_data
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
 
-# Largest element count for which the dense leading block is materialized in
-# the assembled system; larger uniform systems carry only the stencil.
+# Largest element count for which the dense leading block is materialized and
+# solved by LU; larger uniform systems carry only the stencil (GMRES path).
 DENSE_LIMIT_M = 1024
 
 DEGENERATE_TOL = 1e-8

@@ -1,9 +1,10 @@
 """Direct and iterative solution of the assembled systems.
 
-Small systems are solved by dense LU on the full matrix. Large uniform
-systems exploit the Toeplitz leading block: the rank-one reconstruction
-coupling is folded in through the Sherman-Morrison identity so only
-A_lead + M_q is factored, and residuals use an FFT matvec.
+Systems that carry a dense leading block (graded meshes, and uniform meshes
+up to DENSE_LIMIT_M elements) are solved by LU of the full matrix. Larger
+uniform systems carry only the Toeplitz stencil; they are solved by
+restarted GMRES on the FFT matvec, preconditioned by the Strang circulant
+of the stencil, at O(n log n) per iteration.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .assembly import (
-    DENSE_LIMIT_M,
-    AssembledSystem,
-    ProblemSpec,
-    SingularPair,
-    assemble_system,
-)
+from .assembly import AssembledSystem, ProblemSpec, SingularPair, assemble_system
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
 from .mesh import Mesh, PwLinear
 
@@ -30,6 +25,9 @@ PIVOT_TOL = 1e-14
 
 _GMRES_RESTART = 50
 _GMRES_MAX_INNER = 2000
+# one GMRES sweep: loose 2-norm target and bounded inner budget
+_GMRES_SWEEP_RTOL = 1e-8
+_GMRES_SWEEP_INNER = 200
 
 
 @dataclass(frozen=True)
@@ -97,26 +95,9 @@ def system_matvec(system: AssembledSystem, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _lead_plus_mass_dense(system: AssembledSystem) -> np.ndarray:
-    """A_lead + M_q in Fortran order so LU can factor in place."""
-    n = system.n
-    if system.A_lead is not None:
-        out = np.asfortranarray(system.A_lead.copy())
-    else:
-        out = np.empty((n, n), order="F")
-        rev = system.stencil[::-1]
-        for j in range(n):
-            out[:, j] = rev[n - 1 - j : 2 * n - 1 - j]
-    idx = np.arange(n)
-    out[idx, idx] += system.mass_diag
-    if n > 1:
-        out[idx[:-1], idx[:-1] + 1] += system.mass_off
-        out[idx[:-1] + 1, idx[:-1]] += system.mass_off
-    return out
-
-
 def _factor(matrix: np.ndarray):
-    scale = float(np.max(np.abs(matrix)))
+    # max |a_ij| without an n x n temporary
+    scale = max(float(matrix.max()), -float(matrix.min()))
     lu, piv = lu_factor(matrix, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if scale == 0.0 or np.min(pivots) < PIVOT_TOL * scale:
@@ -154,46 +135,75 @@ def _relative_residual(system: AssembledSystem, coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(gap))) / scale
 
 
-class _ShermanMorrison:
-    """Solve (K0 + r s^T) x = b given an LU factorization of K0."""
+def _strang_preconditioner(system: AssembledSystem) -> LinearOperator | None:
+    """Inverse of the Strang circulant of the stencil, applied by FFT.
 
-    def __init__(self, lu_piv, r_vec, s_vec):
-        self.lu_piv = lu_piv
-        self.s_vec = s_vec
-        self.y = lu_solve(lu_piv, r_vec)
-        self.denom = 1.0 + float(np.dot(s_vec, self.y))
-        if abs(self.denom) < 1e-12:
-            raise SingularSystemError(
-                "rank-one update makes the reconstruction system singular"
-            )
+    The mean mass bands are added to c0 and c+-1. Graded meshes have no
+    stencil and run unpreconditioned.
+    """
+    if system.stencil is None:
+        return None
+    n = system.n
+    st = system.stencil
+    # first column: A[k, 0] = st[n-1-k] up to n/2, then A[0, n-k] = st[2n-1-k]
+    col = st[n - 1 :: -1].copy()
+    wrap = np.arange(n // 2 + 1, n)
+    col[wrap] = st[2 * n - 1 - wrap]
+    col[0] += np.mean(system.mass_diag)
+    if n > 1:
+        col[[1, -1]] += np.mean(system.mass_off)
+    eig = np.fft.rfft(col)
+    return LinearOperator(
+        (n, n), matvec=lambda r: np.fft.irfft(np.fft.rfft(r) / eig, n), dtype=float
+    )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x0 = lu_solve(self.lu_piv, rhs)
-        return x0 - self.y * (float(np.dot(self.s_vec, x0)) / self.denom)
+
+def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float]:
+    """Preconditioned GMRES in sweeps until the backward error is <= ``tol``.
+
+    Each sweep solves for the correction from the true residual; a single
+    tight 2-norm target stagnates on these systems where the sweeps do not.
+    """
+    n = system.n
+    op = LinearOperator((n, n), matvec=lambda x: system_matvec(system, x), dtype=float)
+    precond = _strang_preconditioner(system)
+    coeffs = np.zeros(n)
+    gap = system.load
+    steps = []  # one entry per inner iteration, from the GMRES callback
+    while True:
+        inner = min(_GMRES_SWEEP_INNER, _GMRES_MAX_INNER - len(steps))
+        restart = min(_GMRES_RESTART, inner)
+        step, _ = gmres(
+            op,
+            gap,
+            rtol=_GMRES_SWEEP_RTOL,
+            atol=0.0,
+            restart=restart,
+            maxiter=inner // restart,
+            M=precond,
+            callback=steps.append,
+            callback_type="pr_norm",
+        )
+        coeffs = coeffs + step
+        res = _relative_residual(system, coeffs)
+        if res <= tol:
+            return coeffs, res
+        if len(steps) >= _GMRES_MAX_INNER:
+            raise IterativeFailure("GMRES did not converge", len(steps), res)
+        gap = system.load - system_matvec(system, coeffs)
 
 
 def _solve_coefficients(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """LU solve with a residual check and one step of refinement."""
-    use_full_dense = system.n <= DENSE_LIMIT_M - 1 or system.A_lead is not None
-    if system.r_vec is None or not use_full_dense:
-        base = _lead_plus_mass_dense(system)
-        if system.r_vec is None:
-            lu_piv = _factor(base)
-            solver = lambda rhs: lu_solve(lu_piv, rhs)
-        else:
-            solver = _ShermanMorrison(
-                _factor(base), system.r_vec, system.s_vec
-            ).solve
-    else:
-        full = np.asfortranarray(system.full_matrix())
-        lu_piv = _factor(full)
-        solver = lambda rhs: lu_solve(lu_piv, rhs)
-
-    coeffs = solver(system.load)
+    """LU of the full matrix with one step of refinement when a dense block
+    exists, GMRES on stencil-only systems; both check the backward error."""
+    if system.A_lead is None:
+        return _gmres_solve(system, RESIDUAL_TOL)
+    lu_piv = _factor(np.asfortranarray(system.full_matrix()))
+    coeffs = lu_solve(lu_piv, system.load)
     res = _relative_residual(system, coeffs)
     if res > RESIDUAL_TOL:
         gap = system.load - system_matvec(system, coeffs)
-        coeffs = coeffs + solver(gap)
+        coeffs = coeffs + lu_solve(lu_piv, gap)
         res = _relative_residual(system, coeffs)
         if res > RESIDUAL_TOL:
             raise SingularSystemError(
@@ -202,12 +212,18 @@ def _solve_coefficients(system: AssembledSystem) -> tuple[np.ndarray, float]:
     return coeffs, res
 
 
+def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float):
+    if system.method == "standard":
+        return StandardSolution(PwLinear(system.mesh, coeffs), res)
+    mu_h = reconstruction_scalar(system, coeffs)
+    return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res)
+
+
 def solve_standard(system: AssembledSystem) -> StandardSolution:
-    """Solve the standard Galerkin system by LU."""
+    """Solve the standard Galerkin system."""
     if system.method != "standard":
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")
-    coeffs, res = _solve_coefficients(system)
-    return StandardSolution(PwLinear(system.mesh, coeffs), res)
+    return _solution(system, *_solve_coefficients(system))
 
 
 def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
@@ -223,43 +239,14 @@ def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
 def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
     """Assemble and solve the reconstruction system, then recover mu_h."""
     system = assemble_system(spec, mesh, "reconstruction")
-    coeffs, res = _solve_coefficients(system)
-    mu_h = reconstruction_scalar(system, coeffs)
-    return ReconSolution(PwLinear(mesh, coeffs), mu_h, system.pair, res)
+    return _solution(system, *_solve_coefficients(system))
 
 
-def solve_iterative(system: AssembledSystem, tol: float = 1e-12):
-    """Solve by restarted GMRES on the structured matvec.
+def solve_iterative(system: AssembledSystem, tol: float = RESIDUAL_TOL):
+    """Solve by Strang-preconditioned restarted GMRES on the FFT matvec.
 
-    Returns the same solution type as the direct path. Raises
-    IterativeFailure when the residual target is not reached within the
-    iteration budget.
+    ``tol`` is the target of the inf-norm backward error. Returns the same
+    solution type as the direct path. Raises IterativeFailure when the
+    target is not reached within the iteration budget.
     """
-    op = LinearOperator(
-        (system.n, system.n),
-        matvec=lambda x: system_matvec(system, np.asarray(x, dtype=float)),
-    )
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    coeffs, info = gmres(
-        op,
-        system.load,
-        rtol=tol,
-        atol=0.0,
-        restart=_GMRES_RESTART,
-        maxiter=_GMRES_MAX_INNER // _GMRES_RESTART,
-        callback=count,
-        callback_type="pr_norm",
-    )
-    if info != 0:
-        res = _relative_residual(system, coeffs)
-        raise IterativeFailure("GMRES did not converge", iterations, res)
-    res = _relative_residual(system, coeffs)
-    if system.method == "standard":
-        return StandardSolution(PwLinear(system.mesh, coeffs), res)
-    mu_h = reconstruction_scalar(system, coeffs)
-    return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res)
+    return _solution(system, *_gmres_solve(system, tol))

@@ -164,6 +164,15 @@ def test_reference_solution_is_cached_and_validated():
         reference_solution(spec, fine_m=8)
 
 
+def test_reference_cache_tells_unlabeled_fields_apart():
+    one = ScalarField(fn=lambda x: np.ones_like(x), hint=0.0)
+    five = ScalarField(fn=lambda x: np.full_like(x, 5.0), hint=0.0)
+    mu_one = reference_solution(ProblemSpec(alpha=1.5, q=one, f=one), fine_m=64).mu
+    mu_five = reference_solution(ProblemSpec(alpha=1.5, q=one, f=five), fine_m=64).mu
+    # the strength is linear in the source
+    assert mu_five == pytest.approx(5.0 * mu_one, rel=1e-10)
+
+
 def test_report_accessors():
     report = ConvergenceReport(
         alpha=1.5,

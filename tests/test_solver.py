@@ -7,6 +7,7 @@ import pytest
 
 import fracfem.solver as solver_mod
 from fracfem.assembly import (
+    DENSE_LIMIT_M,
     AssembledSystem,
     ProblemSpec,
     assemble_system,
@@ -17,6 +18,7 @@ from fracfem.fields import source_bump, source_inverse_quartic, zero_field
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
     RESIDUAL_TOL,
+    reconstruction_scalar,
     solve_iterative,
     solve_reconstruction,
     solve_standard,
@@ -71,9 +73,8 @@ def test_reconstruction_matches_dense_lu():
     assert sol.mu_h == pytest.approx(mu_expect, rel=1e-10)
 
 
-def test_sherman_morrison_matches_dense(monkeypatch):
-    # push the solver onto the factored-Toeplitz plus rank-one-update path
-    monkeypatch.setattr(solver_mod, "DENSE_LIMIT_M", 16)
+def test_fft_path_matches_dense():
+    # without its dense block a uniform system takes the FFT/GMRES path
     spec = ProblemSpec(alpha=1.75, q=source_bump(), f=source_bump())
     mesh = build_mesh(64)
     system = assemble_system(spec, mesh, "reconstruction")
@@ -82,6 +83,31 @@ def test_sherman_morrison_matches_dense(monkeypatch):
     expect = np.linalg.solve(system.full_matrix(), system.load)
     np.testing.assert_allclose(coeffs, expect, rtol=1e-10)
     assert res <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize(
+    "alpha, bc",
+    [
+        (1.05, "dirichlet"),
+        (1.5, "dirichlet"),
+        (1.95, "dirichlet"),
+        (1.99, "dirichlet"),
+        (1.95, "mixed"),
+        (1.99, "mixed"),
+    ],
+)
+def test_fft_path_matches_dense_above_dense_limit(alpha, bc):
+    spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump(), bc=bc)
+    mesh = build_mesh(2048)
+    assert mesh.m > DENSE_LIMIT_M
+    sol = solve_reconstruction(spec, mesh)
+    system = assemble_system(spec, mesh, "reconstruction")
+    assert system.A_lead is None
+    expect = np.linalg.solve(system.full_matrix(), system.load)
+    scale = float(np.max(np.abs(expect)))
+    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
+    assert sol.mu_h == pytest.approx(reconstruction_scalar(system, expect), rel=1e-11)
+    assert sol.residual <= RESIDUAL_TOL
 
 
 def test_gmres_agrees_with_lu():
@@ -93,6 +119,14 @@ def test_gmres_agrees_with_lu():
     scale = float(np.max(np.abs(direct.u_r_h.coeffs)))
     assert np.max(np.abs(iterative.u_r_h.coeffs - direct.u_r_h.coeffs)) <= 1e-8 * scale
     assert iterative.mu_h == pytest.approx(direct.mu_h, abs=1e-8 * abs(direct.mu_h))
+
+
+def test_gmres_converges_at_large_m():
+    # one tight 2-norm GMRES target stagnates here; the sweeps do not
+    spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
+    system = assemble_system(spec, build_mesh(65536), "reconstruction")
+    sol = solve_iterative(system)
+    assert sol.residual <= RESIDUAL_TOL
 
 
 def test_gmres_iteration_budget(monkeypatch):
