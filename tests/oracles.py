@@ -2,13 +2,19 @@
 
 Everything here goes through scipy.integrate.quad on the defining
 convolutions and bilinear forms, never through the closed forms in the
-package, so agreement is meaningful.
+package, so agreement is meaningful. The one exception,
+stiffness_entry_decimal, re-evaluates the stiffness closed form in
+high-precision decimal arithmetic: it checks the rounding of the package's
+evaluation, while the quadrature oracles check the formula.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import beta
 from scipy.special import gamma as gamma_fn
 
 _LIMIT = 200
@@ -121,6 +127,34 @@ def stiffness_entry_quad(nodes, alpha, i, j):
         v, _ = quad(lambda x: fj(x) * fi(x), lo, hi, limit=_LIMIT)
         total += v
     return -total
+
+
+def stiffness_entry_decimal(nodes, alpha, i, j, digits=50):
+    """A[i, j] from the nine-term closed form in `digits`-digit decimal arithmetic.
+
+    -B(2-s, 2-s)/Gamma(2-s)^2 * sum_{l,k} sigma_il sigma_jk (b_l - a_k)_+^(3-2s)
+    with the float nodes taken exactly; only the common scale factor is a
+    double. Hat indices are 1-based as in stiffness_entry_quad.
+    """
+    s = 0.5 * alpha
+    scale = beta(2.0 - s, 2.0 - s) / gamma_fn(2.0 - s) ** 2
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = [Decimal(float(v)) for v in nodes]
+        p = Decimal(3.0 - alpha)
+
+        def hat(h):
+            rise, fall = 1 / (x[h] - x[h - 1]), -1 / (x[h + 1] - x[h])
+            return x[h - 1 : h + 2], (rise, fall - rise, -fall)
+
+        (b, d), (a, c) = hat(i), hat(j)
+        total = sum(
+            dl * ck * (bl - ak) ** p
+            for bl, dl in zip(b, d)
+            for ak, ck in zip(a, c)
+            if bl > ak
+        )
+        return -scale * float(total)
 
 
 def load_entry_quad(nodes, fn, j, left_exponent=0.0, breaks=()):

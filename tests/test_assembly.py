@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracfem import assembly
 from fracfem.assembly import (
     ProblemSpec,
     assemble_lead,
@@ -30,6 +31,7 @@ from .oracles import (
     endpoint_weight_entry_quad,
     hat_value,
     load_entry_quad,
+    stiffness_entry_decimal,
     stiffness_entry_quad,
 )
 
@@ -87,6 +89,40 @@ def test_uniform_lead_is_toeplitz_with_zero_upper_band():
         assert np.max(np.abs(diag - diag[0])) <= 1e-12 * scale
     # basis functions two or more elements apart have disjoint supports
     assert np.max(np.abs(np.triu(A, k=2))) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.75])
+def test_lead_matches_decimal_oracle_strongly_graded(alpha):
+    # delta = 5 puts the jump coefficients near 1/h_min ~ 1e9, so the nine
+    # products cancel through about 9 digits; float64 would fail here
+    mesh = build_mesh(64, delta=5.0)
+    A = assemble_lead(mesh, alpha)
+    n = mesh.m - 1
+    rng = np.random.default_rng(11)
+    scatter = [tuple(sorted(rng.integers(0, n, 2), reverse=True)) for _ in range(30)]
+    entries = sorted(
+        {(i, 0) for i in range(n)}
+        | {(n - 1, j) for j in range(n)}
+        | {(i, i + 1) for i in range(n - 1)}
+        | set(scatter)
+    )
+    assert len(entries) >= 200
+    row_max = np.max(np.abs(A), axis=1)
+    for i, j in entries:
+        exact = stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1)
+        assert abs(A[i, j] - exact) <= 1e-8 * row_max[i], (i, j)
+
+
+def test_lead_row_blocks_do_not_change_entries(monkeypatch):
+    mesh = build_mesh(64, delta=5.0)
+    whole = assemble_lead(mesh, 1.25)
+    assert np.max(np.abs(np.triu(whole, k=2))) == 0.0
+    # one gap-table row spans all m + 1 nodes
+    row_bytes = np.dtype(np.longdouble).itemsize * (mesh.m + 1)
+    assert assembly._LEAD_BLOCK_BYTES >= mesh.m * row_bytes
+    for rows in (1, 7):
+        monkeypatch.setattr(assembly, "_LEAD_BLOCK_BYTES", rows * row_bytes)
+        assert np.array_equal(assemble_lead(mesh, 1.25), whole)
 
 
 @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
