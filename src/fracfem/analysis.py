@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import DIRICHLET, MIXED, ProblemSpec, lead_stencil
 from .errors import ArgumentError, UnsupportedSourceError
-from .fraccalc import PowerSum, gamma_fn, rl_integral_powersum
+from .fraccalc import PowerSum, gamma_fn, gauss_legendre, rl_integral_powersum
 from .mesh import Mesh, build_mesh
 from .solver import ReconSolution, StandardSolution, solve_reconstruction, toeplitz_matvec
 
@@ -128,7 +128,7 @@ def error_norms(
     fine_mesh = exact.mesh if exact.mesh is not None else build_mesh(fine_m)
     union = np.union1d(approx.mesh.nodes, fine_mesh.nodes)
 
-    xi, w = np.polynomial.legendre.leggauss(_GAUSS_PER_CELL)
+    xi, w = gauss_legendre(_GAUSS_PER_CELL)
     lo = union[:-1][:, None]
     widths = np.diff(union)[:, None]
     x = lo + 0.5 * widths * (xi + 1.0)

@@ -12,6 +12,7 @@ On uniform meshes the block is Toeplitz and is also reduced to a stencil.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,12 @@ class ProblemSpec:
     def singular_exponent(self) -> float:
         """Exponent of the leading singular profile x^p."""
         return self.alpha - 1.0 if self.bc == DIRICHLET else self.alpha - 2.0
+
+    @cached_property
+    def singular_pair(self) -> SingularPair:
+        """Splitting data of this problem, built on first use and kept for
+        the life of the spec; it depends on (alpha, q, f, bc), not on a mesh."""
+        return build_singular_pair(self)
 
 
 def _hat_jumps(mesh: Mesh) -> np.ndarray:
@@ -478,7 +485,7 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
             mesh, spec.alpha, method, spec.bc, dense, stencil, diag, off,
             load, None, None, None, mesh.is_uniform,
         )
-    pair = build_singular_pair(spec)
+    pair = spec.singular_pair
     r_vec = load_vector(mesh, pair.q_profile)
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
     load = load_vector(mesh, spec.f) + pair.f_frac_at_one * r_vec

@@ -367,8 +367,14 @@ def _panel_value(g, a_exp, b_exp, lo, hi, n):
     return float(np.dot(w, vals))
 
 
-def _adaptive(g, a_exp, b_exp, lo, hi, tol, n, depth):
-    whole = _panel_value(g, a_exp, b_exp, lo, hi, n)
+def _adaptive(g, a_exp, b_exp, lo, hi, tol, n, depth, whole=None):
+    """Bisect [lo, hi] until two half panels agree with the whole panel.
+
+    ``whole`` is the panel's own estimate, which the parent already computed
+    as one of its halves; only the root call evaluates it here.
+    """
+    if whole is None:
+        whole = _panel_value(g, a_exp, b_exp, lo, hi, n)
     mid = 0.5 * (lo + hi)
     left = _panel_value(g, a_exp, b_exp, lo, mid, n)
     right = _panel_value(g, a_exp, b_exp, mid, hi, n)
@@ -380,8 +386,8 @@ def _adaptive(g, a_exp, b_exp, lo, hi, tol, n, depth):
         raise QuadratureFailure(
             "adaptive endpoint-weighted quadrature hit the depth cap", err
         )
-    return _adaptive(g, a_exp, b_exp, lo, mid, tol, n, depth + 1) + _adaptive(
-        g, a_exp, b_exp, mid, hi, tol, n, depth + 1
+    return _adaptive(g, a_exp, b_exp, lo, mid, tol, n, depth + 1, left) + _adaptive(
+        g, a_exp, b_exp, mid, hi, tol, n, depth + 1, right
     )
 
 

@@ -247,6 +247,8 @@ def solve_iterative(system: AssembledSystem, tol: float = RESIDUAL_TOL):
 
     ``tol`` is the target of the inf-norm backward error. Returns the same
     solution type as the direct path. Raises IterativeFailure when the
-    target is not reached within the iteration budget.
+    target is not reached within the iteration budget. Graded systems have
+    no stencil and so run unpreconditioned; at delta = 5 they exhaust the
+    budget from m = 256 on.
     """
     return _solution(system, *_gmres_solve(system, tol))

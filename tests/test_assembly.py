@@ -1,7 +1,12 @@
 """Assembly of the leading block, mass, loads, and the singular splitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import beta as beta_special
+from scipy.special import betainc
+from scipy.special import gamma as gamma_special
 
 from fracfem import assembly
 from fracfem.assembly import (
@@ -19,13 +24,14 @@ from fracfem.assembly import (
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError
 from fracfem.fields import (
     ScalarField,
+    parse_field,
     source_bump,
     source_inverse_quartic,
     source_step,
     zero_field,
 )
 from fracfem.mesh import build_mesh
-from fracfem.solver import system_matvec
+from fracfem.solver import solve_reconstruction, system_matvec
 
 from .oracles import (
     endpoint_weight_entry_quad,
@@ -322,6 +328,40 @@ def test_mixed_profile_and_modified_source():
     np.testing.assert_allclose(pair.f_tilde(x), expect_ft, rtol=1e-13)
     assert pair.f_tilde.powersum is not None
     np.testing.assert_allclose(pair.f_tilde.powersum(x), expect_ft, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha,bc",
+    [(1.1, "dirichlet"), (1.5, "dirichlet"), (1.99, "dirichlet"), (1.55, "mixed"), (1.95, "mixed")],
+)
+def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
+    # chi(0,1/2) has an anchor at 1/2, so the constant takes the adaptive
+    # route; closed form: int_0^(1/2) (1-t)^(a-1) t^e dt = B(e+1, a) I_(1/2)(e+1, a)
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump(), bc=bc)
+    p = spec.singular_exponent
+
+    def half_moment(e):
+        return beta_special(e + 1.0, alpha) * betainc(e + 1.0, alpha, 0.5)
+
+    expect = 1.0 / (1.0 + (half_moment(p) - half_moment(2.0)) / gamma_special(alpha))
+    assert build_singular_pair(spec).c0 == pytest.approx(expect, rel=1e-12)
+
+
+def test_singular_pair_is_cached_on_the_spec():
+    spec = ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
+    twin = ProblemSpec(alpha=1.5, q=spec.q, f=spec.f)
+    key = hash(spec)
+    first = solve_reconstruction(spec, build_mesh(16))
+    second = solve_reconstruction(spec, build_mesh(32))
+    assert first.pair is spec.singular_pair
+    assert second.pair is spec.singular_pair
+    # the cached pair is not a field: equality and hashing ignore it
+    assert "singular_pair" in vars(spec) and "singular_pair" not in vars(twin)
+    assert spec == twin and hash(spec) == key == hash(twin)
+    # a spec derived with replace() builds its own pair
+    moved = dataclasses.replace(spec, alpha=1.7)
+    assert moved.singular_pair is not spec.singular_pair
+    assert moved.singular_pair.singular_exponent == pytest.approx(0.7)
 
 
 def test_degenerate_splitting_detected():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fracfem import assembly
 from fracfem.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -220,3 +221,23 @@ def test_main_error_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "alpha=1.5 failed" in captured.err
     assert captured.out.startswith(CSV_COLUMNS)
+
+
+def test_singular_pair_built_once_per_cell(monkeypatch):
+    # the reference solve and every level of a cell share one spec, so the
+    # pair is built once per alpha, not once per mesh
+    calls = []
+    build = assembly.build_singular_pair
+
+    def counting(spec):
+        calls.append(spec.alpha)
+        return build(spec)
+
+    monkeypatch.setattr(assembly, "build_singular_pair", counting)
+    config = _tiny(
+        alphas=(1.3137, 1.7071), q_kind="custom", q_expr="chi(0,0.5)", q_hint=0.0,
+        k_min=3, k_max=4, reference_m=128,
+    )
+    reports = run_experiment(config)
+    assert all(r.error is None and len(r.rows) == 2 for r in reports)
+    assert calls == [1.3137, 1.7071]
