@@ -20,13 +20,14 @@ from .analysis import (
 )
 from .assembly import (
     AssembledSystem,
+    Lead,
     ProblemSpec,
     SingularPair,
     assemble_lead,
-    assemble_mass_q,
     assemble_system,
     build_singular_pair,
     lead_stencil,
+    toeplitz_matvec,
 )
 from .cli import ExperimentConfig, emit_table, run_experiment
 from .errors import (
@@ -62,7 +63,6 @@ from .solver import (
     solve_reconstruction,
     solve_standard,
     system_matvec,
-    toeplitz_matvec,
 )
 
 __version__ = "0.1.0"

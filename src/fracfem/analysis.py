@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .assembly import DIRICHLET, MIXED, ProblemSpec, lead_stencil
+from .assembly import DIRICHLET, Lead, ProblemSpec, _element_gauss
 from .errors import ArgumentError, UnsupportedSourceError
-from .fraccalc import PowerSum, gamma_fn, gauss_legendre, rl_integral_powersum
+from .fraccalc import PowerSum, gamma_fn, rl_integral_powersum
 from .mesh import Mesh, build_mesh
-from .solver import ReconSolution, StandardSolution, solve_reconstruction, toeplitz_matvec
+from .solver import ReconSolution, StandardSolution, solve_reconstruction
 
 REFERENCE_M = 4096
 
@@ -29,7 +30,8 @@ _GAUSS_PER_CELL = 8
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact (closed-form) or reference (fine-mesh) solution triple."""
+    """Exact (closed-form) or reference (fine-mesh) solution triple, with the
+    fine mesh on which error norms sample it."""
 
     kind: str
     u: Callable
@@ -38,11 +40,18 @@ class ExactSolution:
     u_s: PowerSum
     alpha: float
     bc: str
-    mesh: Mesh | None = None
+    mesh: Mesh
+
+    @cached_property
+    def lead(self) -> Lead:
+        """Leading block on the fine mesh, for the energy norm; built on first
+        use and kept for the life of this solution."""
+        return Lead.of(self.mesh, self.alpha)
 
 
-def exact_q0(spec: ProblemSpec) -> ExactSolution:
-    """Closed-form solution for q = 0 and a power-sum source."""
+def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
+    """Closed-form solution for q = 0 and a power-sum source, sampled by the
+    error norms on a uniform mesh of ``fine_m`` elements."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
     ps = spec.f.powersum
@@ -56,10 +65,9 @@ def exact_q0(spec: ProblemSpec) -> ExactSolution:
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, p_sing)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
     u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
-    return ExactSolution("closed_form", u, u_r, mu, u_s, spec.alpha, spec.bc)
-
-
-_reference_cache: dict[tuple, ExactSolution] = {}
+    return ExactSolution(
+        "closed_form", u, u_r, mu, u_s, spec.alpha, spec.bc, build_mesh(fine_m)
+    )
 
 
 def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
@@ -69,31 +77,11 @@ def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSol
     """
     if fine_m < 16:
         raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
-    # the frozen spec hashes its fields' evaluators, so unlabeled fields
-    # with different functions get different entries
-    key = (spec, fine_m)
-    hit = _reference_cache.get(key)
-    if hit is not None:
-        return hit
     mesh = build_mesh(fine_m)
     sol = solve_reconstruction(spec, mesh)
-    out = ExactSolution(
+    return ExactSolution(
         "reference", sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, spec.alpha, spec.bc, mesh
     )
-    _reference_cache[key] = out
-    return out
-
-
-_stencil_cache: dict[tuple, np.ndarray] = {}
-
-
-def _energy_stencil(fine_m: int, alpha: float) -> np.ndarray:
-    key = (fine_m, alpha)
-    hit = _stencil_cache.get(key)
-    if hit is None:
-        hit = lead_stencil(build_mesh(fine_m), alpha)
-        _stencil_cache[key] = hit
-    return hit
 
 
 @dataclass(frozen=True)
@@ -107,14 +95,13 @@ def error_norms(
     approx: StandardSolution | ReconSolution,
     exact: ExactSolution,
     which_field: str = "full_u",
-    fine_m: int = REFERENCE_M,
 ) -> ErrorNorms:
     """L2, energy, and sampled-sup errors of the chosen field.
 
     L2 and the sup are taken over the union refinement of the approximation
-    mesh and a fine sampling grid, with Gauss points in every cell; the
-    energy norm is the quadratic form of the leading block on the fine grid
-    interpolant of the error, so it reflects the |.|_(alpha/2) seminorm.
+    mesh and the exact solution's fine mesh, with Gauss points in every cell;
+    the energy norm is the quadratic form of the leading block on the fine
+    mesh interpolant of the error, so it reflects the |.|_(alpha/2) seminorm.
     """
     if which_field not in ("full_u", "regular_part"):
         raise ArgumentError(f"unknown field selector {which_field!r}")
@@ -125,14 +112,8 @@ def error_norms(
     else:
         approx_fn, exact_fn = approx, exact.u
 
-    fine_mesh = exact.mesh if exact.mesh is not None else build_mesh(fine_m)
-    union = np.union1d(approx.mesh.nodes, fine_mesh.nodes)
-
-    xi, w = gauss_legendre(_GAUSS_PER_CELL)
-    lo = union[:-1][:, None]
-    widths = np.diff(union)[:, None]
-    x = lo + 0.5 * widths * (xi + 1.0)
-    wq = 0.5 * widths * w
+    union = np.union1d(approx.mesh.nodes, exact.mesh.nodes)
+    x, wq, _ = _element_gauss(union, _GAUSS_PER_CELL)
 
     gap = exact_fn(x) - approx_fn(x)
     l2 = float(np.sqrt(np.sum(wq * gap * gap)))
@@ -141,10 +122,9 @@ def error_norms(
     node_gap = exact_fn(interior) - approx_fn(interior)
     linf = max(float(np.max(np.abs(gap))), float(np.max(np.abs(node_gap))))
 
-    fine_interior = fine_mesh.nodes[1:-1]
+    fine_interior = exact.mesh.nodes[1:-1]
     d = exact_fn(fine_interior) - approx_fn(fine_interior)
-    stencil = _energy_stencil(fine_mesh.m, exact.alpha)
-    quad_form = float(np.dot(d, toeplitz_matvec(stencil, d)))
+    quad_form = float(np.dot(d, exact.lead.matvec(d)))
     energy = math.sqrt(max(quad_form, 0.0))
 
     return ErrorNorms(l2, energy, linf)

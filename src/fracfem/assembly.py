@@ -6,7 +6,8 @@ The leading block uses the closed form
         -B(2-s, 2-s) * sum_{a_k < b_l} c_k d_l (b_l - a_k)^(3-2s)
 
 obtained by integrating pairs of one-sided power functions, with s = alpha/2.
-On uniform meshes the block is Toeplitz and is also reduced to a stencil.
+On uniform meshes the block is Toeplitz and is kept as its stencil; a system
+holds its block as one ``Lead`` in either format.
 """
 
 from __future__ import annotations
@@ -35,14 +36,10 @@ from .fraccalc import (
     rl_integral_powersum_at,
     weighted_endpoint_integral,
 )
-from .mesh import Mesh, hat_jump_data
+from .mesh import Mesh
 
 DIRICHLET = "dirichlet"
 MIXED = "mixed"
-
-# Largest element count for which the dense leading block is materialized and
-# solved by LU; larger uniform systems carry only the stencil (GMRES path).
-DENSE_LIMIT_M = 1024
 
 DEGENERATE_TOL = 1e-8
 
@@ -172,18 +169,23 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     return -scale * acc
 
 
-def mass_bands(mesh: Mesh, q: ScalarField, points: int = _MASS_POINTS):
+def _element_gauss(nodes: np.ndarray, points: int):
+    """Gauss points ``x`` (one row per element), their weights ``wq`` and the
+    rising hat ``n_r = (x - x_lo) / h`` at them."""
+    xi, w = legendre_panel(points, -1.0, 1.0)
+    lo = nodes[:-1][:, None]
+    widths = np.diff(nodes)[:, None]
+    x = lo + 0.5 * widths * (xi + 1.0)
+    return x, 0.5 * widths * w, (x - lo) / widths
+
+
+def mass_bands(mesh: Mesh, q: ScalarField):
     """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal)."""
     n = mesh.m - 1
     if q.is_zero:
         return np.zeros(n), np.zeros(max(n - 1, 0))
-    xi, w = legendre_panel(points, -1.0, 1.0)
-    lo = mesh.nodes[:-1][:, None]
-    widths = mesh.widths[:, None]
-    x = lo + 0.5 * widths * (xi + 1.0)
-    wq = 0.5 * widths * w
+    x, wq, n_r = _element_gauss(mesh.nodes, _MASS_POINTS)
     qv = q(x)
-    n_r = (x - lo) / widths
     n_l = 1.0 - n_r
     ll = np.sum(wq * qv * n_l * n_l, axis=1)
     lr = np.sum(wq * qv * n_l * n_r, axis=1)
@@ -191,19 +193,6 @@ def mass_bands(mesh: Mesh, q: ScalarField, points: int = _MASS_POINTS):
     diag = rr[:n] + ll[1:]
     off = lr[1:n]
     return diag, off
-
-
-def assemble_mass_q(mesh: Mesh, q: ScalarField, points: int = _MASS_POINTS) -> np.ndarray:
-    """Dense potential mass matrix (q phi_j, phi_i)."""
-    diag, off = mass_bands(mesh, q, points)
-    n = diag.size
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    out[idx, idx] = diag
-    if n > 1:
-        out[idx[:-1], idx[:-1] + 1] = off
-        out[idx[:-1] + 1, idx[:-1]] = off
-    return out
 
 
 def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
@@ -238,40 +227,33 @@ def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
     return out
 
 
-def quadrature_load(mesh: Mesh, field: ScalarField, points: int = _LOAD_POINTS) -> np.ndarray:
+def quadrature_load(mesh: Mesh, field: ScalarField) -> np.ndarray:
     """Load vector by per-element Gauss rules; the first element uses a
     Gauss-Jacobi rule absorbing the declared singularity hint."""
     n = mesh.m - 1
-    xi, w = legendre_panel(points, -1.0, 1.0)
-    lo = mesh.nodes[:-1][:, None]
-    widths = mesh.widths[:, None]
-    x = lo + 0.5 * widths * (xi + 1.0)
-    wq = 0.5 * widths * w
+    x, wq, n_r = _element_gauss(mesh.nodes, _LOAD_POINTS)
     fv = field(x)
-    n_r = (x - lo) / widths
     rising = np.sum(wq * fv * n_r, axis=1)
     falling = np.sum(wq * fv * (1.0 - n_r), axis=1)
     if field.hint is not None:
         x1 = mesh.nodes[1]
-        t, jw = jacobi_left_panel(2 * points, field.hint, 0.0, x1)
+        t, jw = jacobi_left_panel(2 * _LOAD_POINTS, field.hint, 0.0, x1)
         smooth = field(t) * t ** (-field.hint)
         rising[0] = float(np.dot(jw, smooth * (t / x1)))
     out = rising[:n] + falling[1:]
     return out
 
 
-def load_vector(mesh: Mesh, field: ScalarField, points: int = _LOAD_POINTS) -> np.ndarray:
+def load_vector(mesh: Mesh, field: ScalarField) -> np.ndarray:
     """Load vector (field, phi_i), exact when the field has a power-sum form."""
     if field.is_zero:
         return np.zeros(mesh.m - 1)
     if field.powersum is not None and field.powersum.is_left:
         return powersum_load(mesh, field.powersum)
-    return quadrature_load(mesh, field, points)
+    return quadrature_load(mesh, field)
 
 
-def endpoint_weight_vector(
-    mesh: Mesh, q: ScalarField, alpha, points: int = _ENDPOINT_POINTS
-) -> np.ndarray:
+def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
     """Vector s with s_j = (I_0^alpha q phi_j)(1).
 
     This is the same endpoint-weighted functional that defines the splitting
@@ -282,18 +264,14 @@ def endpoint_weight_vector(
     n = mesh.m - 1
     if q.is_zero:
         return np.zeros(n)
-    xi, w = legendre_panel(points, -1.0, 1.0)
-    lo = mesh.nodes[:-1][:, None]
-    widths = mesh.widths[:, None]
-    x = lo + 0.5 * widths * (xi + 1.0)
-    wq = 0.5 * widths * w * (1.0 - x) ** (a - 1.0)
+    x, wq, n_r = _element_gauss(mesh.nodes, _ENDPOINT_POINTS)
+    wq = wq * (1.0 - x) ** (a - 1.0)
     qv = q(x)
-    n_r = (x - lo) / widths
     rising = np.sum(wq * qv * n_r, axis=1)
     falling = np.sum(wq * qv * (1.0 - n_r), axis=1)
     # redo the last element with the weight absorbed exactly
     left = mesh.nodes[-2]
-    t, jw = jacobi_right_panel(2 * points, a - 1.0, left, 1.0)
+    t, jw = jacobi_right_panel(2 * _ENDPOINT_POINTS, a - 1.0, left, 1.0)
     width_last = 1.0 - left
     falling_last = float(np.dot(jw, q(t) * (1.0 - t) / width_last))
     out = rising[:n] + np.concatenate((falling[1:-1], [falling_last]))
@@ -394,6 +372,74 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     return SingularPair(u_s, c0, c1, q_profile, f_tilde, f_at_one, p_sing)
 
 
+def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply the Toeplitz matrix A[i, j] = stencil[j - i + n - 1] by x.
+
+    The product is a linear convolution, evaluated by circulant embedding in
+    a power-of-two FFT length.
+    """
+    stencil = np.asarray(stencil, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if stencil.size != 2 * n - 1:
+        raise ArgumentError(
+            f"stencil length {stencil.size} does not match vector size {n}"
+        )
+    kernel = stencil[::-1]
+    length = 1 << (2 * n - 1).bit_length()
+    conv = np.fft.irfft(
+        np.fft.rfft(kernel, length) * np.fft.rfft(x, length), length
+    )
+    return conv[n - 1 : 2 * n - 1]
+
+
+def stencil_to_dense(stencil: np.ndarray) -> np.ndarray:
+    """Expand a Toeplitz stencil st (A[i, j] = st[j - i + n - 1]) to dense."""
+    n = (stencil.size + 1) // 2
+    from scipy.linalg import toeplitz
+
+    return toeplitz(stencil[n - 1 :: -1], stencil[n - 1 :])
+
+
+@dataclass(frozen=True)
+class Lead:
+    """Leading block in exactly one format: the Toeplitz ``stencil``
+    (A[i, j] = stencil[j - i + n - 1]) on uniform meshes, or the ``dense``
+    block on graded ones."""
+
+    stencil: np.ndarray | None = None
+    dense: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.stencil is None) == (self.dense is None):
+            raise ArgumentError("a lead block holds exactly one of stencil and dense")
+
+    @classmethod
+    def of(cls, mesh: Mesh, alpha) -> Lead:
+        """The stencil on a uniform mesh, the dense block on a graded one."""
+        if mesh.is_uniform:
+            return cls(stencil=lead_stencil(mesh, alpha))
+        return cls(dense=assemble_lead(mesh, alpha))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self.stencil is not None:
+            return toeplitz_matvec(self.stencil, x)
+        return self.dense @ x
+
+    def to_dense(self) -> np.ndarray:
+        """A fresh C-order copy of the block, free for the caller to modify."""
+        if self.stencil is not None:
+            return np.ascontiguousarray(stencil_to_dense(self.stencil))
+        return np.array(self.dense, order="C")
+
+    def abs_row_sum(self) -> float:
+        """Upper bound on the row sums of |A|: the stencil's absolute sum
+        covers every row; a dense block gives its largest row sum."""
+        if self.stencil is not None:
+            return float(np.sum(np.abs(self.stencil)))
+        return float(np.max(np.sum(np.abs(self.dense), axis=1)))
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     """Discrete system for one mesh: leading block, potential mass, load,
@@ -403,31 +449,17 @@ class AssembledSystem:
     alpha: float
     method: str
     bc: str
-    A_lead: np.ndarray | None
-    stencil: np.ndarray | None
+    lead: Lead
     mass_diag: np.ndarray
     mass_off: np.ndarray
     load: np.ndarray
     r_vec: np.ndarray | None
     s_vec: np.ndarray | None
     pair: SingularPair | None
-    toeplitz_tag: bool
 
     @property
     def n(self) -> int:
         return self.load.size
-
-    @property
-    def M_q(self) -> np.ndarray:
-        """Dense potential mass matrix."""
-        n = self.n
-        out = np.zeros((n, n))
-        idx = np.arange(n)
-        out[idx, idx] = self.mass_diag
-        if n > 1:
-            out[idx[:-1], idx[:-1] + 1] = self.mass_off
-            out[idx[:-1] + 1, idx[:-1]] = self.mass_off
-        return out
 
     def mass_matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.mass_diag * x
@@ -436,14 +468,9 @@ class AssembledSystem:
             y[1:] += self.mass_off * x[:-1]
         return y
 
-    def lead_dense(self) -> np.ndarray:
-        if self.A_lead is not None:
-            return self.A_lead
-        return stencil_to_dense(self.stencil)
-
     def full_matrix(self) -> np.ndarray:
         """Dense system matrix including the rank-one coupling."""
-        out = np.array(self.lead_dense(), order="C")
+        out = self.lead.to_dense()
         flat, step = out.reshape(-1), self.n + 1
         flat[::step] += self.mass_diag
         flat[1::step] += self.mass_off
@@ -451,14 +478,6 @@ class AssembledSystem:
         if self.r_vec is not None:
             out += np.outer(self.r_vec, self.s_vec)
         return out
-
-
-def stencil_to_dense(stencil: np.ndarray) -> np.ndarray:
-    """Expand a Toeplitz stencil st (A[i, j] = st[j - i + n - 1]) to dense."""
-    n = (stencil.size + 1) // 2
-    from scipy.linalg import toeplitz
-
-    return toeplitz(stencil[n - 1 :: -1], stencil[n - 1 :])
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSystem:
@@ -470,26 +489,17 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
             "the standard method needs Dirichlet conditions; "
             "use the reconstruction method for the mixed problem"
         )
-    stencil = lead_stencil(mesh, spec.alpha) if mesh.is_uniform else None
-    # graded meshes have no stencil, so they always carry the dense block;
-    # uniform dense blocks come from the stencil so the materialized matrix
-    # agrees with the Toeplitz matvec to the last bit
-    if stencil is not None:
-        dense = stencil_to_dense(stencil) if mesh.m <= DENSE_LIMIT_M else None
-    else:
-        dense = assemble_lead(mesh, spec.alpha)
+    lead = Lead.of(mesh, spec.alpha)
     diag, off = mass_bands(mesh, spec.q)
     if method == "standard":
         load = load_vector(mesh, spec.f)
         return AssembledSystem(
-            mesh, spec.alpha, method, spec.bc, dense, stencil, diag, off,
-            load, None, None, None, mesh.is_uniform,
+            mesh, spec.alpha, method, spec.bc, lead, diag, off, load, None, None, None
         )
     pair = spec.singular_pair
     r_vec = load_vector(mesh, pair.q_profile)
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
     load = load_vector(mesh, spec.f) + pair.f_frac_at_one * r_vec
     return AssembledSystem(
-        mesh, spec.alpha, method, spec.bc, dense, stencil, diag, off,
-        load, r_vec, s_vec, pair, mesh.is_uniform,
+        mesh, spec.alpha, method, spec.bc, lead, diag, off, load, r_vec, s_vec, pair
     )

@@ -191,7 +191,7 @@ def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
     if config.needs_reference:
         exact = reference_solution(spec, config.reference_m)
     else:
-        exact = exact_q0(spec)
+        exact = exact_q0(spec, config.reference_m)
     rows = []
     for k in range(config.k_min, config.k_max + 1):
         m = 2**k
@@ -199,11 +199,11 @@ def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
         if config.method == "standard":
             system = assemble_system(spec, mesh, "standard")
             sol = solve_standard(system)
-            norms = error_norms(sol, exact, "full_u", config.reference_m)
+            norms = error_norms(sol, exact, "full_u")
             err_mu = None
         else:
             sol = solve_reconstruction(spec, mesh)
-            norms = error_norms(sol, exact, "regular_part", config.reference_m)
+            norms = error_norms(sol, exact, "regular_part")
             err_mu = abs(exact.mu - sol.mu_h)
         rows.append(
             LevelRow(k, m, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu)

@@ -54,13 +54,6 @@ class FracOrder:
             )
 
 
-def _as_order(alpha) -> float:
-    a = float(alpha)
-    if not 1.0 < a < 2.0:
-        raise DomainError(f"fractional order must lie in (1, 2), got {a}")
-    return a
-
-
 def gamma_fn(x: float) -> float:
     """Gamma function restricted to positive arguments."""
     if x <= 0.0:
@@ -105,14 +98,10 @@ def _eval_terms(terms, x):
     for t in terms:
         dx = x - t.anchor if t.side == LEFT else t.anchor - x
         inside = dx > 0.0
-        if np.any(inside):
-            out[inside] += t.coeff * dx[inside] ** t.exponent
-        edge = dx == 0.0
-        if np.any(edge):
-            if t.exponent == 0.0:
-                out[edge] += t.coeff
-            elif t.exponent < 0.0:
-                out[edge] += np.sign(t.coeff) * np.inf
+        out[inside] += t.coeff * dx[inside] ** t.exponent
+        if t.exponent <= 0.0:
+            edge = dx == 0.0
+            out[edge] += t.coeff if t.exponent == 0.0 else np.sign(t.coeff) * np.inf
     return out
 
 
@@ -407,7 +396,7 @@ def weighted_endpoint_integral(
     rule:
         Quadrature recipe; defaults to a 32-point Gauss-Jacobi rule.
     """
-    a = _as_order(alpha)
+    a = FracOrder(float(alpha)).alpha
     rule = rule or DEFAULT_RULE
     a_exp = a - 1.0
     b_exp = rule.left_exponent

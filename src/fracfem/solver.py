@@ -1,10 +1,9 @@
 """Direct and iterative solution of the assembled systems.
 
-Systems that carry a dense leading block (graded meshes, and uniform meshes
-up to DENSE_LIMIT_M elements) are solved by LU of the full matrix. Larger
-uniform systems carry only the Toeplitz stencil; they are solved by
-restarted GMRES on the FFT matvec, preconditioned by the Strang circulant
-of the stencil, at O(n log n) per iteration.
+Graded systems, and uniform ones up to DENSE_LIMIT_M elements, are solved by
+LU of the full matrix. Finer uniform systems are solved by restarted GMRES
+on the FFT matvec of their Toeplitz stencil, preconditioned by the Strang
+circulant of the stencil, at O(n log n) per iteration.
 """
 
 from __future__ import annotations
@@ -18,6 +17,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .assembly import AssembledSystem, ProblemSpec, SingularPair, assemble_system
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
 from .mesh import Mesh, PwLinear
+
+# Largest uniform mesh solved by LU; finer uniform meshes take the GMRES path.
+DENSE_LIMIT_M = 1024
 
 # backward-error tolerance: |Ax - b| measured against |A||x| + |b|
 RESIDUAL_TOL = 1e-12
@@ -62,34 +64,9 @@ class ReconSolution:
         return self.u_r_h.mesh
 
 
-def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply the Toeplitz matrix A[i, j] = stencil[j - i + n - 1] by x.
-
-    The product is a linear convolution, evaluated by circulant embedding in
-    a power-of-two FFT length.
-    """
-    stencil = np.asarray(stencil, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if stencil.size != 2 * n - 1:
-        raise ArgumentError(
-            f"stencil length {stencil.size} does not match vector size {n}"
-        )
-    kernel = stencil[::-1]
-    length = 1 << (2 * n - 1).bit_length()
-    conv = np.fft.irfft(
-        np.fft.rfft(kernel, length) * np.fft.rfft(x, length), length
-    )
-    return conv[n - 1 : 2 * n - 1]
-
-
 def system_matvec(system: AssembledSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the full system matrix."""
-    if system.stencil is not None:
-        y = toeplitz_matvec(system.stencil, x)
-    else:
-        y = system.A_lead @ x
-    y = y + system.mass_matvec(x)
+    y = system.lead.matvec(x) + system.mass_matvec(x)
     if system.r_vec is not None:
         y = y + system.r_vec * float(np.dot(system.s_vec, x))
     return y
@@ -110,10 +87,7 @@ def _factor(matrix: np.ndarray):
 
 def _norm_inf_estimate(system: AssembledSystem) -> float:
     """Upper bound on the row sums of the assembled matrix."""
-    if system.stencil is not None:
-        lead = float(np.sum(np.abs(system.stencil)))
-    else:
-        lead = float(np.max(np.sum(np.abs(system.A_lead), axis=1)))
+    lead = system.lead.abs_row_sum()
     mass = float(np.max(np.abs(system.mass_diag))) + 2.0 * float(
         np.max(np.abs(system.mass_off), initial=0.0)
     )
@@ -141,10 +115,10 @@ def _strang_preconditioner(system: AssembledSystem) -> LinearOperator | None:
     The mean mass bands are added to c0 and c+-1. Graded meshes have no
     stencil and run unpreconditioned.
     """
-    if system.stencil is None:
+    st = system.lead.stencil
+    if st is None:
         return None
     n = system.n
-    st = system.stencil
     # first column: A[k, 0] = st[n-1-k] up to n/2, then A[0, n-k] = st[2n-1-k]
     col = st[n - 1 :: -1].copy()
     wrap = np.arange(n // 2 + 1, n)
@@ -194,9 +168,9 @@ def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float
 
 
 def _solve_coefficients(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """LU of the full matrix with one step of refinement when a dense block
-    exists, GMRES on stencil-only systems; both check the backward error."""
-    if system.A_lead is None:
+    """GMRES on uniform meshes finer than DENSE_LIMIT_M, otherwise LU of the
+    full matrix with one step of refinement; both check the backward error."""
+    if system.lead.stencil is not None and system.mesh.m > DENSE_LIMIT_M:
         return _gmres_solve(system, RESIDUAL_TOL)
     lu_piv = _factor(np.asfortranarray(system.full_matrix()))
     coeffs = lu_solve(lu_piv, system.load)

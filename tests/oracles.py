@@ -2,10 +2,12 @@
 
 Everything here goes through scipy.integrate.quad on the defining
 convolutions and bilinear forms, never through the closed forms in the
-package, so agreement is meaningful. The one exception,
-stiffness_entry_decimal, re-evaluates the stiffness closed form in
+package, so agreement is meaningful. There are two exceptions.
+stiffness_entry_decimal re-evaluates the stiffness closed form in
 high-precision decimal arithmetic: it checks the rounding of the package's
-evaluation, while the quadrature oracles check the formula.
+evaluation, while the quadrature oracles check the formula. assemble_mass_q
+only expands the package's mass bands to a dense matrix for structural
+checks.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta
 from scipy.special import gamma as gamma_fn
+
+from fracfem.assembly import mass_bands
 
 _LIMIT = 200
 
@@ -209,3 +213,16 @@ def green_solution_quad(alpha, fn, x, left_exponent=0.0, breaks=()):
     lead = frac_integral_quad(fn, alpha, 1.0, left_exponent, breaks)
     tail = frac_integral_quad(fn, alpha, x, left_exponent, breaks)
     return x ** (alpha - 1.0) * lead - tail
+
+
+def assemble_mass_q(mesh, q):
+    """Dense potential mass matrix (q phi_j, phi_i) from the package's bands."""
+    diag, off = mass_bands(mesh, q)
+    n = diag.size
+    out = np.zeros((n, n))
+    idx = np.arange(n)
+    out[idx, idx] = diag
+    if n > 1:
+        out[idx[:-1], idx[:-1] + 1] = off
+        out[idx[:-1] + 1, idx[:-1]] = off
+    return out

@@ -28,7 +28,7 @@ from fracfem.fraccalc import (
 from fracfem.mesh import build_mesh
 from fracfem.solver import solve_iterative, solve_reconstruction
 
-from .oracles import frac_integral_quad
+from .oracles import assemble_mass_q, frac_integral_quad
 from .test_analysis import GREEN_BUMP_POINTS, GREEN_BUMP_VALUES
 from .test_assembly import LEAD_M4_GRADED2_A125, LEAD_M4_UNIFORM_A15
 
@@ -280,7 +280,8 @@ def test_criterion_6(capsys):
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(32), "reconstruction")
     sv = np.linalg.svd(
-        system.full_matrix() - system.lead_dense() - system.M_q, compute_uv=False
+        system.full_matrix() - system.lead.to_dense() - assemble_mass_q(system.mesh, spec.q),
+        compute_uv=False,
     )
     checks.append((sv[1] / sv[0] < 1e-10, f"rank-one ratio {sv[1] / sv[0]:.1e}"))
 

@@ -4,15 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_special
 from scipy.special import betainc
 from scipy.special import gamma as gamma_special
 
-from fracfem import assembly
+from fracfem import assembly, solver
 from fracfem.assembly import (
+    Lead,
     ProblemSpec,
     assemble_lead,
-    assemble_mass_q,
     assemble_system,
     build_singular_pair,
     endpoint_weight_vector,
@@ -34,6 +36,7 @@ from fracfem.mesh import build_mesh
 from fracfem.solver import solve_reconstruction, system_matvec
 
 from .oracles import (
+    assemble_mass_q,
     endpoint_weight_entry_quad,
     hat_value,
     load_entry_quad,
@@ -158,6 +161,51 @@ def test_stencil_far_field_frozen():
 def test_stencil_requires_uniform_mesh():
     with pytest.raises(ArgumentError):
         lead_stencil(build_mesh(8, delta=2.0), 1.5)
+
+
+# --- the Lead operator -----------------------------------------------------------
+
+LEAD_CASES = dict(
+    alpha=st.floats(min_value=1.001, max_value=1.999),
+    m=st.integers(min_value=2, max_value=48),
+    delta=st.sampled_from([1.0, 2.0, 5.0]),
+)
+
+
+@given(**LEAD_CASES, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_lead_matvec_matches_dense(alpha, m, delta, seed):
+    lead = Lead.of(build_mesh(m, delta), alpha)
+    assert (lead.stencil is not None) == (delta == 1.0)
+    dense = lead.to_dense()
+    x = np.random.default_rng(seed).standard_normal(m - 1)
+    gap = np.max(np.abs(lead.matvec(x) - dense @ x))
+    assert gap <= 1e-12 * np.max(np.abs(dense) @ np.abs(x))
+
+
+@given(**LEAD_CASES)
+@settings(max_examples=60, deadline=None)
+def test_lead_abs_row_sum_bounds_rows(alpha, m, delta):
+    lead = Lead.of(build_mesh(m, delta), alpha)
+    assert lead.abs_row_sum() >= np.max(np.sum(np.abs(lead.to_dense()), axis=1))
+
+
+@given(**LEAD_CASES)
+@settings(max_examples=60, deadline=None)
+def test_lead_to_dense_is_a_fresh_copy(alpha, m, delta):
+    lead = Lead.of(build_mesh(m, delta), alpha)
+    first = lead.to_dense()
+    assert first.flags.c_contiguous
+    kept = first.copy()
+    first += 1.0
+    assert np.array_equal(lead.to_dense(), kept)
+
+
+def test_lead_holds_exactly_one_format():
+    with pytest.raises(ArgumentError):
+        Lead()
+    with pytest.raises(ArgumentError):
+        Lead(stencil=np.ones(3), dense=np.ones((2, 2)))
 
 
 # --- mass and loads ------------------------------------------------------------
@@ -384,7 +432,8 @@ def test_assembled_system_structure():
     n = system.n
     assert n == 31
     # rank-one coupling: the full matrix minus lead and mass has one singular value
-    gap = system.full_matrix() - system.lead_dense() - system.M_q
+    mass = assemble_mass_q(mesh, spec.q)
+    gap = system.full_matrix() - system.lead.to_dense() - mass
     sv = np.linalg.svd(gap, compute_uv=False)
     assert sv[1] / sv[0] < 1e-10
     # structured matvec equals the dense product
@@ -393,7 +442,7 @@ def test_assembled_system_structure():
     np.testing.assert_allclose(
         system_matvec(system, x), system.full_matrix() @ x, rtol=1e-11, atol=1e-13
     )
-    np.testing.assert_allclose(system.mass_matvec(x), system.M_q @ x, rtol=1e-13)
+    np.testing.assert_allclose(system.mass_matvec(x), mass @ x, rtol=1e-13)
 
 
 def test_recon_load_includes_profile_term():
@@ -416,11 +465,24 @@ def test_standard_method_rejects_mixed_conditions():
         assemble_system(spec, build_mesh(8), "petrov")
 
 
-def test_dense_block_presence_by_size_and_grading():
+def test_dense_block_presence_by_size_and_grading(monkeypatch):
+    # the lead's format follows the grading; the solve path follows the size
+    gmres_calls = []
+    gmres = solver._gmres_solve
+
+    def counted(system, tol):
+        gmres_calls.append(system.mesh.m)
+        return gmres(system, tol)
+
+    monkeypatch.setattr(solver, "_gmres_solve", counted)
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
-    small = assemble_system(spec, build_mesh(64), "standard")
-    assert small.A_lead is not None and small.stencil is not None
-    big = assemble_system(spec, build_mesh(2048), "standard")
-    assert big.A_lead is None and big.stencil is not None
-    graded = assemble_system(spec, build_mesh(64, delta=2.0), "standard")
-    assert graded.A_lead is not None and graded.stencil is None
+    for m, delta, toeplitz, by_gmres in (
+        (1024, 1.0, True, False),
+        (2048, 1.0, True, True),
+        (64, 2.0, False, False),
+    ):
+        system = assemble_system(spec, build_mesh(m, delta), "standard")
+        assert (system.lead.stencil is not None) == toeplitz
+        gmres_calls.clear()
+        assert solver.solve_standard(system).residual <= solver.RESIDUAL_TOL
+        assert gmres_calls == ([m] if by_gmres else [])

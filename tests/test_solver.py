@@ -1,29 +1,28 @@
 """Direct and iterative solvers against dense linear algebra."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import fracfem.solver as solver_mod
 from fracfem.assembly import (
-    DENSE_LIMIT_M,
     AssembledSystem,
+    Lead,
     ProblemSpec,
     assemble_system,
     stencil_to_dense,
+    toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, IterativeFailure, SingularSystemError
 from fracfem.fields import source_bump, source_inverse_quartic, zero_field
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
+    DENSE_LIMIT_M,
     RESIDUAL_TOL,
     reconstruction_scalar,
     solve_iterative,
     solve_reconstruction,
     solve_standard,
     system_matvec,
-    toeplitz_matvec,
 )
 
 
@@ -74,12 +73,11 @@ def test_reconstruction_matches_dense_lu():
 
 
 def test_fft_path_matches_dense():
-    # without its dense block a uniform system takes the FFT/GMRES path
+    # the FFT/GMRES path on a system small enough for the dense solve
     spec = ProblemSpec(alpha=1.75, q=source_bump(), f=source_bump())
     mesh = build_mesh(64)
     system = assemble_system(spec, mesh, "reconstruction")
-    stripped = dataclasses.replace(system, A_lead=None)
-    coeffs, res = solver_mod._solve_coefficients(stripped)
+    coeffs, res = solver_mod._gmres_solve(system, RESIDUAL_TOL)
     expect = np.linalg.solve(system.full_matrix(), system.load)
     np.testing.assert_allclose(coeffs, expect, rtol=1e-10)
     assert res <= RESIDUAL_TOL
@@ -102,7 +100,6 @@ def test_fft_path_matches_dense_above_dense_limit(alpha, bc):
     assert mesh.m > DENSE_LIMIT_M
     sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
-    assert system.A_lead is None
     expect = np.linalg.solve(system.full_matrix(), system.load)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
@@ -172,26 +169,24 @@ def test_zero_matrix_is_reported_singular():
         alpha=1.5,
         method="standard",
         bc="dirichlet",
-        A_lead=np.zeros((3, 3)),
-        stencil=None,
+        lead=Lead(dense=np.zeros((3, 3))),
         mass_diag=np.zeros(3),
         mass_off=np.zeros(2),
         load=np.ones(3),
         r_vec=None,
         s_vec=None,
         pair=None,
-        toeplitz_tag=False,
     )
     with pytest.raises(SingularSystemError):
         solve_standard(system)
 
 
-def test_system_matvec_uses_stencil_when_dense_absent():
+@pytest.mark.parametrize("delta", [1.0, 2.0], ids=["uniform", "graded"])
+def test_system_matvec_matches_full_matrix(delta):
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
-    system = assemble_system(spec, build_mesh(32), "standard")
-    stripped = dataclasses.replace(system, A_lead=None)
+    system = assemble_system(spec, build_mesh(32, delta), "standard")
     rng = np.random.default_rng(3)
     x = rng.standard_normal(system.n)
     np.testing.assert_allclose(
-        system_matvec(stripped, x), system.full_matrix() @ x, rtol=1e-11, atol=1e-13
+        system_matvec(system, x), system.full_matrix() @ x, rtol=1e-11, atol=1e-13
     )
