@@ -47,8 +47,12 @@ _MASS_POINTS = 6
 _LOAD_POINTS = 10
 _ENDPOINT_POINTS = 12
 
-# Working memory of each extended-precision block array in assemble_lead.
-_LEAD_BLOCK_BYTES = 1 << 20
+# Far field of assemble_lead: (Gauss points per side, largest separation ratio
+# eta = max(h_a, h_b) / gap served), each limit being the largest eta at which
+# the tensor rule holds every element-pair moment to 1e-13 of itself for any
+# alpha in (1, 2) and width ratio, measured against a 60-point rule.
+_FAR_RULES = ((4, 0.032), (6, 0.19), (8, 0.49), (12, 1.39), (16, 2.66), (24, 6.26))
+_FAR_PAIRS = 1 << 13  # element pairs per far-field block, about 1 MiB of powers
 
 
 @dataclass(frozen=True)
@@ -86,42 +90,94 @@ class ProblemSpec:
         return build_singular_pair(self)
 
 
-def _hat_jumps(mesh: Mesh) -> np.ndarray:
-    """Slope jumps (n, 3) of all interior hats at their nodes x_i, x_i+1, x_i+2."""
-    widths = mesh.widths
-    rise = 1.0 / widths[:-1]
-    fall = -1.0 / widths[1:]
-    return np.stack([rise, fall - rise, -fall], axis=1)
+def _graded_rule(h: float, gap: float):
+    """Gauss panels on [0, 1] for an element of width h whose end 0 lies gap from
+    the other element; each is at most the top eta limit times its distance."""
+    points, limit = _FAR_RULES[-1]
+    edges = [0.0]
+    while edges[-1] < 1.0:
+        edges.append(min(1.0, edges[-1] + limit * (gap / h + edges[-1])))
+    nodes, weights = zip(*(legendre_panel(points, lo, hi) for lo, hi in zip(edges, edges[1:])))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _tensor_rule(rule_a, rule_b):
+    """Nodes u, v and weights W[(q, r), (X, Y)] = w_q w_r N_X(u_q) N_Y(v_r)."""
+    (u, wu), (v, wv) = rule_a, rule_b
+    shapes = np.einsum("q,r,qx,ry->qrxy", wu, wv, np.stack([1 - u, u], 1), np.stack([v, 1 - v], 1))
+    return u, v, shapes.reshape(-1, 4)
+
+
+def _pair_moments(gap, ha, hb, e, u, v, weights) -> np.ndarray:
+    """Moments M[X, Y, k] = h_a h_b int int N_X N_Y (gap + h_a u + h_b v)^e du dv
+    of element pairs k, the row element a lying gap to the right of the
+    column element b. u and v in [0, 1] run from the facing ends; the shapes
+    are N_0 = 1 - u, N_1 = u on a and N_0 = v, N_1 = 1 - v on b."""
+    d = (gap + np.multiply.outer(u, ha))[:, None, :] + np.multiply.outer(v, hb)
+    m = np.einsum("kx,kp->xp", weights, np.power(d, e, out=d).reshape(-1, gap.size))
+    return (m * (ha * hb)).reshape(2, 2, gap.size)
+
+
+def _far_moments(gap, ha, hb, e, rules) -> np.ndarray:
+    """Element-pair moments, each from the fewest Gauss points that its
+    separation ratio eta = max(h_a, h_b) / gap allows; rules holds the
+    tensor rule of each _FAR_RULES limit."""
+    eta = np.maximum(ha, hb) / gap
+    out = np.empty((2, 2, gap.size))
+    lo = -1.0
+    for hi, rule in rules:
+        k = np.flatnonzero((eta > lo) & (eta <= hi))
+        if k.size:
+            out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *rule)
+        lo = hi
+    for k in np.flatnonzero(eta > lo):
+        rule = _tensor_rule(_graded_rule(ha[k], gap[k]), _graded_rule(hb[k], gap[k]))
+        k = slice(k, k + 1)
+        out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *rule)
+    return out
 
 
 def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     """Dense leading block A[i, j] = -(D_0^s phi_j, D_1^s phi_i), s = alpha/2.
 
-    Every gap b_l - a_k of the closed form is a node difference, so entries
-    are double differences of one table G[a, b] = (x_a - x_b)_+^p (about m^2/2
-    powers): T[a, j] = sum_k c[j, k] G[a, j + k], A[i, j] = sum_l c[i, l]
-    T[i + l, j]. Both passes run in extended precision: on strongly graded
-    meshes the jump coefficients reach 1/h_min and plain doubles lose most of
-    the entry. Rows go in blocks with a two-row halo; A[i, j] = 0 for
-    j >= i + 2, so a block needs columns j <= stop only.
+    The band i - j in {-1, 0, 1, 2} takes the nine-term closed form. For
+    i - j >= 3 the supports are apart, and integrating that form by parts
+    twice on each side gives the Peano form, whose kernel has one sign:
+
+        -B/Gamma^2 * p(p-1)(p-2)(p-3) int int phi_i(z) phi_j(y) (z-y)^(p-4),
+
+    p = 3 - 2s, summed from element-pair moments as A[i, j] = M_RR[i, j] +
+    M_RL[i, j+1] + M_LR[i+1, j] + M_LL[i+1, j+1]. A[i, j] = 0 for j >= i + 2.
     """
     a = float(FracOrder(float(alpha)).alpha)
     s = 0.5 * a
-    work = np.longdouble
-    p = work(3.0 - 2.0 * s)
-    x = mesh.nodes.astype(work)
-    c = (_hat_jumps(mesh) / gamma_fn(2.0 - s)).astype(work)
-    bconst = work(beta_fn(2.0 - s, 2.0 - s))
-    n = mesh.m - 1
+    p = 3.0 - 2.0 * s
+    x, h, n = mesh.nodes, mesh.widths, mesh.m - 1
+    rise, fall = 1.0 / h[:-1], -1.0 / h[1:]
+    c = np.stack([rise, fall - rise, -fall], axis=1)  # hat i's slope jumps at x_i..x_i+2
+    scale = beta_fn(2.0 - s, 2.0 - s) / gamma_fn(2.0 - s) ** 2
     out = np.zeros((n, n))
-    block = max(1, _LEAD_BLOCK_BYTES // (np.dtype(work).itemsize * (n + 2)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        cols = min(stop + 1, n)
-        gap = np.maximum(x[start : stop + 2, None] - x[None, : cols + 2], work(0.0)) ** p
-        col = sum(c[:cols, k] * gap[:, k : k + cols] for k in range(3))
-        acc = sum(c[start:stop, l, None] * col[l : l + stop - start] for l in range(3))
-        out[start:stop, :cols] = -bconst * acc
+    three = np.arange(3)
+    for off in (-1, 0, 1, 2):
+        i = np.arange(max(off, 0), n + min(off, 0))
+        gaps = x[i[:, None, None] + three[:, None]] - x[i[:, None, None] - off + three]
+        terms = np.maximum(gaps, 0.0) ** p
+        out[i, i - off] = -scale * np.einsum("tl,tk,tlk->t", c[i], c[i - off], terms)
+    scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
+    rules = [(hi, _tensor_rule(*[legendre_panel(q, 0.0, 1.0)] * 2)) for q, hi in _FAR_RULES]
+    block = max(1, _FAR_PAIRS // mesh.m)
+    for a0 in range(3, mesh.m, block):
+        rows = np.arange(a0, min(a0 + block, mesh.m))
+        cols = np.arange(rows[-1] - 1)
+        gap = x[rows, None] - x[None, cols + 1]
+        gap[gap <= 0.0] = np.inf  # touching or overlapping pairs: no far field
+        mom = _far_moments(
+            gap.ravel(), np.repeat(h[rows], cols.size), np.tile(h[cols], rows.size), p - 4.0, rules
+        ).reshape(2, 2, rows.size, cols.size)
+        rising = scale * (mom[1, 1, :, :-1] + mom[1, 0, :, 1:])  # hat a on element a
+        falling = scale * (mom[0, 1, :, :-1] + mom[0, 0, :, 1:])  # hat a - 1
+        out[a0 : rows[-1] + 1, : cols.size - 1] += np.tril(rising, a0 - 3)[: n - a0]
+        out[a0 - 1 : rows[-1], : cols.size - 1] += np.tril(falling, a0 - 4)
     return out
 
 

@@ -26,7 +26,7 @@ def build_mesh(m: int, delta: float = 1.0) -> "Mesh":
         raise ArgumentError(f"grading exponent must be >= 1, got {delta}")
     base = np.arange(m + 1, dtype=float) / m
     nodes = base if delta == 1.0 else base**delta
-    return Mesh(nodes, delta)
+    return Mesh(nodes)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class Mesh:
     """Partition 0 = x_0 < x_1 < ... < x_m = 1."""
 
     nodes: np.ndarray
-    delta: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -54,7 +53,8 @@ class Mesh:
 
     @property
     def is_uniform(self) -> bool:
-        return self.delta == 1.0
+        """Whether the nodes are exactly j/m, as build_mesh(m) makes them."""
+        return np.array_equal(self.nodes, np.arange(self.m + 1) / self.m)
 
     @property
     def widths(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from fracfem.fields import (
     source_step,
     zero_field,
 )
-from fracfem.mesh import build_mesh
+from fracfem.mesh import Mesh, build_mesh
 from fracfem.solver import solve_reconstruction, system_matvec
 
 from .oracles import (
@@ -126,12 +126,51 @@ def test_lead_row_blocks_do_not_change_entries(monkeypatch):
     mesh = build_mesh(64, delta=5.0)
     whole = assemble_lead(mesh, 1.25)
     assert np.max(np.abs(np.triu(whole, k=2))) == 0.0
-    # one gap-table row spans all m + 1 nodes
-    row_bytes = np.dtype(np.longdouble).itemsize * (mesh.m + 1)
-    assert assembly._LEAD_BLOCK_BYTES >= mesh.m * row_bytes
+    # far-field blocks of 1 and 7 element rows
+    assert assembly._FAR_PAIRS // mesh.m > 7
     for rows in (1, 7):
-        monkeypatch.setattr(assembly, "_LEAD_BLOCK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * mesh.m)
         assert np.array_equal(assemble_lead(mesh, 1.25), whole)
+
+
+@pytest.mark.parametrize("alpha", [1.25, 1.75])
+def test_lead_matches_decimal_oracle_at_m512(alpha):
+    # at m = 512, delta = 5 the nine-term form cancels through ~30 digits in
+    # column 0; the far field must come from the Peano form to hold 1e-10
+    mesh = build_mesh(512, delta=5.0)
+    A = assemble_lead(mesh, alpha)
+    n = mesh.m - 1
+    rng = np.random.default_rng(17)
+    scatter = [tuple(sorted(rng.integers(0, n, 2), reverse=True)) for _ in range(60)]
+    entries = sorted(
+        {(i, 0) for i in range(3, n, 7)}
+        | {(n - 1, j) for j in range(0, n, 7)}
+        | {(i, i - 3) for i in range(3, n, 7)}
+        | set(scatter)
+    )
+    row_max = np.max(np.abs(A), axis=1)
+    for i, j in entries:
+        exact = stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1)
+        assert abs(A[i, j] - exact) <= 1e-10 * row_max[i], (i, j)
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        np.r_[0.0, np.sort(np.random.default_rng(5).random(23)), 1.0],
+        np.r_[0.0, 1e-9, 2e-9, 3e-9, np.linspace(0.1, 1.0, 12)],
+    ],
+    ids=["random", "tiny-elements"],
+)
+def test_lead_far_field_on_irregular_meshes(nodes):
+    # widths that shrink as well as grow; the second mesh has pairs whose
+    # separation ratio needs graded panels
+    mesh = Mesh(nodes)
+    A = assemble_lead(mesh, 1.3)
+    row_max = np.max(np.abs(A), axis=1)
+    for i, j in zip(*np.tril_indices(mesh.m - 1, -3)):
+        exact = stiffness_entry_decimal(mesh.nodes, 1.3, i + 1, j + 1)
+        assert abs(A[i, j] - exact) <= 1e-12 * row_max[i], (i, j)
 
 
 @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
@@ -140,6 +179,25 @@ def test_stencil_agrees_with_dense(alpha):
     A = assemble_lead(mesh, alpha)
     B = stencil_to_dense(lead_stencil(mesh, alpha))
     assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(A))
+
+
+@given(alpha=st.floats(min_value=1.001, max_value=1.999), m=st.integers(min_value=4, max_value=96))
+@settings(max_examples=60, deadline=None)
+def test_dense_lead_matches_stencil_on_uniform_meshes(alpha, m):
+    mesh = build_mesh(m)
+    A = assemble_lead(mesh, alpha)
+    B = stencil_to_dense(lead_stencil(mesh, alpha))
+    assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(A))
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+def test_dense_far_field_matches_stencil_entrywise(alpha):
+    # each far entry to 1e-12 of itself, not only of the row maximum
+    mesh = build_mesh(200)
+    far = np.tril_indices(mesh.m - 1, -3)
+    A = assemble_lead(mesh, alpha)[far]
+    B = stencil_to_dense(lead_stencil(mesh, alpha))[far]
+    assert np.max(np.abs(A - B) / np.abs(B)) <= 1e-12
 
 
 def test_stencil_far_field_frozen():

@@ -34,3 +34,10 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_extended_precision(path):
+    # answers must not depend on the platform's long double
+    source = path.read_text(encoding="utf-8")
+    assert "longdouble" not in source and "float128" not in source

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracfem.assembly import Lead, assemble_lead
 from fracfem.errors import ArgumentError, DomainError
 from fracfem.mesh import Mesh, PwLinear, basis_frac_derivative, build_mesh, hat, hat_jump_data
 
@@ -25,6 +26,17 @@ def test_graded_nodes_follow_power_law():
     assert not mesh.is_uniform
     # grading must cluster near zero: first width far below last
     assert mesh.widths[0] < mesh.widths[-1] / 10.0
+
+
+def test_uniformity_follows_the_nodes():
+    assert Mesh(np.arange(5) / 4.0).is_uniform
+    assert not build_mesh(4, delta=1.5).is_uniform
+    # graded nodes passed in directly must not be taken for the uniform mesh
+    mesh = Mesh(np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
+    assert not mesh.is_uniform
+    lead = Lead.of(mesh, 1.5)
+    assert lead.stencil is None
+    assert np.array_equal(lead.dense, assemble_lead(mesh, 1.5))
 
 
 def test_build_mesh_validation():
