@@ -41,12 +41,14 @@ class ExactSolution:
     alpha: float
     bc: str
     mesh: Mesh
+    fine_lead: Lead | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def lead(self) -> Lead:
-        """Leading block on the fine mesh, for the energy norm; built on first
-        use and kept for the life of this solution."""
-        return Lead.of(self.mesh, self.alpha)
+        """Leading block on the fine mesh, for the energy norm: ``fine_lead``
+        (the reference solve's own) when given, else built on first use and
+        kept for the life of this solution."""
+        return self.fine_lead if self.fine_lead is not None else Lead.of(self.mesh, self.alpha)
 
 
 def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
@@ -73,14 +75,15 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
 def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
     """Reconstruction solve on a fine uniform mesh, packaged as a reference.
 
-    The study meshes it serves should stay at least 8 times coarser.
+    The study meshes it serves should stay at least 8 times coarser. The
+    solve's leading block also serves the energy norm.
     """
     if fine_m < 16:
         raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
     mesh = build_mesh(fine_m)
     sol = solve_reconstruction(spec, mesh)
     return ExactSolution(
-        "reference", sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, spec.alpha, spec.bc, mesh
+        "reference", sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, spec.alpha, spec.bc, mesh, sol.lead
     )
 
 

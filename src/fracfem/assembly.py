@@ -118,14 +118,17 @@ def _pair_moments(gap, ha, hb, e, u, v, weights) -> np.ndarray:
     return (m * (ha * hb)).reshape(2, 2, gap.size)
 
 
-def _far_moments(gap, ha, hb, e, rules) -> np.ndarray:
+# (eta limit, tensor rule) of each _FAR_RULES tier; they depend on no argument
+_FAR_TENSORS = [(hi, _tensor_rule(*[legendre_panel(q, 0.0, 1.0)] * 2)) for q, hi in _FAR_RULES]
+
+
+def _far_moments(gap, ha, hb, e) -> np.ndarray:
     """Element-pair moments, each from the fewest Gauss points that its
-    separation ratio eta = max(h_a, h_b) / gap allows; rules holds the
-    tensor rule of each _FAR_RULES limit."""
+    separation ratio eta = max(h_a, h_b) / gap allows."""
     eta = np.maximum(ha, hb) / gap
     out = np.empty((2, 2, gap.size))
     lo = -1.0
-    for hi, rule in rules:
+    for hi, rule in _FAR_TENSORS:
         k = np.flatnonzero((eta > lo) & (eta <= hi))
         if k.size:
             out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *rule)
@@ -164,7 +167,6 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
         terms = np.maximum(gaps, 0.0) ** p
         out[i, i - off] = -scale * np.einsum("tl,tk,tlk->t", c[i], c[i - off], terms)
     scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
-    rules = [(hi, _tensor_rule(*[legendre_panel(q, 0.0, 1.0)] * 2)) for q, hi in _FAR_RULES]
     block = max(1, _FAR_PAIRS // mesh.m)
     for a0 in range(3, mesh.m, block):
         rows = np.arange(a0, min(a0 + block, mesh.m))
@@ -172,7 +174,7 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
         gap = x[rows, None] - x[None, cols + 1]
         gap[gap <= 0.0] = np.inf  # touching or overlapping pairs: no far field
         mom = _far_moments(
-            gap.ravel(), np.repeat(h[rows], cols.size), np.tile(h[cols], rows.size), p - 4.0, rules
+            gap.ravel(), np.repeat(h[rows], cols.size), np.tile(h[cols], rows.size), p - 4.0
         ).reshape(2, 2, rows.size, cols.size)
         rising = scale * (mom[1, 1, :, :-1] + mom[1, 0, :, 1:])  # hat a on element a
         falling = scale * (mom[0, 1, :, :-1] + mom[0, 0, :, 1:])  # hat a - 1
@@ -428,6 +430,18 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     return SingularPair(u_s, c0, c1, q_profile, f_tilde, f_at_one, p_sing)
 
 
+def _toeplitz_spectrum(stencil: np.ndarray) -> np.ndarray:
+    """rfft of the reversed stencil in the power-of-two circulant embedding."""
+    return np.fft.rfft(stencil[::-1], 1 << stencil.size.bit_length())
+
+
+def _embedded_matvec(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Toeplitz product from the embedding spectrum: one rfft and one irfft."""
+    n, length = x.size, 2 * (spectrum.size - 1)
+    conv = np.fft.irfft(spectrum * np.fft.rfft(x, length), length)
+    return conv[n - 1 : 2 * n - 1]
+
+
 def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multiply the Toeplitz matrix A[i, j] = stencil[j - i + n - 1] by x.
 
@@ -441,12 +455,7 @@ def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ArgumentError(
             f"stencil length {stencil.size} does not match vector size {n}"
         )
-    kernel = stencil[::-1]
-    length = 1 << (2 * n - 1).bit_length()
-    conv = np.fft.irfft(
-        np.fft.rfft(kernel, length) * np.fft.rfft(x, length), length
-    )
-    return conv[n - 1 : 2 * n - 1]
+    return _embedded_matvec(_toeplitz_spectrum(stencil), x)
 
 
 def stencil_to_dense(stencil: np.ndarray) -> np.ndarray:
@@ -477,10 +486,28 @@ class Lead:
             return cls(stencil=lead_stencil(mesh, alpha))
         return cls(dense=assemble_lead(mesh, alpha))
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Embedding spectrum of the stencil, built on the first matvec."""
+        return _toeplitz_spectrum(self.stencil)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x; on a stencil the same bits as ``toeplitz_matvec``."""
         if self.stencil is not None:
-            return toeplitz_matvec(self.stencil, x)
+            return _embedded_matvec(self._spectrum, x)
         return self.dense @ x
+
+    def diagonal(self) -> np.ndarray:
+        if self.stencil is not None:
+            return np.full((self.stencil.size + 1) // 2, self.stencil[self.stencil.size // 2])
+        return self.dense.diagonal().copy()
+
+    def row(self, i: int) -> np.ndarray:
+        """A fresh copy of row ``i``."""
+        if self.stencil is not None:
+            n = (self.stencil.size + 1) // 2
+            return self.stencil[n - 1 - i : 2 * n - 1 - i].copy()
+        return self.dense[i].copy()
 
     def to_dense(self) -> np.ndarray:
         """A fresh C-order copy of the block, free for the caller to modify."""

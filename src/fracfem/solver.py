@@ -1,9 +1,9 @@
 """Direct and iterative solution of the assembled systems.
 
-Graded systems, and uniform ones up to DENSE_LIMIT_M elements, are solved by
-LU of the full matrix. Finer uniform systems are solved by restarted GMRES
-on the FFT matvec of their Toeplitz stencil, preconditioned by the Strang
-circulant of the stencil, at O(n log n) per iteration.
+Systems on meshes of up to DENSE_LIMIT_M elements, uniform or graded, are
+solved by LU of the full matrix. Finer ones are solved by restarted GMRES on
+the lead's matvec (FFT convolution of a Toeplitz stencil, or a dense
+product), preconditioned by a diagonally scaled Strang circulant.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .assembly import AssembledSystem, ProblemSpec, SingularPair, assemble_system
+from .assembly import AssembledSystem, Lead, ProblemSpec, SingularPair, assemble_system
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
 from .mesh import Mesh, PwLinear
 
-# Largest uniform mesh solved by LU; finer uniform meshes take the GMRES path.
-DENSE_LIMIT_M = 1024
+# Largest mesh solved by LU; finer meshes take the GMRES path. LU is faster
+# up to m = 256 and GMRES from m = 512 on, on uniform and graded meshes.
+DENSE_LIMIT_M = 256
 
 # backward-error tolerance: |Ax - b| measured against |A||x| + |b|
 RESIDUAL_TOL = 1e-12
@@ -55,6 +56,7 @@ class ReconSolution:
     mu_h: float
     pair: SingularPair
     residual: float
+    lead: Lead  # leading block of the solved system
 
     def __call__(self, x):
         return self.u_r_h(x) + self.mu_h * self.pair.u_s(x)
@@ -109,26 +111,25 @@ def _relative_residual(system: AssembledSystem, coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(gap))) / scale
 
 
-def _strang_preconditioner(system: AssembledSystem) -> LinearOperator | None:
-    """Inverse of the Strang circulant of the stencil, applied by FFT.
+def _strang_preconditioner(system: AssembledSystem) -> LinearOperator:
+    """Inverse of A ~ D^(1/2) C D^(1/2), applied by FFT.
 
-    The mean mass bands are added to c0 and c+-1. Graded meshes have no
-    stencil and run unpreconditioned.
+    D is |diag(A)| without the rank-one coupling, and C is the Strang
+    circulant of the middle row of D^(-1/2) A D^(-1/2), mass bands included.
+    The scaling follows local refinement on graded meshes; on uniform ones D
+    is nearly constant and C is the Strang circulant of the stencil.
     """
-    st = system.lead.stencil
-    if st is None:
-        return None
-    n = system.n
-    # first column: A[k, 0] = st[n-1-k] up to n/2, then A[0, n-k] = st[2n-1-k]
-    col = st[n - 1 :: -1].copy()
-    wrap = np.arange(n // 2 + 1, n)
-    col[wrap] = st[2 * n - 1 - wrap]
-    col[0] += np.mean(system.mass_diag)
-    if n > 1:
-        col[[1, -1]] += np.mean(system.mass_off)
-    eig = np.fft.rfft(col)
+    n, k = system.n, system.n // 2
+    scale = 1.0 / np.sqrt(np.abs(system.lead.diagonal() + system.mass_diag))
+    row = system.lead.row(k)
+    row[k] += system.mass_diag[k]
+    row[k - 1 : k] += system.mass_off[k - 1 : k]  # a missing neighbour: empty slices
+    row[k + 1 : k + 2] += system.mass_off[k : k + 1]
+    row *= scale[k] * scale
+    # first column of the circulant that takes this row's offsets |j - k| <= n/2
+    eig = np.fft.rfft(row[(k - np.arange(n)) % n])
     return LinearOperator(
-        (n, n), matvec=lambda r: np.fft.irfft(np.fft.rfft(r) / eig, n), dtype=float
+        (n, n), matvec=lambda r: scale * np.fft.irfft(np.fft.rfft(scale * r) / eig, n), dtype=float
     )
 
 
@@ -168,9 +169,9 @@ def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float
 
 
 def _solve_coefficients(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """GMRES on uniform meshes finer than DENSE_LIMIT_M, otherwise LU of the
-    full matrix with one step of refinement; both check the backward error."""
-    if system.lead.stencil is not None and system.mesh.m > DENSE_LIMIT_M:
+    """GMRES on meshes finer than DENSE_LIMIT_M, otherwise LU of the full
+    matrix with one step of refinement; both check the backward error."""
+    if system.mesh.m > DENSE_LIMIT_M:
         return _gmres_solve(system, RESIDUAL_TOL)
     lu_piv = _factor(np.asfortranarray(system.full_matrix()))
     coeffs = lu_solve(lu_piv, system.load)
@@ -190,7 +191,7 @@ def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float):
     if system.method == "standard":
         return StandardSolution(PwLinear(system.mesh, coeffs), res)
     mu_h = reconstruction_scalar(system, coeffs)
-    return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res)
+    return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res, system.lead)
 
 
 def solve_standard(system: AssembledSystem) -> StandardSolution:
@@ -217,12 +218,10 @@ def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
 
 
 def solve_iterative(system: AssembledSystem, tol: float = RESIDUAL_TOL):
-    """Solve by Strang-preconditioned restarted GMRES on the FFT matvec.
+    """Solve by preconditioned restarted GMRES on the lead's matvec.
 
     ``tol`` is the target of the inf-norm backward error. Returns the same
     solution type as the direct path. Raises IterativeFailure when the
-    target is not reached within the iteration budget. Graded systems have
-    no stencil and so run unpreconditioned; at delta = 5 they exhaust the
-    budget from m = 256 on.
+    target is not reached within the iteration budget.
     """
     return _solution(system, *_gmres_solve(system, tol))

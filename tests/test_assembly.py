@@ -22,6 +22,7 @@ from fracfem.assembly import (
     load_vector,
     mass_bands,
     stencil_to_dense,
+    toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError
 from fracfem.fields import (
@@ -257,6 +258,35 @@ def test_lead_to_dense_is_a_fresh_copy(alpha, m, delta):
     kept = first.copy()
     first += 1.0
     assert np.array_equal(lead.to_dense(), kept)
+
+
+@given(**LEAD_CASES)
+@settings(max_examples=60, deadline=None)
+def test_lead_diagonal_and_rows_match_dense(alpha, m, delta):
+    lead = Lead.of(build_mesh(m, delta), alpha)
+    dense = lead.to_dense()
+    assert np.array_equal(lead.diagonal(), np.diag(dense))
+    for i in {0, (m - 1) // 2, m - 2}:
+        row = lead.row(i)
+        assert np.array_equal(row, dense[i])
+        row += 1.0  # a fresh copy
+        assert np.array_equal(lead.row(i), dense[i])
+
+
+@given(
+    alpha=LEAD_CASES["alpha"],
+    m=st.integers(min_value=2, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stencil_matvec_is_bit_identical_to_toeplitz_matvec(alpha, m, seed):
+    # the cached embedding spectrum changes no bit of the product
+    stencil = lead_stencil(build_mesh(m), alpha)
+    lead = Lead(stencil=stencil)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        x = rng.standard_normal(m - 1)
+        assert np.array_equal(lead.matvec(x), toeplitz_matvec(stencil, x))
 
 
 def test_lead_holds_exactly_one_format():
@@ -534,10 +564,12 @@ def test_dense_block_presence_by_size_and_grading(monkeypatch):
 
     monkeypatch.setattr(solver, "_gmres_solve", counted)
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+    limit = solver.DENSE_LIMIT_M
     for m, delta, toeplitz, by_gmres in (
-        (1024, 1.0, True, False),
-        (2048, 1.0, True, True),
-        (64, 2.0, False, False),
+        (limit, 1.0, True, False),
+        (2 * limit, 1.0, True, True),
+        (limit, 2.0, False, False),
+        (2 * limit, 2.0, False, True),
     ):
         system = assemble_system(spec, build_mesh(m, delta), "standard")
         assert (system.lead.stencil is not None) == toeplitz

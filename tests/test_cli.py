@@ -241,3 +241,24 @@ def test_singular_pair_built_once_per_cell(monkeypatch):
     reports = run_experiment(config)
     assert all(r.error is None and len(r.rows) == 2 for r in reports)
     assert calls == [1.3137, 1.7071]
+
+
+def test_one_lead_per_mesh_in_a_reference_cell(monkeypatch):
+    # the reference solve's leading block also serves the energy norm of
+    # every level, so a cell builds levels + 1 blocks, not levels + 2
+    calls = []
+    stencil = assembly.lead_stencil
+
+    def counting(mesh, alpha):
+        calls.append((alpha, mesh.m))
+        return stencil(mesh, alpha)
+
+    monkeypatch.setattr(assembly, "lead_stencil", counting)
+    config = _tiny(
+        alphas=(1.3137, 1.7071), q_kind="x_times_1mx", k_min=3, k_max=5, reference_m=512,
+    )
+    reports = run_experiment(config)
+    assert all(r.error is None and len(r.rows) == 3 for r in reports)
+    assert sorted(calls) == [
+        (alpha, m) for alpha in (1.3137, 1.7071) for m in (8, 16, 32, 512)
+    ]

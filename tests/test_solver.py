@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracfem.solver as solver_mod
 from fracfem.assembly import (
@@ -13,7 +15,7 @@ from fracfem.assembly import (
     toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, IterativeFailure, SingularSystemError
-from fracfem.fields import source_bump, source_inverse_quartic, zero_field
+from fracfem.fields import parse_field, source_bump, source_inverse_quartic, zero_field
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
     DENSE_LIMIT_M,
@@ -135,15 +137,49 @@ def test_gmres_iteration_budget(monkeypatch):
         solve_iterative(system)
 
 
-@pytest.mark.xfail(
-    raises=IterativeFailure, strict=True,
-    reason="graded systems have no Strang preconditioner and exhaust the GMRES budget",
-)
 def test_gmres_converges_on_strongly_graded_mesh():
     spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
     system = assemble_system(spec, build_mesh(256, delta=5.0), "standard")
     sol = solve_iterative(system)
     assert sol.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize(
+    "alpha, delta, m",
+    [(a, d, 1024) for d in (2.0, 5.0) for a in (1.05, 1.95)]
+    + [(1.05, 2.0, 2048), (1.95, 5.0, 2048)],
+)
+def test_solve_iterative_on_graded_meshes(alpha, delta, m):
+    # the scaled Strang circulant follows the grading; LU checks it to m = 1024
+    spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
+    system = assemble_system(spec, build_mesh(m, delta), "reconstruction")
+    sol = solve_iterative(system)
+    assert sol.residual <= RESIDUAL_TOL
+    if m <= 1024:
+        expect = np.linalg.solve(system.full_matrix(), system.load)
+        scale = float(np.max(np.abs(expect)))
+        assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
+
+
+@given(
+    alpha=st.floats(min_value=1.01, max_value=1.99),
+    mixed=st.booleans(),
+    delta=st.sampled_from([1.0, 2.0, 5.0]),
+    m=st.integers(min_value=8, max_value=128),
+    q_sign=st.sampled_from([0.0, 1.0, -1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
+    bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
+    q = zero_field() if q_sign == 0.0 else parse_field(f"{q_sign} * x * (1 - x)", 0.0)
+    spec = ProblemSpec(alpha=alpha, q=q, f=source_bump(), bc=bc)
+    mesh = build_mesh(m, delta)
+    assert m <= DENSE_LIMIT_M
+    direct = solve_reconstruction(spec, mesh)
+    iterative = solve_iterative(assemble_system(spec, mesh, "reconstruction"))
+    scale = float(np.max(np.abs(direct.u_r_h.coeffs)))
+    assert np.max(np.abs(iterative.u_r_h.coeffs - direct.u_r_h.coeffs)) <= 1e-9 * scale
+    assert iterative.mu_h == pytest.approx(direct.mu_h, rel=1e-10)
 
 
 def test_strength_scale_is_mesh_independent_without_potential():
