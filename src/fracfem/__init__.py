@@ -49,8 +49,6 @@ from .fraccalc import (
     QuadratureRule,
     beta_fn,
     gamma_fn,
-    rl_derivative_power,
-    rl_integral_power,
     rl_integral_powersum,
     rl_integral_powersum_at,
     weighted_endpoint_integral,

@@ -13,8 +13,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, rgamma, roots_jacobi
-from scipy.special import gamma as _gamma
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ArgumentError,
@@ -58,14 +57,14 @@ def gamma_fn(x: float) -> float:
     """Gamma function restricted to positive arguments."""
     if x <= 0.0:
         raise DomainError(f"gamma_fn needs a positive argument, got {x}")
-    return float(_gamma(x))
+    return math.gamma(x)
 
 
 def beta_fn(a: float, b: float) -> float:
     """Euler Beta function B(a, b) for positive arguments, via log-gamma."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta_fn needs positive arguments, got ({a}, {b})")
-    return float(np.exp(gammaln(a) + gammaln(b) - gammaln(a + b)))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)
@@ -197,40 +196,6 @@ class PowerSum:
         return min(exps) if exps else None
 
 
-def rl_integral_power(gamma_ord: float, beta_exp: float, x: float) -> float:
-    """Left Riemann-Liouville integral of t^beta_exp at x.
-
-    (I_0^gamma t^beta)(x) = Gamma(beta + 1) / Gamma(beta + 1 + gamma) * x^(beta + gamma).
-    """
-    if gamma_ord <= 0.0:
-        raise DomainError(f"integral order must be positive, got {gamma_ord}")
-    if beta_exp <= -1.0:
-        raise DomainError(f"exponent must exceed -1, got {beta_exp}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"evaluation point must lie in [0, 1], got {x}")
-    g = gammaln(beta_exp + 1.0) - gammaln(beta_exp + 1.0 + gamma_ord)
-    return float(np.exp(g)) * x ** (beta_exp + gamma_ord)
-
-
-def rl_derivative_power(beta_order: float, p_exp: float, x: float) -> float:
-    """Left Riemann-Liouville derivative of t^p_exp at x, order in (0, 2).
-
-    (D_0^beta t^p)(x) = Gamma(p + 1) / Gamma(p + 1 - beta) * x^(p - beta);
-    the reciprocal gamma kills the expression when p - beta is a negative
-    integer, which covers D^alpha x^(alpha-1) = 0 and D^(alpha-1) x^(alpha-2) = 0.
-    """
-    if not 0.0 < beta_order < 2.0:
-        raise DomainError(f"derivative order must lie in (0, 2), got {beta_order}")
-    if p_exp <= -1.0:
-        raise DomainError(f"exponent must exceed -1, got {p_exp}")
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"evaluation point must lie in (0, 1], got {x}")
-    z = p_exp + 1.0 - beta_order
-    if z < 0.5 and abs(z - round(z)) < 1e-12 and round(z) <= 0:
-        return 0.0
-    return float(_gamma(p_exp + 1.0) * rgamma(z)) * x ** (p_exp - beta_order)
-
-
 def rl_integral_powersum(gamma_ord: float, ps: PowerSum) -> PowerSum:
     """Apply the left integral term by term; anchors shift the power rule."""
     if gamma_ord <= 0.0:
@@ -241,8 +206,8 @@ def rl_integral_powersum(gamma_ord: float, ps: PowerSum) -> PowerSum:
         )
     terms = []
     for t in ps.terms:
-        g = np.exp(gammaln(t.exponent + 1.0) - gammaln(t.exponent + 1.0 + gamma_ord))
-        terms.append(PowerTerm(t.coeff * float(g), t.anchor, t.exponent + gamma_ord))
+        g = math.exp(math.lgamma(t.exponent + 1.0) - math.lgamma(t.exponent + 1.0 + gamma_ord))
+        terms.append(PowerTerm(t.coeff * g, t.anchor, t.exponent + gamma_ord))
     return PowerSum(tuple(terms))
 
 
@@ -258,8 +223,7 @@ class QuadratureRule:
     """Recipe for the endpoint-weighted integral.
 
     kind is one of "gauss_jacobi" (absorb the (1-t)^(alpha-1) weight, and
-    optionally a t^left_exponent factor of the integrand, into the rule),
-    "gauss_legendre" (evaluate the weight explicitly), or
+    optionally a t^left_exponent factor of the integrand, into the rule) or
     "adaptive_composite" (bisection with Jacobi panels at the endpoints).
     """
 
@@ -269,7 +233,7 @@ class QuadratureRule:
     left_exponent: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gauss_jacobi", "gauss_legendre", "adaptive_composite"):
+        if self.kind not in ("gauss_jacobi", "adaptive_composite"):
             raise ArgumentError(f"unknown quadrature kind {self.kind!r}")
         if self.points < 1:
             raise ArgumentError(f"quadrature needs at least one point, got {self.points}")
@@ -293,9 +257,21 @@ def gauss_legendre(n: int):
 
 
 @lru_cache(maxsize=None)
-def gauss_jacobi(n: int, a_exp: float, b_exp: float):
-    """Nodes/weights on [-1, 1] for the weight (1-x)^a_exp (1+x)^b_exp."""
-    nodes, weights = roots_jacobi(n, a_exp, b_exp)
+def gauss_jacobi(n: int, a: float, b: float):
+    """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix, and mu0 times the squared first
+    components of its eigenvectors, with mu0 = 2^(a+b+1) B(a+1, b+1)."""
+    if n < 1:
+        raise ArgumentError(f"a Gauss rule needs at least one point, got {n}")
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    # first entries in closed form: the general ones are 0/0 at a + b = 0 (diag) and -1 (off)
+    diag = np.append((b - a) / (a + b + 2.0), (b * b - a * a) / (s * (s + 2.0)))
+    with np.errstate(invalid="ignore"):
+        off = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+    nodes, vectors = eigh_tridiagonal(diag, np.sqrt(off))
+    weights = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0) * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -405,9 +381,6 @@ def weighted_endpoint_integral(
         t, w = jacobi_both_panel(rule.points, a_exp, b_exp, 0.0, 1.0)
         smooth = (lambda t: g(t) / t ** b_exp) if b_exp != 0.0 else g
         value = float(np.dot(w, smooth(t)))
-    elif rule.kind == "gauss_legendre":
-        t, w = legendre_panel(rule.points, 0.0, 1.0)
-        value = float(np.dot(w, (1.0 - t) ** a_exp * g(t)))
     else:
         smooth = (lambda t: g(t) / t ** b_exp) if b_exp != 0.0 else g
         value = _adaptive(smooth, a_exp, b_exp, 0.0, 1.0, rule.tol, max(rule.points, 8), 0)

@@ -2,12 +2,16 @@
 
 Everything here goes through scipy.integrate.quad on the defining
 convolutions and bilinear forms, never through the closed forms in the
-package, so agreement is meaningful. There are two exceptions.
+package, so agreement is meaningful. There are four exceptions.
 stiffness_entry_decimal re-evaluates the stiffness closed form in
 high-precision decimal arithmetic: it checks the rounding of the package's
 evaluation, while the quadrature oracles check the formula. assemble_mass_q
 only expands the package's mass bands to a dense matrix for structural
-checks.
+checks. The scalar power rules rl_integral_power and rl_derivative_power
+are the textbook closed forms, evaluated with scipy.special, against which
+the package's power-sum integral and the quadrature oracles are checked.
+legendre_endpoint_integral is plain Gauss-Legendre with the endpoint weight
+evaluated explicitly, the slow rule the Gauss-Jacobi panels replace.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import beta
+from scipy.special import beta, gammaln, rgamma
 from scipy.special import gamma as gamma_fn
 
 from fracfem.assembly import mass_bands
+from fracfem.errors import DomainError
 
 _LIMIT = 200
 
@@ -226,3 +231,44 @@ def assemble_mass_q(mesh, q):
         out[idx[:-1], idx[:-1] + 1] = off
         out[idx[:-1] + 1, idx[:-1]] = off
     return out
+
+
+def rl_integral_power(gamma_ord, beta_exp, x):
+    """Left Riemann-Liouville integral of t^beta_exp at x.
+
+    (I_0^gamma t^beta)(x) = Gamma(beta + 1) / Gamma(beta + 1 + gamma) * x^(beta + gamma).
+    """
+    if gamma_ord <= 0.0:
+        raise DomainError(f"integral order must be positive, got {gamma_ord}")
+    if beta_exp <= -1.0:
+        raise DomainError(f"exponent must exceed -1, got {beta_exp}")
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"evaluation point must lie in [0, 1], got {x}")
+    g = gammaln(beta_exp + 1.0) - gammaln(beta_exp + 1.0 + gamma_ord)
+    return float(np.exp(g)) * x ** (beta_exp + gamma_ord)
+
+
+def rl_derivative_power(beta_order, p_exp, x):
+    """Left Riemann-Liouville derivative of t^p_exp at x, order in (0, 2).
+
+    (D_0^beta t^p)(x) = Gamma(p + 1) / Gamma(p + 1 - beta) * x^(p - beta);
+    the reciprocal gamma kills the expression when p - beta is a negative
+    integer, which covers D^alpha x^(alpha-1) = 0 and D^(alpha-1) x^(alpha-2) = 0.
+    """
+    if not 0.0 < beta_order < 2.0:
+        raise DomainError(f"derivative order must lie in (0, 2), got {beta_order}")
+    if p_exp <= -1.0:
+        raise DomainError(f"exponent must exceed -1, got {p_exp}")
+    if not 0.0 < x <= 1.0:
+        raise DomainError(f"evaluation point must lie in (0, 1], got {x}")
+    z = p_exp + 1.0 - beta_order
+    if z < 0.5 and abs(z - round(z)) < 1e-12 and round(z) <= 0:
+        return 0.0
+    return float(gamma_fn(p_exp + 1.0) * rgamma(z)) * x ** (p_exp - beta_order)
+
+
+def legendre_endpoint_integral(g, alpha, points):
+    """(I_0^alpha g)(1) by plain Gauss-Legendre with the weight evaluated explicitly."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    t = 0.5 * (t + 1.0)
+    return float(np.dot(0.5 * w, (1.0 - t) ** (alpha - 1.0) * g(t))) / gamma_fn(alpha)

@@ -21,14 +21,17 @@ from fracfem.fields import source_bump, zero_field
 from fracfem.fraccalc import (
     PowerSum,
     gamma_fn,
-    rl_derivative_power,
-    rl_integral_power,
     rl_integral_powersum,
 )
 from fracfem.mesh import build_mesh
 from fracfem.solver import solve_iterative, solve_reconstruction
 
-from .oracles import assemble_mass_q, frac_integral_quad
+from .oracles import (
+    assemble_mass_q,
+    frac_integral_quad,
+    rl_derivative_power,
+    rl_integral_power,
+)
 from .test_analysis import GREEN_BUMP_POINTS, GREEN_BUMP_VALUES
 from .test_assembly import LEAD_M4_GRADED2_A125, LEAD_M4_UNIFORM_A15
 

@@ -15,18 +15,22 @@ from fracfem.fraccalc import (
     QuadratureRule,
     beta_fn,
     gamma_fn,
+    gauss_jacobi,
     jacobi_both_panel,
     jacobi_left_panel,
     jacobi_right_panel,
     legendre_panel,
-    rl_derivative_power,
-    rl_integral_power,
     rl_integral_powersum,
     rl_integral_powersum_at,
     weighted_endpoint_integral,
 )
 
-from .oracles import frac_integral_quad
+from .oracles import (
+    frac_integral_quad,
+    legendre_endpoint_integral,
+    rl_derivative_power,
+    rl_integral_power,
+)
 
 
 # --- orders and special functions -------------------------------------------
@@ -246,7 +250,7 @@ def test_weighted_integral_with_left_singular_factor(kind):
 def test_gauss_legendre_rule_converges_slowly_but_runs():
     alpha = 1.5
     exact = rl_integral_power(alpha, 1.0, 1.0)
-    got = weighted_endpoint_integral(lambda t: t, alpha, QuadratureRule("gauss_legendre", 64))
+    got = legendre_endpoint_integral(lambda t: t, alpha, 64)
     # the unabsorbed endpoint weight limits plain Gauss to a few digits
     assert got == pytest.approx(exact, rel=1e-3)
 
@@ -264,9 +268,41 @@ def test_panel_helpers_integrate_polynomials_exactly():
     assert float(w @ np.ones_like(t)) == pytest.approx(beta_fn(0.75, 1.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [8, 16, 20, 24, 32, 48])
+@pytest.mark.parametrize("a", [0.0, 0.02, 0.5, 0.98])
+def test_gauss_jacobi_moments_are_exact(n, a):
+    # sum w ((1+x)/2)^k = int (1-x)^a (1+x)^b ((1+x)/2)^k dx
+    #                   = 2^(a+b+1) B(a+1, b+k+1) for every k < 2n
+    for b in (-0.98, -0.5, -0.25, 0.0, 0.5, 0.98):
+        x, w = gauss_jacobi(n, a, b)
+        half = (1.0 + x) / 2.0
+        for k in range(2 * n):
+            exact = math.exp(
+                (a + b + 1.0) * math.log(2.0)
+                + math.lgamma(a + 1.0)
+                + math.lgamma(b + k + 1.0)
+                - math.lgamma(a + b + k + 2.0)
+            )
+            assert float(np.sum(w * half**k)) == pytest.approx(exact, rel=1e-12), (b, k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gauss_jacobi_chebyshev_closed_form():
+    # a + b = -1, where the general first off-diagonal entry is 0/0
+    for n in (1, 2, 7, 16):
+        x, w = gauss_jacobi(n, -0.5, -0.5)
+        nodes = np.sort(np.cos((2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)))
+        np.testing.assert_allclose(x, nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w, np.full(n, np.pi / n), rtol=1e-13)
+
+
 def test_quadrature_rule_validation():
     with pytest.raises(ArgumentError):
         QuadratureRule(kind="monte_carlo")
+    with pytest.raises(ArgumentError):
+        QuadratureRule(kind="gauss_legendre")  # plain Gauss lives in the oracles
+    with pytest.raises(ArgumentError):
+        gauss_jacobi(0, 0.5, 0.0)
     with pytest.raises(ArgumentError):
         QuadratureRule(points=0)
     with pytest.raises(ArgumentError):

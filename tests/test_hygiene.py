@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,24 @@ def test_no_extended_precision(path):
     # answers must not depend on the platform's long double
     source = path.read_text(encoding="utf-8")
     assert "longdouble" not in source and "float128" not in source
+
+
+def test_runtime_needs_no_scipy_special_or_sparse():
+    # a fresh interpreter runs a study whose levels (m = 4, 8) take LU and
+    # whose m = 1024 reference takes GMRES; neither loads these subpackages
+    script = (
+        "import sys, fracfem, fracfem.cli\n"
+        "argv = ['--alpha', '1.5', '--example', 'a', '--q', 'x_times_1mx',\n"
+        "        '--method', 'recon', '--levels', '2:3', '--reference-m', '1024']\n"
+        "assert fracfem.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'scipy.sparse'))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
