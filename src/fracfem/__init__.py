@@ -14,7 +14,6 @@ from .analysis import (
     error_norms,
     exact_q0,
     expected_rates,
-    green_q0,
     rates,
     reference_solution,
 )
@@ -29,7 +28,6 @@ from .assembly import (
     lead_stencil,
     toeplitz_matvec,
 )
-from .cli import ExperimentConfig, emit_table, run_experiment
 from .errors import (
     ArgumentError,
     DegenerateSplittingError,
@@ -46,14 +44,13 @@ from .fraccalc import (
     FracOrder,
     PowerSum,
     PowerTerm,
-    QuadratureRule,
     beta_fn,
     gamma_fn,
     rl_integral_powersum,
     rl_integral_powersum_at,
     weighted_endpoint_integral,
 )
-from .mesh import Mesh, PwLinear, basis_frac_derivative, build_mesh, hat
+from .mesh import Mesh, PwLinear, build_mesh
 from .solver import (
     ReconSolution,
     StandardSolution,

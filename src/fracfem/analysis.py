@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .assembly import DIRICHLET, Lead, ProblemSpec, _element_gauss
 from .errors import ArgumentError, UnsupportedSourceError
-from .fraccalc import PowerSum, gamma_fn, rl_integral_powersum
+from .fraccalc import PowerSum, rl_integral_powersum
 from .mesh import Mesh, build_mesh
 from .solver import ReconSolution, StandardSolution, solve_reconstruction
 
@@ -31,7 +30,8 @@ _GAUSS_PER_CELL = 8
 @dataclass(frozen=True)
 class ExactSolution:
     """Exact (closed-form) or reference (fine-mesh) solution triple, with the
-    fine mesh on which error norms sample it."""
+    fine mesh on which error norms sample it and the leading block there,
+    which the energy norm needs."""
 
     kind: str
     u: Callable
@@ -41,14 +41,7 @@ class ExactSolution:
     alpha: float
     bc: str
     mesh: Mesh
-    fine_lead: Lead | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def lead(self) -> Lead:
-        """Leading block on the fine mesh, for the energy norm: ``fine_lead``
-        (the reference solve's own) when given, else built on first use and
-        kept for the life of this solution."""
-        return self.fine_lead if self.fine_lead is not None else Lead.of(self.mesh, self.alpha)
+    lead: Lead = field(repr=False, compare=False)
 
 
 def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
@@ -67,8 +60,9 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, p_sing)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
     u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
+    mesh = build_mesh(fine_m)
     return ExactSolution(
-        "closed_form", u, u_r, mu, u_s, spec.alpha, spec.bc, build_mesh(fine_m)
+        "closed_form", u, u_r, mu, u_s, spec.alpha, spec.bc, mesh, Lead.of(mesh, spec.alpha)
     )
 
 
@@ -145,16 +139,6 @@ def rates(errors) -> np.ndarray:
         if e[i] > 0.0 and e[i + 1] > 0.0 and np.isfinite(e[i]) and np.isfinite(e[i + 1]):
             out[i] = math.log2(e[i] / e[i + 1])
     return out
-
-
-def green_q0(alpha: float, x: float, y) -> np.ndarray:
-    """Green's function of the Dirichlet problem with q = 0:
-
-    G(x, y) = [ (1-y)^(alpha-1) x^(alpha-1) - ((x-y)_+)^(alpha-1) ] / Gamma(alpha).
-    """
-    y = np.asarray(y, dtype=float)
-    lead = (1.0 - y) ** (alpha - 1.0) * x ** (alpha - 1.0)
-    return (lead - np.maximum(x - y, 0.0) ** (alpha - 1.0)) / gamma_fn(alpha)
 
 
 def expected_rates(alpha: float, method: str, bc: str, gamma_smooth: float) -> dict:

@@ -27,11 +27,9 @@ from .fields import ScalarField
 from .fraccalc import (
     FracOrder,
     PowerSum,
-    QuadratureRule,
     beta_fn,
     gamma_fn,
-    jacobi_left_panel,
-    jacobi_right_panel,
+    jacobi_panel,
     legendre_panel,
     rl_integral_powersum_at,
     weighted_endpoint_integral,
@@ -295,7 +293,7 @@ def quadrature_load(mesh: Mesh, field: ScalarField) -> np.ndarray:
     falling = np.sum(wq * fv * (1.0 - n_r), axis=1)
     if field.hint is not None:
         x1 = mesh.nodes[1]
-        t, jw = jacobi_left_panel(2 * _LOAD_POINTS, field.hint, 0.0, x1)
+        t, jw = jacobi_panel(2 * _LOAD_POINTS, 0.0, field.hint, 0.0, x1)
         smooth = field(t) * t ** (-field.hint)
         rising[0] = float(np.dot(jw, smooth * (t / x1)))
     out = rising[:n] + falling[1:]
@@ -329,7 +327,7 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
     falling = np.sum(wq * qv * (1.0 - n_r), axis=1)
     # redo the last element with the weight absorbed exactly
     left = mesh.nodes[-2]
-    t, jw = jacobi_right_panel(2 * _ENDPOINT_POINTS, a - 1.0, left, 1.0)
+    t, jw = jacobi_panel(2 * _ENDPOINT_POINTS, a - 1.0, 0.0, left, 1.0)
     width_last = 1.0 - left
     falling_last = float(np.dot(jw, q(t) * (1.0 - t) / width_last))
     out = rising[:n] + np.concatenate((falling[1:-1], [falling_last]))
@@ -353,15 +351,12 @@ class SingularPair:
     singular_exponent: float
 
 
-def _frac_integral_at_one(field: ScalarField, alpha: float) -> float:
-    """(I_0^alpha field)(1), exact for power-sum fields."""
-    if field.is_zero:
-        return 0.0
+def _frac_integral_at_one(field: ScalarField, alpha: float, breaks=()) -> float:
+    """(I_0^alpha field)(1): exact for left power sums, otherwise adaptive
+    with the field's hint as the left exponent and panel edges at ``breaks``."""
     if field.powersum is not None and field.powersum.is_left:
         return float(rl_integral_powersum_at(alpha, field.powersum, 1.0))
-    hint = field.hint or 0.0
-    rule = QuadratureRule(kind="adaptive_composite", points=16, tol=1e-12, left_exponent=hint)
-    return weighted_endpoint_integral(field.fn, alpha, rule)
+    return weighted_endpoint_integral(field.fn, alpha, field.hint or 0.0, breaks)
 
 
 def build_singular_pair(spec: ProblemSpec) -> SingularPair:
@@ -375,22 +370,18 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
     c1 = PowerSum.monomial(-2.0 / gamma_fn(3.0 - a), 2.0 - a)
 
+    q_fn = spec.q.fn
+    u_s_fn = u_s.__call__
+    q_ps = spec.q.powersum
     q_us = None
-    if spec.q.is_zero:
-        q_us = PowerSum(())
-    elif spec.q.powersum is not None and spec.q.powersum.is_zero_anchored:
-        q_us = spec.q.powersum.multiply_zero_anchored(u_s)
-
-    if q_us is not None:
-        denom = 1.0 + float(rl_integral_powersum_at(a, q_us, 1.0))
-    else:
-        hint = (spec.q.hint or 0.0) + p_sing
-        rule = QuadratureRule(
-            kind="adaptive_composite", points=16, tol=1e-12, left_exponent=hint
-        )
-        denom = 1.0 + weighted_endpoint_integral(
-            lambda t: spec.q(t) * u_s(t), a, rule
-        )
+    if q_ps is not None and q_ps.is_zero_anchored:  # q = 0 included
+        q_us = q_ps.multiply_zero_anchored(u_s)
+    q_us_field = ScalarField(
+        fn=lambda t: q_fn(t) * u_s_fn(t), hint=(spec.q.hint or 0.0) + p_sing, powersum=q_us
+    )
+    # q's jumps and kinks sit at its anchors, which bisection may never reach
+    breaks = [] if q_ps is None else [t.anchor for t in q_ps.terms]
+    denom = 1.0 + _frac_integral_at_one(q_us_field, a, breaks)
     if abs(denom) < DEGENERATE_TOL:
         raise DegenerateSplittingError(
             "splitting constant is undefined for this potential", denom
@@ -399,8 +390,6 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
 
     f_at_one = _frac_integral_at_one(spec.f, a)
 
-    q_fn = spec.q.fn
-    u_s_fn = u_s.__call__
     c1_fn = c1.__call__
 
     def q_profile_fn(x):
@@ -410,7 +399,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     q_profile_ps = None
     if q_us is not None:
         q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
-    q_hint = min(2.0 - a, (spec.q.hint or 0.0) + p_sing)
+    q_hint = min(2.0 - a, q_us_field.hint)
     q_profile = ScalarField(
         fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q"
     )

@@ -1,8 +1,8 @@
 """Scalar fractional-calculus kernel.
 
-Gamma/Beta helpers, Riemann-Liouville power rules, sums of shifted power
-functions, and quadrature for integrals with an endpoint weight
-(1 - t)^(alpha - 1).
+Gamma/Beta helpers, sums of shifted power functions and their
+Riemann-Liouville integrals, Gauss rules, and the adaptive quadrature for
+integrals with an endpoint weight (1 - t)^(alpha - 1).
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ from .errors import (
 LEFT = "left"
 RIGHT = "right"
 
+# bisection of the endpoint-weighted integral: Gauss points per panel, the
+# relative agreement that ends it, and the depth at which it gives up
+_ADAPTIVE_POINTS = 16
+_ADAPTIVE_TOL = 1e-12
 _ADAPTIVE_MAX_DEPTH = 26
 
 
@@ -40,10 +44,6 @@ class FracOrder:
 
     def __float__(self) -> float:
         return self.alpha
-
-    @property
-    def half(self) -> float:
-        return 0.5 * self.alpha
 
     def require_mixed_range(self) -> None:
         """The mixed (Neumann-left) problem needs alpha in (3/2, 2)."""
@@ -123,17 +123,6 @@ class PowerSum:
     @classmethod
     def monomial(cls, coeff: float, exponent: float) -> "PowerSum":
         return cls((PowerTerm(coeff, 0.0, exponent),))
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[float]) -> "PowerSum":
-        """Polynomial sum(coeffs[k] * x^k), coefficients low to high."""
-        return cls(
-            tuple(
-                PowerTerm(float(c), 0.0, float(k))
-                for k, c in enumerate(coeffs)
-                if c != 0.0
-            )
-        )
 
     @property
     def is_left(self) -> bool:
@@ -218,36 +207,6 @@ def rl_integral_powersum_at(gamma_ord: float, ps: PowerSum, x: float):
     return rl_integral_powersum(gamma_ord, ps)(x)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Recipe for the endpoint-weighted integral.
-
-    kind is one of "gauss_jacobi" (absorb the (1-t)^(alpha-1) weight, and
-    optionally a t^left_exponent factor of the integrand, into the rule) or
-    "adaptive_composite" (bisection with Jacobi panels at the endpoints).
-    """
-
-    kind: str = "gauss_jacobi"
-    points: int = 32
-    tol: float = 1e-12
-    left_exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gauss_jacobi", "adaptive_composite"):
-            raise ArgumentError(f"unknown quadrature kind {self.kind!r}")
-        if self.points < 1:
-            raise ArgumentError(f"quadrature needs at least one point, got {self.points}")
-        if self.tol <= 0.0:
-            raise ArgumentError(f"tolerance must be positive, got {self.tol}")
-        if self.left_exponent <= -1.0:
-            raise DomainError(
-                f"left weight exponent must exceed -1, got {self.left_exponent}"
-            )
-
-
-DEFAULT_RULE = QuadratureRule()
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -284,104 +243,74 @@ def legendre_panel(n: int, a: float, b: float):
     return a + half * (xi + 1.0), half * w
 
 
-def jacobi_right_panel(n: int, exponent: float, a: float, b: float):
-    """Nodes/weights t, w with sum w*g(t) = int_a^b (b-t)^exponent g(t) dt."""
-    xi, w = gauss_jacobi(n, exponent, 0.0)
-    half = 0.5 * (b - a)
-    return a + half * (xi + 1.0), w * half ** (exponent + 1.0)
-
-
-def jacobi_left_panel(n: int, exponent: float, a: float, b: float):
-    """Nodes/weights t, w with sum w*g(t) = int_a^b (t-a)^exponent g(t) dt."""
-    xi, w = gauss_jacobi(n, 0.0, exponent)
-    half = 0.5 * (b - a)
-    return a + half * (xi + 1.0), w * half ** (exponent + 1.0)
-
-
-def jacobi_both_panel(n: int, right_exp: float, left_exp: float, a: float, b: float):
-    """Nodes/weights for int_a^b (b-t)^right_exp (t-a)^left_exp g(t) dt."""
+def jacobi_panel(n: int, right_exp: float, left_exp: float, a: float, b: float):
+    """Nodes/weights t, w with sum w*g(t) = int_a^b (b-t)^right_exp (t-a)^left_exp g(t) dt."""
     xi, w = gauss_jacobi(n, right_exp, left_exp)
     half = 0.5 * (b - a)
     return a + half * (xi + 1.0), w * half ** (right_exp + left_exp + 1.0)
 
 
-def _panel_value(g, a_exp, b_exp, lo, hi, n):
-    """One-panel estimate of int_lo^hi (1-t)^a_exp t^b_exp_part g_smooth dt.
+def _panel_value(g, a_exp, b_exp, lo, hi):
+    """One-panel estimate of int_lo^hi (1-t)^a_exp t^b_exp g(t) dt.
 
-    The caller passes g already divided by t^b_exp; weights at panels touching
-    an endpoint absorb the corresponding singular factor.
+    A panel touching 1 absorbs (1-t)^a_exp into its weights, one touching 0
+    absorbs t^b_exp; the factors not absorbed multiply g.
     """
-    touches_right = hi == 1.0
-    touches_left = lo == 0.0 and b_exp != 0.0
-    if touches_right and touches_left:
-        t, w = jacobi_both_panel(n, a_exp, b_exp, lo, hi)
-        return float(np.dot(w, g(t)))
-    if touches_right:
-        t, w = jacobi_right_panel(n, a_exp, lo, hi)
-        vals = g(t)
-        if b_exp != 0.0:
-            vals = vals * t ** b_exp
-        return float(np.dot(w, vals))
-    if touches_left:
-        t, w = jacobi_left_panel(n, b_exp, lo, hi)
-        return float(np.dot(w, (1.0 - t) ** a_exp * g(t)))
-    t, w = legendre_panel(n, lo, hi)
-    vals = (1.0 - t) ** a_exp * g(t)
-    if b_exp != 0.0:
+    right = a_exp if hi == 1.0 else 0.0
+    left = b_exp if lo == 0.0 else 0.0
+    if right or left:
+        t, w = jacobi_panel(_ADAPTIVE_POINTS, right, left, lo, hi)
+    else:
+        t, w = legendre_panel(_ADAPTIVE_POINTS, lo, hi)
+    vals = g(t)
+    if a_exp != right:
+        vals = (1.0 - t) ** a_exp * vals
+    if b_exp != left:
         vals = vals * t ** b_exp
     return float(np.dot(w, vals))
 
 
-def _adaptive(g, a_exp, b_exp, lo, hi, tol, n, depth, whole=None):
+def _adaptive(g, a_exp, b_exp, lo, hi, depth=0, whole=None):
     """Bisect [lo, hi] until two half panels agree with the whole panel.
 
     ``whole`` is the panel's own estimate, which the parent already computed
     as one of its halves; only the root call evaluates it here.
     """
     if whole is None:
-        whole = _panel_value(g, a_exp, b_exp, lo, hi, n)
+        whole = _panel_value(g, a_exp, b_exp, lo, hi)
     mid = 0.5 * (lo + hi)
-    left = _panel_value(g, a_exp, b_exp, lo, mid, n)
-    right = _panel_value(g, a_exp, b_exp, mid, hi, n)
+    left = _panel_value(g, a_exp, b_exp, lo, mid)
+    right = _panel_value(g, a_exp, b_exp, mid, hi)
     split = left + right
     err = abs(split - whole)
-    if err <= tol * max(abs(split), 1e-30):
+    if err <= _ADAPTIVE_TOL * max(abs(split), 1e-30):
         return split
     if depth >= _ADAPTIVE_MAX_DEPTH:
         raise QuadratureFailure(
             "adaptive endpoint-weighted quadrature hit the depth cap", err
         )
-    return _adaptive(g, a_exp, b_exp, lo, mid, tol, n, depth + 1, left) + _adaptive(
-        g, a_exp, b_exp, mid, hi, tol, n, depth + 1, right
+    return _adaptive(g, a_exp, b_exp, lo, mid, depth + 1, left) + _adaptive(
+        g, a_exp, b_exp, mid, hi, depth + 1, right
     )
 
 
 def weighted_endpoint_integral(
-    g: Callable, alpha, rule: QuadratureRule | None = None
+    g: Callable, alpha, left_exponent: float = 0.0, breaks: Iterable[float] = ()
 ) -> float:
     """Evaluate (I_0^alpha g)(1) = (1/Gamma(alpha)) int_0^1 (1-t)^(alpha-1) g(t) dt.
 
-    Parameters
-    ----------
-    g:
-        Vectorized integrand on (0, 1). When the rule carries a nonzero
-        ``left_exponent`` b, g is assumed to behave like t^b near 0 and the
-        smooth part g(t) / t^b is what the Jacobi weights see.
-    alpha:
-        Fractional order in (1, 2), plain float or FracOrder.
-    rule:
-        Quadrature recipe; defaults to a 32-point Gauss-Jacobi rule.
+    Adaptive bisection with Jacobi panels at the ends, run separately between
+    the ``breaks`` in (0, 1): points where g jumps or kinks, since bisection
+    from [0, 1] reaches a non-dyadic one only past its depth cap. With a
+    nonzero ``left_exponent`` b, g is taken to behave like t^b near 0, and
+    the Jacobi weights see its smooth part g(t) / t^b. ``alpha`` is a plain
+    float or a FracOrder in (1, 2).
     """
     a = FracOrder(float(alpha)).alpha
-    rule = rule or DEFAULT_RULE
-    a_exp = a - 1.0
-    b_exp = rule.left_exponent
-
-    if rule.kind == "gauss_jacobi":
-        t, w = jacobi_both_panel(rule.points, a_exp, b_exp, 0.0, 1.0)
-        smooth = (lambda t: g(t) / t ** b_exp) if b_exp != 0.0 else g
-        value = float(np.dot(w, smooth(t)))
-    else:
-        smooth = (lambda t: g(t) / t ** b_exp) if b_exp != 0.0 else g
-        value = _adaptive(smooth, a_exp, b_exp, 0.0, 1.0, rule.tol, max(rule.points, 8), 0)
+    if left_exponent <= -1.0:
+        raise DomainError(f"left weight exponent must exceed -1, got {left_exponent}")
+    smooth = (lambda t: g(t) / t**left_exponent) if left_exponent != 0.0 else g
+    edges = [0.0, *sorted({float(x) for x in breaks if 0.0 < x < 1.0}), 1.0]
+    pieces = zip(edges, edges[1:])
+    value = sum(_adaptive(smooth, a - 1.0, left_exponent, lo, hi) for lo, hi in pieces)
     return value / gamma_fn(a)

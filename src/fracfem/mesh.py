@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .fraccalc import PowerSum, PowerTerm, gamma_fn
 
 
 def build_mesh(m: int, delta: float = 1.0) -> "Mesh":
@@ -60,15 +59,6 @@ class Mesh:
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def element_of(self, x) -> np.ndarray:
-        """Index of the element containing x; nodes belong to the element on
-        their left, except x = 0 which belongs to element 0."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise DomainError("query point outside [0, 1]")
-        idx = np.searchsorted(self.nodes, x, side="left") - 1
-        return np.clip(idx, 0, self.m - 1)
-
 
 @dataclass(frozen=True)
 class PwLinear:
@@ -99,49 +89,3 @@ class PwLinear:
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise DomainError("evaluation point outside [0, 1]")
         return np.interp(x, self.mesh.nodes, self._values)
-
-
-def hat(mesh: Mesh, j: int) -> PwLinear:
-    """The j-th interior nodal basis function."""
-    coeffs = np.zeros(mesh.m - 1)
-    if not 1 <= j <= mesh.m - 1:
-        raise ArgumentError(f"interior node index must lie in [1, {mesh.m - 1}], got {j}")
-    coeffs[j - 1] = 1.0
-    return PwLinear(mesh, coeffs)
-
-
-def hat_jump_data(mesh: Mesh, j: int):
-    """Anchors and slope jumps of the j-th hat at its three support nodes."""
-    if not 1 <= j <= mesh.m - 1:
-        raise ArgumentError(f"interior node index must lie in [1, {mesh.m - 1}], got {j}")
-    x = mesh.nodes
-    rise = 1.0 / (x[j] - x[j - 1])
-    fall = -1.0 / (x[j + 1] - x[j])
-    anchors = x[j - 1 : j + 2]
-    jumps = np.array([rise, fall - rise, -fall])
-    return anchors, jumps
-
-
-def basis_frac_derivative(mesh: Mesh, j: int, s: float, side: str = "left") -> PowerSum:
-    """Riemann-Liouville derivative of order s in (0, 1) of a hat function.
-
-    The first derivative of a hat is piecewise constant, so the fractional
-    derivative is the (1 - s)-integral of its slope jumps:
-
-        D^s phi_j = 1/Gamma(2 - s) * sum_k sigma_k ((x - x_k)_+)^(1 - s)
-
-    for the left derivative, and the mirrored (x_k - x)_+ powers with the
-    same jump coefficients for the right one.
-    """
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"derivative order must lie in (0, 1), got {s}")
-    if side not in ("left", "right"):
-        raise ArgumentError(f"side must be 'left' or 'right', got {side!r}")
-    anchors, jumps = hat_jump_data(mesh, j)
-    scale = 1.0 / gamma_fn(2.0 - s)
-    return PowerSum(
-        tuple(
-            PowerTerm(scale * sigma, float(a), 1.0 - s, side)
-            for a, sigma in zip(anchors, jumps)
-        )
-    )

@@ -225,8 +225,9 @@ def solve_standard(system: AssembledSystem) -> StandardSolution:
 def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
     """mu_h = c0 [ (I^alpha f)(1) - s . coeffs ].
 
-    By linearity s . coeffs equals (I^alpha q u_r_h)(1) with the same
-    endpoint-weighted quadrature that defined the splitting constant.
+    By linearity s . coeffs equals (I^alpha q u_r_h)(1), evaluated by
+    endpoint_weight_vector's per-element rule; the splitting constant c0
+    comes from the adaptive rule of build_singular_pair instead.
     """
     pair = system.pair
     return pair.c0 * (pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))

@@ -11,7 +11,11 @@ checks. The scalar power rules rl_integral_power and rl_derivative_power
 are the textbook closed forms, evaluated with scipy.special, against which
 the package's power-sum integral and the quadrature oracles are checked.
 legendre_endpoint_integral is plain Gauss-Legendre with the endpoint weight
-evaluated explicitly, the slow rule the Gauss-Jacobi panels replace.
+evaluated explicitly, the slow rule the Gauss-Jacobi panels replace. The
+mesh helpers hat, hat_jump_data, basis_frac_derivative and element_of and
+the Green kernel green_q0 are closed forms and lookups that the package
+itself never needs; the tests check them against quadrature and use them
+as independent descriptions of the basis and of the q = 0 solution.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from scipy.special import beta, gammaln, rgamma
 from scipy.special import gamma as gamma_fn
 
 from fracfem.assembly import mass_bands
-from fracfem.errors import DomainError
+from fracfem.errors import ArgumentError, DomainError
+from fracfem.fraccalc import PowerSum, PowerTerm
+from fracfem.mesh import PwLinear
 
 _LIMIT = 200
 
@@ -272,3 +278,69 @@ def legendre_endpoint_integral(g, alpha, points):
     t, w = np.polynomial.legendre.leggauss(points)
     t = 0.5 * (t + 1.0)
     return float(np.dot(0.5 * w, (1.0 - t) ** (alpha - 1.0) * g(t))) / gamma_fn(alpha)
+
+
+def element_of(mesh, x):
+    """Index of the element containing x; nodes belong to the element on
+    their left, except x = 0 which belongs to element 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise DomainError("query point outside [0, 1]")
+    idx = np.searchsorted(mesh.nodes, x, side="left") - 1
+    return np.clip(idx, 0, mesh.m - 1)
+
+
+def hat(mesh, j):
+    """The j-th interior nodal basis function."""
+    coeffs = np.zeros(mesh.m - 1)
+    if not 1 <= j <= mesh.m - 1:
+        raise ArgumentError(f"interior node index must lie in [1, {mesh.m - 1}], got {j}")
+    coeffs[j - 1] = 1.0
+    return PwLinear(mesh, coeffs)
+
+
+def hat_jump_data(mesh, j):
+    """Anchors and slope jumps of the j-th hat at its three support nodes."""
+    if not 1 <= j <= mesh.m - 1:
+        raise ArgumentError(f"interior node index must lie in [1, {mesh.m - 1}], got {j}")
+    x = mesh.nodes
+    rise = 1.0 / (x[j] - x[j - 1])
+    fall = -1.0 / (x[j + 1] - x[j])
+    anchors = x[j - 1 : j + 2]
+    jumps = np.array([rise, fall - rise, -fall])
+    return anchors, jumps
+
+
+def basis_frac_derivative(mesh, j, s, side="left"):
+    """Riemann-Liouville derivative of order s in (0, 1) of a hat function.
+
+    The first derivative of a hat is piecewise constant, so the fractional
+    derivative is the (1 - s)-integral of its slope jumps:
+
+        D^s phi_j = 1/Gamma(2 - s) * sum_k sigma_k ((x - x_k)_+)^(1 - s)
+
+    for the left derivative, and the mirrored (x_k - x)_+ powers with the
+    same jump coefficients for the right one.
+    """
+    if not 0.0 < s < 1.0:
+        raise DomainError(f"derivative order must lie in (0, 1), got {s}")
+    if side not in ("left", "right"):
+        raise ArgumentError(f"side must be 'left' or 'right', got {side!r}")
+    anchors, jumps = hat_jump_data(mesh, j)
+    scale = 1.0 / gamma_fn(2.0 - s)
+    return PowerSum(
+        tuple(
+            PowerTerm(scale * sigma, float(a), 1.0 - s, side)
+            for a, sigma in zip(anchors, jumps)
+        )
+    )
+
+
+def green_q0(alpha, x, y):
+    """Green's function of the Dirichlet problem with q = 0:
+
+    G(x, y) = [ (1-y)^(alpha-1) x^(alpha-1) - ((x-y)_+)^(alpha-1) ] / Gamma(alpha).
+    """
+    y = np.asarray(y, dtype=float)
+    lead = (1.0 - y) ** (alpha - 1.0) * x ** (alpha - 1.0)
+    return (lead - np.maximum(x - y, 0.0) ** (alpha - 1.0)) / gamma_fn(alpha)

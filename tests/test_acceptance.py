@@ -10,7 +10,7 @@ gates average the final three ratios).
 
 import numpy as np
 
-from fracfem.analysis import exact_q0, green_q0
+from fracfem.analysis import exact_q0
 from fracfem.assembly import (
     ProblemSpec,
     assemble_lead,
@@ -29,6 +29,7 @@ from fracfem.solver import solve_iterative, solve_reconstruction
 from .oracles import (
     assemble_mass_q,
     frac_integral_quad,
+    green_q0,
     rl_derivative_power,
     rl_integral_power,
 )

@@ -12,11 +12,10 @@ from fracfem.analysis import (
     error_norms,
     exact_q0,
     expected_rates,
-    green_q0,
     rates,
     reference_solution,
 )
-from fracfem.assembly import ProblemSpec
+from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedSourceError
 from fracfem.fields import ScalarField, source_bump, source_step, zero_field
 from fracfem.fraccalc import PowerSum
@@ -24,7 +23,7 @@ from fracfem.mesh import PwLinear, build_mesh
 from fracfem.solver import StandardSolution, solve_standard
 from fracfem.assembly import assemble_system
 
-from .oracles import green_solution_quad
+from .oracles import green_q0, green_solution_quad
 
 # u(x) for q = 0, f = x(1-x), from independent kernel quadrature
 GREEN_BUMP_POINTS = np.array([0.25, 0.5, 0.75])
@@ -97,7 +96,7 @@ def test_error_norms_vanish_on_identical_fields():
     pw = PwLinear(mesh, coeffs)
     approx = StandardSolution(pw, 0.0)
     exact = ExactSolution(
-        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh
+        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh, Lead.of(mesh, 1.5)
     )
     norms = error_norms(approx, exact)
     assert norms.l2 == 0.0 and norms.energy == 0.0 and norms.linf == 0.0
@@ -120,7 +119,7 @@ def test_error_norms_validates_field_selector():
     pw = PwLinear(mesh, np.zeros(7))
     approx = StandardSolution(pw, 0.0)
     exact = ExactSolution(
-        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh
+        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh, Lead.of(mesh, 1.5)
     )
     with pytest.raises(ArgumentError):
         error_norms(approx, exact, which_field="gradient")

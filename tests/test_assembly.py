@@ -39,6 +39,7 @@ from fracfem.solver import solve_reconstruction, system_matvec
 from .oracles import (
     assemble_mass_q,
     endpoint_weight_entry_quad,
+    frac_integral_quad,
     hat_value,
     load_entry_quad,
     stiffness_entry_decimal,
@@ -481,6 +482,19 @@ def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
 
     expect = 1.0 / (1.0 + (half_moment(p) - half_moment(2.0)) / gamma_special(alpha))
     assert build_singular_pair(spec).c0 == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 1.7, 1.9])
+def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
+    # bisection from [0, 1] never lands on 0.3 or 0.7; the potential's
+    # anchors become panel edges, and the constant matches a quadrature
+    # split at the same points
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0.3,0.7)", 0.0), f=source_bump())
+    u_s = spec.singular_pair.u_s
+    integral = frac_integral_quad(
+        lambda t: spec.q.fn(t) * u_s(t), alpha, 1.0, alpha - 1.0, breaks=(0.3, 0.7)
+    )
+    assert spec.singular_pair.c0 == pytest.approx(1.0 / (1.0 + integral), rel=1e-12)
 
 
 def test_singular_pair_is_cached_on_the_spec():

@@ -1,6 +1,10 @@
 """Configuration validation, table emission, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +266,34 @@ def test_one_lead_per_mesh_in_a_reference_cell(monkeypatch):
     assert sorted(calls) == [
         (alpha, m) for alpha in (1.3137, 1.7071) for m in (8, 16, 32, 512)
     ]
+
+
+def test_potential_with_non_dyadic_jumps_runs(capsys):
+    # chi(0.3,0.7): the splitting constant must split its quadrature at the
+    # jumps, which bisection from [0, 1] cannot reach within its depth cap
+    argv = [
+        "--alpha", "1.3,1.7", "--example", "b", "--q", "custom", "--q-expr", "chi(0.3,0.7)",
+        "--q-hint", "0", "--method", "recon", "--levels", "3:5", "--reference-m", "512",
+    ]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [
+        [alpha, k] for alpha in ("1.3", "1.7") for k in ("3", "4", "5")
+    ]
+    assert all(np.isfinite(float(v)) for r in rows for v in r.split(",")[3:7])
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # the package must not import fracfem.cli itself, or runpy warns that the
+    # module is already loaded before running it as __main__
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracfem.cli",
+         "--alpha", "1.5", "--example", "a", "--q", "zero", "--method", "recon", "--levels", "2:3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("alpha,k,h,")

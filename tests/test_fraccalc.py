@@ -12,13 +12,10 @@ from fracfem.fraccalc import (
     FracOrder,
     PowerSum,
     PowerTerm,
-    QuadratureRule,
     beta_fn,
     gamma_fn,
     gauss_jacobi,
-    jacobi_both_panel,
-    jacobi_left_panel,
-    jacobi_right_panel,
+    jacobi_panel,
     legendre_panel,
     rl_integral_powersum,
     rl_integral_powersum_at,
@@ -233,13 +230,11 @@ def test_weighted_endpoint_integral_frozen_value():
     assert got == pytest.approx(1.1623190852077259, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["gauss_jacobi", "adaptive_composite"])
-def test_weighted_integral_with_left_singular_factor(kind):
+def test_weighted_integral_with_left_singular_factor():
     # g(t) = t^(-1/4) (1 + t), alpha = 1.25
     alpha = 1.25
-    rule = QuadratureRule(kind=kind, left_exponent=-0.25)
     got = weighted_endpoint_integral(
-        lambda t: t**-0.25 * (1.0 + t), alpha, rule
+        lambda t: t**-0.25 * (1.0 + t), alpha, left_exponent=-0.25
     )
     oracle = frac_integral_quad(
         lambda t: t**-0.25 * (1.0 + t), alpha, 1.0, left_exponent=-0.25
@@ -258,13 +253,13 @@ def test_gauss_legendre_rule_converges_slowly_but_runs():
 def test_panel_helpers_integrate_polynomials_exactly():
     t, w = legendre_panel(6, 0.2, 0.7)
     assert float(w @ t**3) == pytest.approx((0.7**4 - 0.2**4) / 4.0, rel=1e-14)
-    t, w = jacobi_right_panel(8, 0.5, 0.0, 1.0)
+    t, w = jacobi_panel(8, 0.5, 0.0, 0.0, 1.0)
     # int_0^1 (1-t)^0.5 t dt = B(2, 1.5)
     assert float(w @ t) == pytest.approx(beta_fn(2.0, 1.5), rel=1e-13)
-    t, w = jacobi_left_panel(8, -0.25, 0.0, 1.0)
+    t, w = jacobi_panel(8, 0.0, -0.25, 0.0, 1.0)
     # int_0^1 t^(-1/4) (1-t) dt = B(0.75, 2)
     assert float(w @ (1.0 - t)) == pytest.approx(beta_fn(0.75, 2.0), rel=1e-13)
-    t, w = jacobi_both_panel(8, 0.5, -0.25, 0.0, 1.0)
+    t, w = jacobi_panel(8, 0.5, -0.25, 0.0, 1.0)
     assert float(w @ np.ones_like(t)) == pytest.approx(beta_fn(0.75, 1.5), rel=1e-13)
 
 
@@ -298,14 +293,30 @@ def test_gauss_jacobi_chebyshev_closed_form():
 
 def test_quadrature_rule_validation():
     with pytest.raises(ArgumentError):
-        QuadratureRule(kind="monte_carlo")
-    with pytest.raises(ArgumentError):
-        QuadratureRule(kind="gauss_legendre")  # plain Gauss lives in the oracles
-    with pytest.raises(ArgumentError):
         gauss_jacobi(0, 0.5, 0.0)
-    with pytest.raises(ArgumentError):
-        QuadratureRule(points=0)
-    with pytest.raises(ArgumentError):
-        QuadratureRule(tol=0.0)
     with pytest.raises(DomainError):
-        QuadratureRule(left_exponent=-1.0)
+        weighted_endpoint_integral(np.exp, 1.5, left_exponent=-1.0)
+
+
+@given(
+    alpha=st.floats(min_value=1.001, max_value=1.999),
+    left_exp=st.one_of(st.just(0.0), st.floats(min_value=-0.95, max_value=1.0, exclude_max=True)),
+    lead=st.floats(min_value=0.5, max_value=2.0),
+    # (coeff, anchor, integer exponent): steps, kinks and parabolas past the anchor
+    shifted=st.lists(
+        st.tuples(
+            st.floats(min_value=0.1, max_value=1.0),
+            st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(min_value=0.01, max_value=0.99)),
+            st.sampled_from([0.0, 1.0, 2.0]),
+        ),
+        max_size=4,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_weighted_integral_matches_power_rule_with_breaks(alpha, left_exp, lead, shifted):
+    # g = lead t^b + t^(b+1) + sum c (t - a)_+^e behaves like t^b near 0 and
+    # is smooth between the anchors; with no anchors the root panel absorbs
+    # both end weights, otherwise the pieces cover the other three panel kinds
+    ps = PowerSum.from_terms([(lead, 0.0, left_exp), (1.0, 0.0, left_exp + 1.0), *shifted])
+    got = weighted_endpoint_integral(ps, alpha, left_exp, breaks=[a for _, a, _ in shifted])
+    assert got == pytest.approx(rl_integral_powersum_at(alpha, ps, 1.0), rel=1e-10)

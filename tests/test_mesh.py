@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from fracfem.assembly import Lead, assemble_lead
 from fracfem.errors import ArgumentError, DomainError
-from fracfem.mesh import Mesh, PwLinear, basis_frac_derivative, build_mesh, hat, hat_jump_data
+from fracfem.mesh import Mesh, PwLinear, build_mesh
 
-from .oracles import left_half_derivative_quad, right_half_derivative_quad
+from .oracles import (
+    basis_frac_derivative,
+    element_of,
+    hat,
+    hat_jump_data,
+    left_half_derivative_quad,
+    right_half_derivative_quad,
+)
 
 
 def test_uniform_nodes():
@@ -54,7 +61,7 @@ def test_build_mesh_validation():
 @settings(max_examples=200, deadline=None)
 def test_element_of_brackets_query(x, m):
     mesh = build_mesh(m)
-    e = int(mesh.element_of(x))
+    e = int(element_of(mesh, x))
     assert 0 <= e < m
     assert mesh.nodes[e] <= x <= mesh.nodes[e + 1]
     if x == mesh.nodes[e + 1]:
@@ -65,9 +72,9 @@ def test_element_of_brackets_query(x, m):
 def test_element_of_rejects_outside_points():
     mesh = build_mesh(4)
     with pytest.raises(DomainError):
-        mesh.element_of(-0.1)
+        element_of(mesh, -0.1)
     with pytest.raises(DomainError):
-        mesh.element_of(1.1)
+        element_of(mesh, 1.1)
 
 
 def test_pwlinear_reproduces_nodal_data():

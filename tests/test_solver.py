@@ -15,7 +15,13 @@ from fracfem.assembly import (
     toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, IterativeFailure, SingularSystemError
-from fracfem.fields import parse_field, source_bump, source_inverse_quartic, zero_field
+from fracfem.fields import (
+    ScalarField,
+    parse_field,
+    source_bump,
+    source_inverse_quartic,
+    zero_field,
+)
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
     DENSE_LIMIT_M,
@@ -180,6 +186,34 @@ def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
     scale = float(np.max(np.abs(direct.u_r_h.coeffs)))
     assert np.max(np.abs(iterative.u_r_h.coeffs - direct.u_r_h.coeffs)) <= 1e-9 * scale
     assert iterative.mu_h == pytest.approx(direct.mu_h, rel=1e-10)
+
+
+@given(
+    alpha=st.floats(min_value=1.01, max_value=1.99),
+    mixed=st.booleans(),
+    delta=st.sampled_from([1.0, 5.0]),
+    m=st.integers(min_value=4, max_value=64),
+    scale=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_solution_is_linear_in_the_source(alpha, mixed, delta, m, scale):
+    # u(f + c g) = u(f) + c u(g), regular part and strength alike, with a
+    # potential that takes the adaptive splitting constant
+    bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
+    q = parse_field("chi(0,0.5)", 0.0)
+    f, g = source_bump(), source_inverse_quartic()
+    ps = f.powersum + g.powersum.scaled(scale)
+    both = ScalarField(fn=ps.__call__, hint=g.hint, powersum=ps)
+    mesh = build_mesh(m, delta)
+    u_f, u_g, u_fg = (
+        solve_reconstruction(ProblemSpec(alpha=alpha, q=q, f=src, bc=bc), mesh)
+        for src in (f, g, both)
+    )
+    combined = u_f.u_r_h.coeffs + scale * u_g.u_r_h.coeffs
+    size = float(np.max(np.abs(u_f.u_r_h.coeffs) + abs(scale) * np.abs(u_g.u_r_h.coeffs)))
+    assert np.max(np.abs(u_fg.u_r_h.coeffs - combined)) <= 1e-11 * size
+    mu_size = abs(u_f.mu_h) + abs(scale * u_g.mu_h)
+    assert abs(u_fg.mu_h - (u_f.mu_h + scale * u_g.mu_h)) <= 1e-11 * mu_size
 
 
 def test_strength_scale_is_mesh_independent_without_potential():
