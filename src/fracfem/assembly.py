@@ -51,6 +51,9 @@ _ENDPOINT_POINTS = 12
 # alpha in (1, 2) and width ratio, measured against a 60-point rule.
 _FAR_RULES = ((4, 0.032), (6, 0.19), (8, 0.49), (12, 1.39), (16, 2.66), (24, 6.26))
 _FAR_PAIRS = 1 << 13  # element pairs per far-field block, about 1 MiB of powers
+# Terms of lead_stencil's moment series: each is at most 4/9 of the one before,
+# and (4/9)^50 / (1 - 4/9) < 2^-56.
+_SERIES_TERMS = 50
 
 
 @dataclass(frozen=True)
@@ -181,24 +184,21 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     return out
 
 
-def _bspline4(u: np.ndarray) -> np.ndarray:
-    """Centered cubic B-spline on [-2, 2] (the Peano kernel of the 4th
-    central difference)."""
-    au = np.abs(u)
-    return ((2.0 - au) ** 3 - 4.0 * np.maximum(1.0 - au, 0.0) ** 3) / 6.0
-
-
 def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     """Toeplitz stencil of the leading block on a uniform mesh.
 
     Returns ``st`` of length 2m - 3 with A[i, j] = st[j - i + m - 2]. The
-    stencil value at offset d is a 4th central difference of t^(3-2s); past
+    stencil value at offset d is a 4th central difference of t^p, p = 3 - 2s; past
     the kink region that difference cancels catastrophically in floating
-    point, so it is evaluated there through its Peano-kernel integral
+    point. There (d <= -3, D = -d) it is the Peano-kernel integral against
+    the cubic B-spline M4 on [-2, 2], expanded in the even moments mu_k of M4:
 
-        sum_e v_e (e-d)^p = p(p-1)(p-2)(p-3) int M4(u) (u-d)^(p-4) du,
+        p(p-1)(p-2)(p-3) int M4(u) (D+u)^e du
+            = p(p-1)(p-2)(p-3) D^e sum_j C(e, 2j) mu_2j D^(-2j),   e = p - 4,
 
-    which has a single-signed integrand.
+    mu_k = 2 (2^(k+4) - 4) / ((k+1)(k+2)(k+3)(k+4)). Every term is positive
+    and at most 4/D^2 <= 4/9 of the one before, so nothing cancels and
+    _SERIES_TERMS terms leave a tail below 2^-56 of the sum.
     """
     if not mesh.is_uniform:
         raise ArgumentError("the leading block is Toeplitz on uniform meshes only")
@@ -214,13 +214,15 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
         acc[near] += v * np.maximum(e - d[near], 0.0) ** p
     far = d <= -3.0
     if np.any(far):
-        xi, w = legendre_panel(24, 0.0, 1.0)
-        factor = p * (p - 1.0) * (p - 2.0) * (p - 3.0)
-        total = np.zeros(int(np.sum(far)))
-        for lo in (-2.0, -1.0, 0.0, 1.0):
-            u = lo + xi
-            total += (w * _bspline4(u)) @ (u[:, None] - d[far][None, :]) ** (p - 4.0)
-        acc[far] = factor * total
+        e = p - 4.0
+        k = 2.0 * np.arange(_SERIES_TERMS)
+        moments = 2.0 * (2.0 ** (k + 4.0) - 4.0) / ((k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0))
+        k = k[:-1]
+        # C(e, 2j) from C(e, 2j - 2) by the ratio of neighbours
+        binom = np.cumprod(np.append(1.0, (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))))
+        dist = -d[far]
+        series = np.polynomial.polynomial.polyval(dist**-2.0, binom * moments)
+        acc[far] = p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist**e * series
     scale = beta_fn(2.0 - s, 2.0 - s) * h ** (1.0 - 2.0 * s) / gamma_fn(2.0 - s) ** 2
     return -scale * acc
 
@@ -235,17 +237,64 @@ def _element_gauss(nodes: np.ndarray, points: int):
     return x, 0.5 * widths * w, (x - lo) / widths
 
 
+def _anchors(field: ScalarField) -> tuple:
+    """Points in (0, 1) where the field's power-sum terms start or stop, so
+    where it may jump or kink; none for a field without a power sum."""
+    if field.powersum is None:
+        return ()
+    return tuple(sorted({t.anchor for t in field.powersum.terms if 0.0 < t.anchor < 1.0}))
+
+
+def _cut_rule(points: int, lo: float, hi: float, breaks=(), right_exp=0.0, left_exp=0.0):
+    """Nodes t and weights w, sum w g(t) ~ int_lo^hi (hi-t)^right_exp (t-lo)^left_exp g(t) dt.
+
+    Without a break strictly inside (lo, hi) this is one panel of ``points``
+    points; otherwise the breaks cut it into panels of points // 2 each. A
+    panel absorbs a factor singular at its own end into Gauss-Jacobi
+    weights, and any other factor multiplies its weights.
+    """
+    cuts = [b for b in breaks if lo < b < hi]
+    if cuts:
+        points //= 2
+    edges = [lo, *cuts, hi]
+    nodes, weights = [], []
+    for a, b in zip(edges, edges[1:]):
+        right = right_exp if b == hi else 0.0
+        left = left_exp if a == lo else 0.0
+        t, w = jacobi_panel(points, right, left, a, b) if right or left else legendre_panel(points, a, b)
+        nodes.append(t)
+        weights.append(w * (hi - t) ** (right_exp - right) * (t - lo) ** (left_exp - left))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=()) -> np.ndarray:
+    """Per-element Gauss sums of the integrands that ``weighted(x, wq, n_r)``
+    stacks, with the weights wq multiplied in (rows of x are elements).
+
+    An element with a break strictly inside takes _cut_rule instead, so a
+    jump or kink of the integrand there costs no accuracy.
+    """
+    x, wq, n_r = _element_gauss(nodes, points)
+    sums = np.sum(weighted(x, wq, n_r), axis=-1)
+    # elements k with a break b strictly inside, nodes[k] < b < nodes[k + 1]
+    for k in {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}:
+        t, w = _cut_rule(points, nodes[k], nodes[k + 1], breaks)
+        sums[..., k] = np.sum(weighted(t, w, (t - nodes[k]) / (nodes[k + 1] - nodes[k])), axis=-1)
+    return sums
+
+
 def mass_bands(mesh: Mesh, q: ScalarField):
-    """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal)."""
+    """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal);
+    elements are cut at the anchors of q."""
     n = mesh.m - 1
     if q.is_zero:
         return np.zeros(n), np.zeros(max(n - 1, 0))
-    x, wq, n_r = _element_gauss(mesh.nodes, _MASS_POINTS)
-    qv = q(x)
-    n_l = 1.0 - n_r
-    ll = np.sum(wq * qv * n_l * n_l, axis=1)
-    lr = np.sum(wq * qv * n_l * n_r, axis=1)
-    rr = np.sum(wq * qv * n_r * n_r, axis=1)
+
+    def weighted(x, wq, n_r):
+        wqv, n_l = wq * q(x), 1.0 - n_r
+        return np.stack([wqv * n_l * n_l, wqv * n_l * n_r, wqv * n_r * n_r])
+
+    ll, lr, rr = _element_sums(mesh.nodes, _MASS_POINTS, weighted, _anchors(q))
     diag = rr[:n] + ll[1:]
     off = lr[1:n]
     return diag, off
@@ -283,30 +332,35 @@ def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
     return out
 
 
-def quadrature_load(mesh: Mesh, field: ScalarField) -> np.ndarray:
-    """Load vector by per-element Gauss rules; the first element uses a
-    Gauss-Jacobi rule absorbing the declared singularity hint."""
+def quadrature_load(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
+    """Load vector by per-element Gauss rules, elements cut at ``breaks``;
+    the first element uses a Gauss-Jacobi rule absorbing the declared
+    singularity hint."""
     n = mesh.m - 1
-    x, wq, n_r = _element_gauss(mesh.nodes, _LOAD_POINTS)
-    fv = field(x)
-    rising = np.sum(wq * fv * n_r, axis=1)
-    falling = np.sum(wq * fv * (1.0 - n_r), axis=1)
+
+    def weighted(x, wq, n_r):
+        wfv = wq * field(x)
+        return np.stack([wfv * n_r, wfv * (1.0 - n_r)])
+
+    rising, falling = _element_sums(mesh.nodes, _LOAD_POINTS, weighted, breaks)
     if field.hint is not None:
         x1 = mesh.nodes[1]
-        t, jw = jacobi_panel(2 * _LOAD_POINTS, 0.0, field.hint, 0.0, x1)
+        t, jw = _cut_rule(2 * _LOAD_POINTS, 0.0, x1, breaks, left_exp=field.hint)
         smooth = field(t) * t ** (-field.hint)
         rising[0] = float(np.dot(jw, smooth * (t / x1)))
     out = rising[:n] + falling[1:]
     return out
 
 
-def load_vector(mesh: Mesh, field: ScalarField) -> np.ndarray:
-    """Load vector (field, phi_i), exact when the field has a power-sum form."""
+def load_vector(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
+    """Load vector (field, phi_i), exact when the field has a power-sum form;
+    otherwise by quadrature, with elements cut at ``breaks``, the points in
+    (0, 1) where the field jumps or kinks."""
     if field.is_zero:
         return np.zeros(mesh.m - 1)
     if field.powersum is not None and field.powersum.is_left:
         return powersum_load(mesh, field.powersum)
-    return quadrature_load(mesh, field)
+    return quadrature_load(mesh, field, breaks)
 
 
 def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
@@ -314,20 +368,23 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
 
     This is the same endpoint-weighted functional that defines the splitting
     constant, evaluated on the basis; the element touching t = 1 absorbs the
-    (1 - t)^(alpha - 1) weight into a Gauss-Jacobi rule.
+    (1 - t)^(alpha - 1) weight into a Gauss-Jacobi rule. Elements are cut at
+    the anchors of q.
     """
     a = float(FracOrder(float(alpha)).alpha)
     n = mesh.m - 1
     if q.is_zero:
         return np.zeros(n)
-    x, wq, n_r = _element_gauss(mesh.nodes, _ENDPOINT_POINTS)
-    wq = wq * (1.0 - x) ** (a - 1.0)
-    qv = q(x)
-    rising = np.sum(wq * qv * n_r, axis=1)
-    falling = np.sum(wq * qv * (1.0 - n_r), axis=1)
+
+    def weighted(x, wq, n_r):
+        wqv = wq * (1.0 - x) ** (a - 1.0) * q(x)
+        return np.stack([wqv * n_r, wqv * (1.0 - n_r)])
+
+    anchors = _anchors(q)
+    rising, falling = _element_sums(mesh.nodes, _ENDPOINT_POINTS, weighted, anchors)
     # redo the last element with the weight absorbed exactly
     left = mesh.nodes[-2]
-    t, jw = jacobi_panel(2 * _ENDPOINT_POINTS, a - 1.0, 0.0, left, 1.0)
+    t, jw = _cut_rule(2 * _ENDPOINT_POINTS, left, 1.0, anchors, right_exp=a - 1.0)
     width_last = 1.0 - left
     falling_last = float(np.dot(jw, q(t) * (1.0 - t) / width_last))
     out = rising[:n] + np.concatenate((falling[1:-1], [falling_last]))
@@ -351,14 +408,6 @@ class SingularPair:
     singular_exponent: float
 
 
-def _frac_integral_at_one(field: ScalarField, alpha: float, breaks=()) -> float:
-    """(I_0^alpha field)(1): exact for left power sums, otherwise adaptive
-    with the field's hint as the left exponent and panel edges at ``breaks``."""
-    if field.powersum is not None and field.powersum.is_left:
-        return float(rl_integral_powersum_at(alpha, field.powersum, 1.0))
-    return weighted_endpoint_integral(field.fn, alpha, field.hint or 0.0, breaks)
-
-
 def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     """Construct the singular profile, splitting constant, and modified source.
 
@@ -373,22 +422,34 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     q_fn = spec.q.fn
     u_s_fn = u_s.__call__
     q_ps = spec.q.powersum
+    q_lead = spec.q.hint or 0.0
     q_us = None
     if q_ps is not None and q_ps.is_zero_anchored:  # q = 0 included
         q_us = q_ps.multiply_zero_anchored(u_s)
-    q_us_field = ScalarField(
-        fn=lambda t: q_fn(t) * u_s_fn(t), hint=(spec.q.hint or 0.0) + p_sing, powersum=q_us
-    )
-    # q's jumps and kinks sit at its anchors, which bisection may never reach
-    breaks = [] if q_ps is None else [t.anchor for t in q_ps.terms]
-    denom = 1.0 + _frac_integral_at_one(q_us_field, a, breaks)
+        q_us_at_one = float(rl_integral_powersum_at(a, q_us, 1.0))
+    else:
+        # one u_s term at a time: q t^e is smooth between q's anchors once
+        # t^(q_lead + e) is taken out, which q u_s as a whole is not
+        anchors = _anchors(spec.q)
+        q_us_at_one = sum(
+            t.coeff
+            * weighted_endpoint_integral(
+                lambda x, e=t.exponent: q_fn(x) * x**e, a, q_lead + t.exponent, anchors
+            )
+            for t in u_s.terms
+        )
+    denom = 1.0 + q_us_at_one
     if abs(denom) < DEGENERATE_TOL:
         raise DegenerateSplittingError(
             "splitting constant is undefined for this potential", denom
         )
     c0 = 1.0 / denom
 
-    f_at_one = _frac_integral_at_one(spec.f, a)
+    f_ps = spec.f.powersum
+    if f_ps is not None and f_ps.is_left:
+        f_at_one = float(rl_integral_powersum_at(a, f_ps, 1.0))
+    else:
+        f_at_one = weighted_endpoint_integral(spec.f.fn, a, spec.f.hint or 0.0)
 
     c1_fn = c1.__call__
 
@@ -399,7 +460,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     q_profile_ps = None
     if q_us is not None:
         q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
-    q_hint = min(2.0 - a, q_us_field.hint)
+    q_hint = min(2.0 - a, q_lead + p_sing)
     q_profile = ScalarField(
         fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q"
     )
@@ -411,8 +472,8 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         return f_fn(x) + f_at_one * q_profile_fn(x)
 
     f_tilde_ps = None
-    if q_profile_ps is not None and spec.f.powersum is not None and spec.f.powersum.is_left:
-        f_tilde_ps = spec.f.powersum + q_profile_ps.scaled(f_at_one)
+    if q_profile_ps is not None and f_ps is not None and f_ps.is_left:
+        f_tilde_ps = f_ps + q_profile_ps.scaled(f_at_one)
     f_hint = min(spec.f.hint if spec.f.hint is not None else 0.0, q_hint)
     f_tilde = ScalarField(fn=f_tilde_fn, hint=f_hint, powersum=f_tilde_ps, label="f~")
 
@@ -569,7 +630,7 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
             mesh, spec.alpha, method, spec.bc, lead, diag, off, load, None, None, None
         )
     pair = spec.singular_pair
-    r_vec = load_vector(mesh, pair.q_profile)
+    r_vec = load_vector(mesh, pair.q_profile, _anchors(spec.q))  # Q jumps where q does
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
     load = load_vector(mesh, spec.f) + pair.f_frac_at_one * r_vec
     return AssembledSystem(

@@ -2,7 +2,7 @@
 
 Everything here goes through scipy.integrate.quad on the defining
 convolutions and bilinear forms, never through the closed forms in the
-package, so agreement is meaningful. There are four exceptions.
+package, so agreement is meaningful. There are six exceptions.
 stiffness_entry_decimal re-evaluates the stiffness closed form in
 high-precision decimal arithmetic: it checks the rounding of the package's
 evaluation, while the quadrature oracles check the formula. assemble_mass_q
@@ -11,9 +11,12 @@ checks. The scalar power rules rl_integral_power and rl_derivative_power
 are the textbook closed forms, evaluated with scipy.special, against which
 the package's power-sum integral and the quadrature oracles are checked.
 legendre_endpoint_integral is plain Gauss-Legendre with the endpoint weight
-evaluated explicitly, the slow rule the Gauss-Jacobi panels replace. The
-mesh helpers hat, hat_jump_data, basis_frac_derivative and element_of and
-the Green kernel green_q0 are closed forms and lookups that the package
+evaluated explicitly, the slow rule the Gauss-Jacobi panels replace.
+stencil_far_field_peano and error_norms_gauss are the Gauss rules that the
+moment series of the stencil far field and the node-exact error norms
+replace: 24-point panels of the Peano-kernel integral, and 8 points in
+every cell of the union mesh. The mesh helpers hat, hat_jump_data,
+basis_frac_derivative and element_of and the Green kernel green_q0 are closed forms and lookups that the package
 itself never needs; the tests check them against quadrature and use them
 as independent descriptions of the basis and of the q = 0 solution.
 """
@@ -194,11 +197,14 @@ def load_entry_quad(nodes, fn, j, left_exponent=0.0, breaks=()):
     return total
 
 
-def endpoint_weight_entry_quad(nodes, q_fn, j, alpha):
-    """(1/Gamma(a)) int_0^1 (1-t)^(a-1) q(t) phi_j(t) dt."""
+def endpoint_weight_entry_quad(nodes, q_fn, j, alpha, breaks=()):
+    """(1/Gamma(a)) int_0^1 (1-t)^(a-1) q(t) phi_j(t) dt, split at the
+    nodes and at ``breaks``."""
     phi = hat_value(nodes, j)
+    a, c = nodes[j - 1], nodes[j + 1]
+    pts = sorted({a, nodes[j], c} | {p for p in breaks if a < p < c})
     total = 0.0
-    for lo, hi in zip(nodes[j - 1 : j + 1], nodes[j : j + 2]):
+    for lo, hi in zip(pts[:-1], pts[1:]):
         if hi == 1.0:
             v, _ = quad(
                 lambda t: q_fn(t) * phi(t),
@@ -344,3 +350,45 @@ def green_q0(alpha, x, y):
     y = np.asarray(y, dtype=float)
     lead = (1.0 - y) ** (alpha - 1.0) * x ** (alpha - 1.0)
     return (lead - np.maximum(x - y, 0.0) ** (alpha - 1.0)) / gamma_fn(alpha)
+
+
+def _bspline4(u):
+    """Centered cubic B-spline on [-2, 2], the Peano kernel of the 4th
+    central difference."""
+    au = np.abs(u)
+    return ((2.0 - au) ** 3 - 4.0 * np.maximum(1.0 - au, 0.0) ** 3) / 6.0
+
+
+def stencil_far_field_peano(m, alpha):
+    """Far field of the uniform-mesh stencil, st[: m - 4] (offsets d from
+    -(m - 2) to -3), by 24-point Gauss-Legendre panels on the four unit
+    pieces of the Peano-kernel integral p(p-1)(p-2)(p-3) int M4(u) (u-d)^(p-4) du."""
+    s = 0.5 * alpha
+    p = 3.0 - alpha
+    d = np.arange(-(m - 2), -2, dtype=float)
+    xi, w = np.polynomial.legendre.leggauss(24)
+    xi, w = 0.5 * (xi + 1.0), 0.5 * w
+    total = np.zeros_like(d)
+    for lo in (-2.0, -1.0, 0.0, 1.0):
+        u = lo + xi
+        total += (w * _bspline4(u)) @ (u[:, None] - d[None, :]) ** (p - 4.0)
+    scale = beta(2.0 - s, 2.0 - s) * (1.0 / m) ** (1.0 - 2.0 * s) / gamma_fn(2.0 - s) ** 2
+    return -scale * p * (p - 1.0) * (p - 2.0) * (p - 3.0) * total
+
+
+def error_norms_gauss(approx_fn, exact_fn, approx_mesh, exact_mesh, lead):
+    """(l2, energy, linf) of exact_fn - approx_fn sampled at 8 Gauss points in
+    every cell of the union mesh, the sup also at its interior nodes; the
+    energy is the quadratic form of ``lead`` on the fine-mesh interpolant."""
+    union = np.union1d(approx_mesh.nodes, exact_mesh.nodes)
+    xi, w = np.polynomial.legendre.leggauss(8)
+    lo, widths = union[:-1, None], np.diff(union)[:, None]
+    x = lo + 0.5 * widths * (xi + 1.0)
+    gap = exact_fn(x) - approx_fn(x)
+    l2 = float(np.sqrt(np.sum(0.5 * widths * w * gap * gap)))
+    node_gap = exact_fn(union[1:-1]) - approx_fn(union[1:-1])
+    linf = max(float(np.max(np.abs(gap))), float(np.max(np.abs(node_gap))))
+    fine = exact_mesh.nodes[1:-1]
+    d = exact_fn(fine) - approx_fn(fine)
+    energy = float(np.sqrt(max(float(np.dot(d, lead.matvec(d))), 0.0)))
+    return l2, energy, linf

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracfem.analysis import (
@@ -17,13 +19,13 @@ from fracfem.analysis import (
 )
 from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedSourceError
-from fracfem.fields import ScalarField, source_bump, source_step, zero_field
+from fracfem.fields import SOURCES, ScalarField, source_bump, source_step, zero_field
 from fracfem.fraccalc import PowerSum
-from fracfem.mesh import PwLinear, build_mesh
-from fracfem.solver import StandardSolution, solve_standard
+from fracfem.mesh import Mesh, PwLinear, build_mesh
+from fracfem.solver import ReconSolution, StandardSolution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
 
-from .oracles import green_q0, green_solution_quad
+from .oracles import error_norms_gauss, green_q0, green_solution_quad
 
 # u(x) for q = 0, f = x(1-x), from independent kernel quadrature
 GREEN_BUMP_POINTS = np.array([0.25, 0.5, 0.75])
@@ -112,6 +114,56 @@ def test_error_norms_shrink_under_refinement():
     assert errs[1].l2 < errs[0].l2
     assert errs[1].energy < errs[0].energy
     assert errs[1].linf < errs[0].linf
+
+
+def _study_nodes(kind, m, rng):
+    if kind == "random":
+        return np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]))
+    return build_mesh(m, {"uniform": 1.0, "delta2": 2.0, "delta5": 5.0}[kind]).nodes
+
+
+@given(
+    kind=st.sampled_from(["random", "uniform", "delta2", "delta5"]),
+    m=st.integers(min_value=2, max_value=24),
+    refine=st.integers(min_value=1, max_value=4),
+    nested=st.booleans(),
+    alpha=st.floats(min_value=1.01, max_value=1.99),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, seed):
+    # a regular part against a fine-mesh reference: both piecewise linear
+    rng = np.random.default_rng(seed)
+    coarse = Mesh(_study_nodes(kind, m, rng))
+    fine_nodes = _study_nodes(kind, m * refine + (0 if nested else 1), rng)
+    fine = Mesh(np.union1d(coarse.nodes, fine_nodes) if nested else fine_nodes)
+    u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
+    u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
+    lead = Lead.of(fine, alpha)
+    approx = ReconSolution(u_r_h, 0.0, None, 0.0, None)
+    exact = ExactSolution("reference", None, u_r, 0.0, PowerSum(()), alpha, "dirichlet", fine, lead)
+    got = error_norms(approx, exact, "regular_part")
+    l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
+    assert got.l2 == pytest.approx(l2, rel=1e-13)
+    assert got.linf == linf
+    assert got.energy == energy
+
+
+@given(
+    alpha=st.floats(min_value=1.001, max_value=1.999),
+    m=st.integers(min_value=4, max_value=512),
+    delta=st.sampled_from([1.0, 2.0]),
+    mixed=st.booleans(),
+    example=st.sampled_from(sorted(SOURCES)),
+)
+@settings(max_examples=40, deadline=None)
+def test_mu_h_is_exact_without_potential(alpha, m, delta, mixed, example):
+    # with q = 0, s = 0 and c0 = 1: mu_h is (I^alpha f)(1) at every m
+    if mixed:
+        alpha = 1.5 + 0.5 * (alpha - 1.0)  # mixed conditions need alpha in (3/2, 2)
+    spec = ProblemSpec(alpha, zero_field(), SOURCES[example](), "mixed" if mixed else "dirichlet")
+    sol = solve_reconstruction(spec, build_mesh(m, delta))
+    assert sol.mu_h == exact_q0(spec, 16).mu
 
 
 def test_error_norms_validates_field_selector():

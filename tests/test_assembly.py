@@ -10,7 +10,7 @@ from scipy.special import beta as beta_special
 from scipy.special import betainc
 from scipy.special import gamma as gamma_special
 
-from fracfem import assembly, solver
+from fracfem import assembly, fraccalc, solver
 from fracfem.assembly import (
     Lead,
     ProblemSpec,
@@ -42,6 +42,7 @@ from .oracles import (
     frac_integral_quad,
     hat_value,
     load_entry_quad,
+    stencil_far_field_peano,
     stiffness_entry_decimal,
     stiffness_entry_quad,
 )
@@ -218,6 +219,35 @@ def test_stencil_far_field_frozen():
     assert np.all(st[64:] == 0.0)
 
 
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+def test_stencil_far_field_matches_decimal_oracle(m, alpha):
+    # the moment series against the closed form in 50 digits, entry by entry
+    st = lead_stencil(build_mesh(m), alpha)
+    nodes = build_mesh(m).nodes
+    for dist in (3, 4, 5, 10, 40, m - 2):
+        want = stiffness_entry_decimal(nodes, alpha, dist + 1, 1)
+        assert st[m - 2 - dist] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [8, 64, 1024])
+@pytest.mark.parametrize("alpha", [1.001, 1.25, 1.75, 1.999])
+def test_stencil_far_field_matches_peano_quadrature(m, alpha):
+    far = lead_stencil(build_mesh(m), alpha)[: m - 4]
+    want = stencil_far_field_peano(m, alpha)
+    assert np.max(np.abs(far - want) / np.abs(want)) <= 1e-14
+
+
+def test_stencil_far_field_needs_no_gauss_rule(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the stencil far field evaluated a Gauss panel")
+
+    monkeypatch.setattr(assembly, "legendre_panel", refuse)
+    monkeypatch.setattr(assembly, "jacobi_panel", refuse)
+    st = lead_stencil(build_mesh(4096), 1.5)
+    assert np.all(np.isfinite(st)) and np.all(st[: 4096 - 4] < 0.0)
+
+
 def test_stencil_requires_uniform_mesh():
     with pytest.raises(ArgumentError):
         lead_stencil(build_mesh(8, delta=2.0), 1.5)
@@ -386,6 +416,64 @@ def test_endpoint_weight_vector_matches_quadrature():
     assert not endpoint_weight_vector(mesh, zero_field(), alpha).any()
 
 
+# a potential that jumps inside elements: 0.3 and 0.7 are nodes of no
+# build_mesh(2) or build_mesh(5); on m = 2 they sit in the first and the last
+# element, whose rules are the Gauss-Jacobi overrides
+INTERIOR_JUMPS = parse_field("chi(0.3,0.7)*(1+x)", 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_mass_bands_cut_at_interior_anchors(m):
+    mesh = build_mesh(m)
+    diag, off = mass_bands(mesh, INTERIOR_JUMPS)
+    for j in range(1, m):
+        # (q phi_j, phi_i) as the load of q phi_j against hat i = j, j + 1
+        phi = hat_value(mesh.nodes, j)
+        entries = [
+            load_entry_quad(mesh.nodes, lambda t: INTERIOR_JUMPS.fn(t) * phi(t), i, breaks=(0.3, 0.7))
+            for i in range(j, min(j + 2, m))
+        ]
+        assert diag[j - 1] == pytest.approx(entries[0], rel=1e-12)
+        if j < m - 1:
+            assert off[j - 1] == pytest.approx(entries[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("alpha", [1.3, 1.7])
+def test_endpoint_weight_vector_cut_at_interior_anchors(m, alpha):
+    mesh = build_mesh(m)
+    s = endpoint_weight_vector(mesh, INTERIOR_JUMPS, alpha)
+    for j in range(1, m):
+        want = endpoint_weight_entry_quad(mesh.nodes, INTERIOR_JUMPS.fn, j, alpha, (0.3, 0.7))
+        assert s[j - 1] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_quadrature_load_cut_at_breaks(m):
+    # x^(-1/4) (1 + chi(0.3,0.7)): singular at 0 and jumping at both breaks,
+    # with no power sum to say where
+    jumps = parse_field("chi(0.3,0.7)", 0.0).fn
+    field = ScalarField(fn=lambda x: x**-0.25 * (1.0 + jumps(x)), hint=-0.25)
+    mesh = build_mesh(m)
+    out = load_vector(mesh, field, (0.3, 0.7))
+    for j in range(1, m):
+        want = load_entry_quad(mesh.nodes, field.fn, j, left_exponent=-0.25, breaks=(0.3, 0.7))
+        assert out[j - 1] == pytest.approx(want, rel=1e-10)
+
+
+def test_anchors_on_nodes_change_no_bit():
+    # jumps at nodes need no cut; the rules must stay the uncut ones
+    mesh = build_mesh(8, delta=2.0)  # 0.25 and 0.5625 are nodes
+    q = parse_field("chi(0.25,0.5625)*(1+x)", 0.0)
+    blind = ScalarField(fn=q.fn)  # the same function without its anchors
+    for got, want in zip(mass_bands(mesh, q), mass_bands(mesh, blind)):
+        assert np.array_equal(got, want)
+    s, s_blind = (endpoint_weight_vector(mesh, field, 1.4) for field in (q, blind))
+    assert np.array_equal(s, s_blind)
+    field = ScalarField(fn=lambda x: x**-0.25 * q.fn(x), hint=-0.25)
+    assert np.array_equal(load_vector(mesh, field, (0.25, 0.5625)), load_vector(mesh, field))
+
+
 # --- problem validation ----------------------------------------------------------
 
 
@@ -495,6 +583,27 @@ def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
         lambda t: spec.q.fn(t) * u_s(t), alpha, 1.0, alpha - 1.0, breaks=(0.3, 0.7)
     )
     assert spec.singular_pair.c0 == pytest.approx(1.0 / (1.0 + integral), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_splitting_constant_term_by_term(monkeypatch, alpha):
+    # chi(0,0.5) has no zero-anchored power sum; each u_s term is integrated
+    # on its own, 12 panels in all, where q u_s as a whole needed 26-46
+    panels = []
+    value = fraccalc._panel_value
+    monkeypatch.setattr(fraccalc, "_panel_value", lambda *a: panels.append(a) or value(*a))
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
+    c0 = spec.singular_pair.c0
+    assert len(panels) <= 12
+    # the oracle too goes term by term, t^2 without a weight: quad of q u_s
+    # as one field with the weight t^(alpha-1) is off by up to 9e-12 here
+    integral = sum(
+        t.coeff * frac_integral_quad(
+            lambda x, e=t.exponent: spec.q.fn(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.5,)
+        )
+        for t in spec.singular_pair.u_s.terms
+    )
+    assert c0 == pytest.approx(1.0 / (1.0 + integral), rel=1e-13)
 
 
 def test_singular_pair_is_cached_on_the_spec():

@@ -283,6 +283,24 @@ def test_potential_with_non_dyadic_jumps_runs(capsys):
     assert all(np.isfinite(float(v)) for r in rows for v in r.split(",")[3:7])
 
 
+def test_potential_with_non_dyadic_jumps_converges(capsys):
+    # chi(0.3,0.7) jumps inside elements of every study mesh and of the
+    # reference; element rules cut there keep both rates near second order
+    argv = [
+        "--alpha", "1.3,1.7", "--example", "b", "--q", "custom", "--q-expr", "chi(0.3,0.7)",
+        "--q-hint", "0", "--method", "recon", "--levels", "3:7", "--reference-m", "2048",
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+    finest = [r for r in rows if r["k"] in ("6", "7")]
+    assert [(r["alpha"], r["k"]) for r in finest] == [
+        (alpha, k) for alpha in ("1.3", "1.7") for k in ("6", "7")
+    ]
+    for r in finest:
+        assert float(r["rate_l2"]) >= 1.7 and float(r["rate_mu"]) >= 1.7, r
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     # the package must not import fracfem.cli itself, or runpy warns that the
     # module is already loaded before running it as __main__
