@@ -221,7 +221,12 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
         # C(e, 2j) from C(e, 2j - 2) by the ratio of neighbours
         binom = np.cumprod(np.append(1.0, (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))))
         dist = -d[far]
-        series = np.polynomial.polynomial.polyval(dist**-2.0, binom * moments)
+        # Horner in place, the same roundings as polynomial.polyval
+        x2, coeffs = dist**-2.0, (binom * moments).tolist()
+        series = np.full_like(x2, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            series *= x2
+            series += c
         acc[far] = p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist**e * series
     scale = beta_fn(2.0 - s, 2.0 - s) * h ** (1.0 - 2.0 * s) / gamma_fn(2.0 - s) ** 2
     return -scale * acc
@@ -508,14 +513,6 @@ def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _embedded_matvec(_toeplitz_spectrum(stencil), x)
 
 
-def stencil_to_dense(stencil: np.ndarray) -> np.ndarray:
-    """Expand a Toeplitz stencil st (A[i, j] = st[j - i + n - 1]) to dense."""
-    n = (stencil.size + 1) // 2
-    from scipy.linalg import toeplitz
-
-    return toeplitz(stencil[n - 1 :: -1], stencil[n - 1 :])
-
-
 @dataclass(frozen=True)
 class Lead:
     """Leading block in exactly one format: the Toeplitz ``stencil``
@@ -559,12 +556,6 @@ class Lead:
             return self.stencil[n - 1 - i : 2 * n - 1 - i].copy()
         return self.dense[i].copy()
 
-    def to_dense(self) -> np.ndarray:
-        """A fresh C-order copy of the block, free for the caller to modify."""
-        if self.stencil is not None:
-            return np.ascontiguousarray(stencil_to_dense(self.stencil))
-        return np.array(self.dense, order="C")
-
     def abs_row_sum(self) -> float:
         """Upper bound on the row sums of |A|: the stencil's absolute sum
         covers every row; a dense block gives its largest row sum."""
@@ -600,17 +591,6 @@ class AssembledSystem:
             y[:-1] += self.mass_off * x[1:]
             y[1:] += self.mass_off * x[:-1]
         return y
-
-    def full_matrix(self) -> np.ndarray:
-        """Dense system matrix including the rank-one coupling."""
-        out = self.lead.to_dense()
-        flat, step = out.reshape(-1), self.n + 1
-        flat[::step] += self.mass_diag
-        flat[1::step] += self.mass_off
-        flat[self.n :: step] += self.mass_off
-        if self.r_vec is not None:
-            out += np.outer(self.r_vec, self.s_vec)
-        return out
 
 
 def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSystem:

@@ -38,7 +38,13 @@ class DegenerateSplittingError(FracFemError):
 
 
 class SingularSystemError(FracFemError):
-    """Assembled linear system is numerically singular or the solve failed."""
+    """Assembled system has a zero or non-finite entry in row ``row`` of the
+    diagonal that scales its preconditioner."""
+
+    def __init__(self, message: str, row: int, value: float):
+        super().__init__(f"{message} (row {row}, value {value!r})")
+        self.row = row
+        self.value = value
 
 
 class IterativeFailure(FracFemError):

@@ -92,15 +92,24 @@ class PowerTerm:
 
 
 def _eval_terms(terms, x):
+    """Sum of the terms at x; a term is coeff at its anchor for exponent 0,
+    0 for a positive exponent and an infinity of the coefficient's sign for
+    a negative one. Only negative exponents need a mask."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for t in terms:
         dx = x - t.anchor if t.side == LEFT else t.anchor - x
-        inside = dx > 0.0
-        out[inside] += t.coeff * dx[inside] ** t.exponent
-        if t.exponent <= 0.0:
-            edge = dx == 0.0
-            out[edge] += t.coeff if t.exponent == 0.0 else np.sign(t.coeff) * np.inf
+        if t.exponent > 0.0:
+            np.maximum(dx, 0.0, out=dx)
+            dx **= t.exponent
+            dx *= t.coeff
+            out += dx
+        elif t.exponent == 0.0:
+            out += np.where(dx >= 0.0, t.coeff, 0.0)
+        else:
+            inside = dx > 0.0
+            out[inside] += t.coeff * dx[inside] ** t.exponent
+            out[dx == 0.0] += np.sign(t.coeff) * np.inf
     return out
 
 

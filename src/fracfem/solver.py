@@ -1,9 +1,9 @@
-"""Direct and iterative solution of the assembled systems.
+"""Solution of the assembled systems.
 
-Systems on meshes of up to DENSE_LIMIT_M elements, uniform or graded, are
-solved by LU of the full matrix. Finer ones take restarted GMRES (Saad &
+Every system, on any mesh, uniform or graded, takes restarted GMRES (Saad &
 Schultz, 1986) on the lead's matvec, right-preconditioned by a diagonally
 scaled Strang circulant applied by FFT; the kernel needs only numpy and BLAS.
+No dense matrix is formed and nothing is factorised.
 """
 
 from __future__ import annotations
@@ -12,19 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .assembly import AssembledSystem, Lead, ProblemSpec, SingularPair, assemble_system
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
 from .mesh import Mesh, PwLinear
 
-# Largest mesh solved by LU; finer meshes take the GMRES path. LU is faster
-# up to m = 256 and GMRES from m = 512 on, on uniform and graded meshes.
-DENSE_LIMIT_M = 256
-
 # backward-error tolerance: |Ax - b| measured against |A||x| + |b|
 RESIDUAL_TOL = 1e-12
-PIVOT_TOL = 1e-14
 
 _GMRES_RESTART = 50
 _GMRES_MAX_INNER = 2000
@@ -74,19 +69,6 @@ def system_matvec(system: AssembledSystem, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _factor(matrix: np.ndarray):
-    # max |a_ij| without an n x n temporary
-    scale = max(float(matrix.max()), -float(matrix.min()))
-    lu, piv = lu_factor(matrix, overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if scale == 0.0 or np.min(pivots) < PIVOT_TOL * scale:
-        raise SingularSystemError(
-            f"assembled system is numerically singular "
-            f"(pivot ratio {np.min(pivots) / max(scale, 1e-300):.3e})"
-        )
-    return lu, piv
-
-
 def _norm_inf_estimate(system: AssembledSystem) -> float:
     """Upper bound on the row sums of the assembled matrix."""
     lead = system.lead.abs_row_sum()
@@ -117,10 +99,16 @@ def _strang_preconditioner(system: AssembledSystem):
     D is |diag(A)| without the rank-one coupling, and C is the Strang
     circulant of the middle row of D^(-1/2) A D^(-1/2), mass bands included.
     The scaling follows local refinement on graded meshes; on uniform ones D
-    is nearly constant and C is the Strang circulant of the stencil.
+    is nearly constant and C is the Strang circulant of the stencil. A zero
+    or non-finite entry of D raises SingularSystemError before the division.
     """
     n, k = system.n, system.n // 2
-    scale = 1.0 / np.sqrt(np.abs(system.lead.diagonal() + system.mass_diag))
+    diag = np.abs(system.lead.diagonal() + system.mass_diag)
+    bad = np.flatnonzero(~(np.isfinite(diag) & (diag > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise SingularSystemError("zero or non-finite diagonal", i, float(diag[i]))
+    scale = 1.0 / np.sqrt(diag)
     row = system.lead.row(k)
     row[k] += system.mass_diag[k]
     row[k - 1 : k] += system.mass_off[k - 1 : k]  # a missing neighbour: empty slices
@@ -189,25 +177,6 @@ def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float
         gap = system.load - system_matvec(system, coeffs)
 
 
-def _solve_coefficients(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """GMRES on meshes finer than DENSE_LIMIT_M, otherwise LU of the full
-    matrix with one step of refinement; both check the backward error."""
-    if system.mesh.m > DENSE_LIMIT_M:
-        return _gmres_solve(system, RESIDUAL_TOL)
-    lu_piv = _factor(np.asfortranarray(system.full_matrix()))
-    coeffs = lu_solve(lu_piv, system.load)
-    res = _relative_residual(system, coeffs)
-    if res > RESIDUAL_TOL:
-        gap = system.load - system_matvec(system, coeffs)
-        coeffs = coeffs + lu_solve(lu_piv, gap)
-        res = _relative_residual(system, coeffs)
-        if res > RESIDUAL_TOL:
-            raise SingularSystemError(
-                f"solver residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}"
-            )
-    return coeffs, res
-
-
 def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float):
     if system.method == "standard":
         return StandardSolution(PwLinear(system.mesh, coeffs), res)
@@ -219,7 +188,7 @@ def solve_standard(system: AssembledSystem) -> StandardSolution:
     """Solve the standard Galerkin system."""
     if system.method != "standard":
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")
-    return _solution(system, *_solve_coefficients(system))
+    return solve_iterative(system)
 
 
 def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
@@ -235,15 +204,17 @@ def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
 
 def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
     """Assemble and solve the reconstruction system, then recover mu_h."""
-    system = assemble_system(spec, mesh, "reconstruction")
-    return _solution(system, *_solve_coefficients(system))
+    return solve_iterative(assemble_system(spec, mesh, "reconstruction"))
 
 
 def solve_iterative(system: AssembledSystem, tol: float = RESIDUAL_TOL):
-    """Solve by right-preconditioned restarted GMRES on the lead's matvec.
+    """Solve ``system`` by the one path, GMRES, to a chosen target ``tol`` of
+    the inf-norm backward error, checked after each sweep; solve_standard
+    and solve_reconstruction take it at RESIDUAL_TOL.
 
-    ``tol`` is the target of the inf-norm backward error, checked after each
-    sweep. Returns the same solution type as the direct path, or raises
-    IterativeFailure(iterations, residual) past _GMRES_MAX_INNER iterations.
+    Returns the solution type of the system's method. Raises
+    SingularSystemError(row, value) for a zero or non-finite scaled diagonal
+    and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
+    iterations.
     """
     return _solution(system, *_gmres_solve(system, tol))

@@ -2,7 +2,7 @@
 
 Everything here goes through scipy.integrate.quad on the defining
 convolutions and bilinear forms, never through the closed forms in the
-package, so agreement is meaningful. There are six exceptions.
+package, so agreement is meaningful. There are exceptions.
 stiffness_entry_decimal re-evaluates the stiffness closed form in
 high-precision decimal arithmetic: it checks the rounding of the package's
 evaluation, while the quadrature oracles check the formula. assemble_mass_q
@@ -19,6 +19,12 @@ every cell of the union mesh. The mesh helpers hat, hat_jump_data,
 basis_frac_derivative and element_of and the Green kernel green_q0 are closed forms and lookups that the package
 itself never needs; the tests check them against quadrature and use them
 as independent descriptions of the basis and of the q = 0 solution.
+stencil_to_dense, dense_lead and full_matrix expand the package's Toeplitz
+stencil, leading block and assembled system to dense matrices, for
+comparisons with dense products and numpy's dense solve; the package
+multiplies and solves without forming them. eval_terms_masked is the
+boolean-mask evaluation of a power sum that the package's evaluator
+replaces term by term.
 """
 
 from __future__ import annotations
@@ -27,12 +33,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 from scipy.special import beta, gammaln, rgamma
 from scipy.special import gamma as gamma_fn
 
 from fracfem.assembly import mass_bands
 from fracfem.errors import ArgumentError, DomainError
-from fracfem.fraccalc import PowerSum, PowerTerm
+from fracfem.fraccalc import LEFT, PowerSum, PowerTerm
 from fracfem.mesh import PwLinear
 
 _LIMIT = 200
@@ -392,3 +399,43 @@ def error_norms_gauss(approx_fn, exact_fn, approx_mesh, exact_mesh, lead):
     d = exact_fn(fine) - approx_fn(fine)
     energy = float(np.sqrt(max(float(np.dot(d, lead.matvec(d))), 0.0)))
     return l2, energy, linf
+
+
+def stencil_to_dense(stencil):
+    """Expand a Toeplitz stencil st (A[i, j] = st[j - i + n - 1]) to dense."""
+    n = (stencil.size + 1) // 2
+    return toeplitz(stencil[n - 1 :: -1], stencil[n - 1 :])
+
+
+def dense_lead(lead):
+    """A fresh dense copy of a ``Lead`` block, in either format."""
+    if lead.stencil is not None:
+        return stencil_to_dense(lead.stencil)
+    return np.array(lead.dense)
+
+
+def full_matrix(system):
+    """Dense matrix of an assembled system: lead, mass bands and, for the
+    reconstruction method, the rank-one coupling r s^T."""
+    out = dense_lead(system.lead)
+    out += np.diag(system.mass_diag)
+    out += np.diag(system.mass_off, 1) + np.diag(system.mass_off, -1)
+    if system.r_vec is not None:
+        out += np.outer(system.r_vec, system.s_vec)
+    return out
+
+
+def eval_terms_masked(terms, x):
+    """Sum of power terms, each added only where its base is positive, plus
+    its value at the anchor: coeff for exponent 0, an infinity of the
+    coefficient's sign for a negative exponent, nothing for a positive one."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for t in terms:
+        dx = x - t.anchor if t.side == LEFT else t.anchor - x
+        inside = dx > 0.0
+        out[inside] += t.coeff * dx[inside] ** t.exponent
+        if t.exponent <= 0.0:
+            edge = dx == 0.0
+            out[edge] += t.coeff if t.exponent == 0.0 else np.sign(t.coeff) * np.inf
+    return out

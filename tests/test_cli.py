@@ -315,3 +315,24 @@ def test_module_entry_point_runs_without_runtime_warning():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("alpha,k,h,")
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
+    # a reference cell whose study levels reach m = 256; the solve must not
+    # round differently when BLAS splits its work across threads
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    args = ["--alpha", "1.25,1.75", "--example", "b", "--q", "x_times_1mx", "--method", "recon",
+            "--levels", "6:8", "--reference-m", "2048"]
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "fracfem.cli", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("alpha,k,h,")
+    assert outputs[0] == outputs[1]

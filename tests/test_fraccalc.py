@@ -23,6 +23,7 @@ from fracfem.fraccalc import (
 )
 
 from .oracles import (
+    eval_terms_masked,
     frac_integral_quad,
     legendre_endpoint_integral,
     rl_derivative_power,
@@ -182,6 +183,33 @@ def test_powersum_polynomial_product(poly, monos):
     xs = _sample_points()[1:]  # x = 0 can hit 0^0 conventions on both sides
     direct = ps(xs) * sum(c * xs**k for k, c in enumerate(poly))
     np.testing.assert_allclose(prod(xs), direct, rtol=1e-10, atol=1e-10)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            coeffs_st,
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
+            st.sampled_from(["left", "right"]),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_powersum_evaluation_matches_masked_form_bit_for_bit(terms, extra):
+    # exponents in (-1, 3] on both sides, sampled exactly at every anchor,
+    # at both ends of [0, 1] and in between; a zero coefficient or opposite
+    # infinities at a shared anchor give NaN in both forms
+    terms = terms + [(1.5, terms[0][1], 0.0, "right"), (-0.5, terms[0][1], 2.0, "left")]
+    ps = PowerSum.from_terms(terms)
+    xs = np.concatenate(([t[1] for t in terms], _sample_points(), extra))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(ps(xs), eval_terms_masked(ps.terms, xs), equal_nan=True)
+        for x in xs[:3]:
+            assert np.array_equal(ps(float(x)), eval_terms_masked(ps.terms, [x])[0], equal_nan=True)
 
 
 def test_zero_anchored_product_matches_pointwise():

@@ -47,8 +47,8 @@ def test_no_extended_precision(path):
 
 
 def test_runtime_needs_no_scipy_special_or_sparse():
-    # a fresh interpreter runs a study whose levels (m = 4, 8) take LU and
-    # whose m = 1024 reference takes GMRES; neither loads these subpackages
+    # a fresh interpreter runs a study with levels m = 4, 8 and an m = 1024
+    # reference, all solved by GMRES; it loads neither subpackage
     script = (
         "import sys, fracfem, fracfem.cli\n"
         "argv = ['--alpha', '1.5', '--example', 'a', '--q', 'x_times_1mx',\n"

@@ -1,4 +1,4 @@
-"""Direct and iterative solvers against dense linear algebra."""
+"""The GMRES solve against dense linear algebra."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from fracfem.assembly import (
     Lead,
     ProblemSpec,
     assemble_system,
-    stencil_to_dense,
     toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, IterativeFailure, SingularSystemError
@@ -24,7 +23,6 @@ from fracfem.fields import (
 )
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
-    DENSE_LIMIT_M,
     RESIDUAL_TOL,
     reconstruction_scalar,
     solve_iterative,
@@ -32,6 +30,8 @@ from fracfem.solver import (
     solve_standard,
     system_matvec,
 )
+
+from .oracles import full_matrix, stencil_to_dense
 
 
 def test_toeplitz_matvec_matches_dense():
@@ -53,7 +53,7 @@ def test_standard_solve_matches_dense_lu():
     spec = ProblemSpec(alpha=1.6, q=source_bump(), f=source_inverse_quartic())
     system = assemble_system(spec, build_mesh(64), "standard")
     sol = solve_standard(system)
-    expect = np.linalg.solve(system.full_matrix(), system.load)
+    expect = np.linalg.solve(full_matrix(system), system.load)
     np.testing.assert_allclose(sol.u_h.coeffs, expect, rtol=1e-10)
     assert sol.residual <= RESIDUAL_TOL
     # nodal evaluation returns the computed coefficients
@@ -72,7 +72,7 @@ def test_reconstruction_matches_dense_lu():
     mesh = build_mesh(128)
     sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
-    expect = np.linalg.solve(system.full_matrix(), system.load)
+    expect = np.linalg.solve(full_matrix(system), system.load)
     np.testing.assert_allclose(sol.u_r_h.coeffs, expect, rtol=1e-10)
     mu_expect = system.pair.c0 * (
         system.pair.f_frac_at_one - float(np.dot(system.s_vec, expect))
@@ -86,7 +86,7 @@ def test_fft_path_matches_dense():
     mesh = build_mesh(64)
     system = assemble_system(spec, mesh, "reconstruction")
     coeffs, res = solver_mod._gmres_solve(system, RESIDUAL_TOL)
-    expect = np.linalg.solve(system.full_matrix(), system.load)
+    expect = np.linalg.solve(full_matrix(system), system.load)
     np.testing.assert_allclose(coeffs, expect, rtol=1e-10)
     assert res <= RESIDUAL_TOL
 
@@ -105,10 +105,9 @@ def test_fft_path_matches_dense():
 def test_fft_path_matches_dense_above_dense_limit(alpha, bc):
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump(), bc=bc)
     mesh = build_mesh(2048)
-    assert mesh.m > DENSE_LIMIT_M
     sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
-    expect = np.linalg.solve(system.full_matrix(), system.load)
+    expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
     assert sol.mu_h == pytest.approx(reconstruction_scalar(system, expect), rel=1e-11)
@@ -119,11 +118,12 @@ def test_gmres_agrees_with_lu():
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
     mesh = build_mesh(256)
     system = assemble_system(spec, mesh, "reconstruction")
-    direct = solve_reconstruction(spec, mesh)
+    expect = np.linalg.solve(full_matrix(system), system.load)
     iterative = solve_iterative(system)
-    scale = float(np.max(np.abs(direct.u_r_h.coeffs)))
-    assert np.max(np.abs(iterative.u_r_h.coeffs - direct.u_r_h.coeffs)) <= 1e-8 * scale
-    assert iterative.mu_h == pytest.approx(direct.mu_h, abs=1e-8 * abs(direct.mu_h))
+    scale = float(np.max(np.abs(expect)))
+    assert np.max(np.abs(iterative.u_r_h.coeffs - expect)) <= 1e-8 * scale
+    mu = reconstruction_scalar(system, expect)
+    assert iterative.mu_h == pytest.approx(mu, abs=1e-8 * abs(mu))
 
 
 def test_gmres_converges_at_large_m():
@@ -156,13 +156,13 @@ def test_gmres_converges_on_strongly_graded_mesh():
     + [(1.05, 2.0, 2048), (1.95, 5.0, 2048)],
 )
 def test_solve_iterative_on_graded_meshes(alpha, delta, m):
-    # the scaled Strang circulant follows the grading; LU checks it to m = 1024
+    # the scaled Strang circulant follows the grading; a dense solve checks it to m = 1024
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(m, delta), "reconstruction")
     sol = solve_iterative(system)
     assert sol.residual <= RESIDUAL_TOL
     if m <= 1024:
-        expect = np.linalg.solve(system.full_matrix(), system.load)
+        expect = np.linalg.solve(full_matrix(system), system.load)
         scale = float(np.max(np.abs(expect)))
         assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
 
@@ -176,16 +176,17 @@ def test_solve_iterative_on_graded_meshes(alpha, delta, m):
 )
 @settings(max_examples=60, deadline=None)
 def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
+    # the one solve path against LU of the oracle's dense matrix
     bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
     q = zero_field() if q_sign == 0.0 else parse_field(f"{q_sign} * x * (1 - x)", 0.0)
     spec = ProblemSpec(alpha=alpha, q=q, f=source_bump(), bc=bc)
     mesh = build_mesh(m, delta)
-    assert m <= DENSE_LIMIT_M
-    direct = solve_reconstruction(spec, mesh)
-    iterative = solve_iterative(assemble_system(spec, mesh, "reconstruction"))
-    scale = float(np.max(np.abs(direct.u_r_h.coeffs)))
-    assert np.max(np.abs(iterative.u_r_h.coeffs - direct.u_r_h.coeffs)) <= 1e-9 * scale
-    assert iterative.mu_h == pytest.approx(direct.mu_h, rel=1e-10)
+    sol = solve_reconstruction(spec, mesh)
+    system = assemble_system(spec, mesh, "reconstruction")
+    expect = np.linalg.solve(full_matrix(system), system.load)
+    scale = float(np.max(np.abs(expect)))
+    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
+    assert sol.mu_h == pytest.approx(reconstruction_scalar(system, expect), rel=1e-10)
 
 
 @given(
@@ -231,15 +232,14 @@ def test_strength_scale_is_mesh_independent_without_potential():
     assert values[0] == values[1]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_zero_matrix_is_reported_singular():
+def _diagonal_system(diagonal):
     mesh = build_mesh(4)
-    system = AssembledSystem(
+    return AssembledSystem(
         mesh=mesh,
         alpha=1.5,
         method="standard",
         bc="dirichlet",
-        lead=Lead(dense=np.zeros((3, 3))),
+        lead=Lead(dense=np.diag(diagonal)),
         mass_diag=np.zeros(3),
         mass_off=np.zeros(2),
         load=np.ones(3),
@@ -247,8 +247,24 @@ def test_zero_matrix_is_reported_singular():
         s_vec=None,
         pair=None,
     )
-    with pytest.raises(SingularSystemError):
-        solve_standard(system)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_matrix_is_reported_singular():
+    with pytest.raises(SingularSystemError) as info:
+        solve_standard(_diagonal_system([0.0, 0.0, 0.0]))
+    assert (info.value.row, info.value.value) == (0, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_diagonal_is_reported_singular():
+    with pytest.raises(SingularSystemError) as info:
+        solve_iterative(_diagonal_system([1.0, np.nan, 1.0]))
+    assert info.value.row == 1 and np.isnan(info.value.value)
+    assert "row 1" in str(info.value) and "nan" in str(info.value)
+    with pytest.raises(SingularSystemError) as info:
+        solve_standard(_diagonal_system([1.0, 2.0, -np.inf]))
+    assert (info.value.row, info.value.value) == (2, np.inf)
 
 
 @pytest.mark.parametrize("delta", [1.0, 2.0], ids=["uniform", "graded"])
@@ -258,5 +274,5 @@ def test_system_matvec_matches_full_matrix(delta):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(system.n)
     np.testing.assert_allclose(
-        system_matvec(system, x), system.full_matrix() @ x, rtol=1e-11, atol=1e-13
+        system_matvec(system, x), full_matrix(system) @ x, rtol=1e-11, atol=1e-13
     )
