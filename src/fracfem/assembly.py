@@ -13,7 +13,7 @@ holds its block as one ``Lead`` in either format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,9 +51,11 @@ _ENDPOINT_POINTS = 12
 # alpha in (1, 2) and width ratio, measured against a 60-point rule.
 _FAR_RULES = ((4, 0.032), (6, 0.19), (8, 0.49), (12, 1.39), (16, 2.66), (24, 6.26))
 _FAR_PAIRS = 1 << 13  # element pairs per far-field block, about 1 MiB of powers
-# Terms of lead_stencil's moment series: each is at most 4/9 of the one before,
-# and (4/9)^50 / (1 - 4/9) < 2^-56.
-_SERIES_TERMS = 50
+# Terms of lead_stencil's moment series: each is at most 4/D^2 of the one
+# before. Offsets D >= 3 take 50, as (4/9)^50 / (1 - 4/9) < 2^-56; offsets
+# D > _BAND_D take 11, as (4/441)^11 < 2^-74, far enough below an ulp that
+# the short sum rounds like the full one (with D > 11 it did not always).
+_SERIES_TERMS, _SHORT_TERMS, _BAND_D = 50, 11, 20
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,38 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     return out
 
 
+def _far_series(p: float, dist: np.ndarray, coeffs) -> np.ndarray:
+    """p(p-1)(p-2)(p-3) D^(p-4) sum_j coeffs[j] D^(-2j) at the offsets D = dist,
+    by Horner in place: the same roundings as polynomial.polyval."""
+    x2 = dist**-2.0
+    series = np.full_like(x2, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        series *= x2
+        series += c
+    return p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist ** (p - 4.0) * series
+
+
+@lru_cache(maxsize=64)
+def _stencil_band(p: float):
+    """lead_stencil's p-only part, read-only: unscaled values at offsets
+    d = -_BAND_D..2, and the short series' coefficients for D > _BAND_D."""
+    d = np.arange(-_BAND_D, 3.0)
+    band = np.zeros_like(d)
+    near = d >= -2.0
+    for e, v in zip(range(-2, 3), (1.0, -4.0, 6.0, -4.0, 1.0)):
+        band[near] += v * np.maximum(e - d[near], 0.0) ** p
+    e = p - 4.0
+    k = 2.0 * np.arange(_SERIES_TERMS)
+    moments = 2.0 * (2.0 ** (k + 4.0) - 4.0) / ((k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0))
+    k = k[:-1]
+    # C(e, 2j) from C(e, 2j - 2) by the ratio of neighbours
+    binom = np.cumprod(np.append(1.0, (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))))
+    coeffs = tuple((binom * moments).tolist())
+    band[~near] = _far_series(p, -d[~near], coeffs)
+    band.setflags(write=False)
+    return band, coeffs[:_SHORT_TERMS]
+
+
 def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     """Toeplitz stencil of the leading block on a uniform mesh.
 
@@ -197,8 +231,9 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
             = p(p-1)(p-2)(p-3) D^e sum_j C(e, 2j) mu_2j D^(-2j),   e = p - 4,
 
     mu_k = 2 (2^(k+4) - 4) / ((k+1)(k+2)(k+3)(k+4)). Every term is positive
-    and at most 4/D^2 <= 4/9 of the one before, so nothing cancels and
-    _SERIES_TERMS terms leave a tail below 2^-56 of the sum.
+    and at most 4/D^2 of the one before, so nothing cancels. Offsets up to
+    D = _BAND_D come from _stencil_band, cached on p, which sums
+    _SERIES_TERMS terms; farther ones sum _SHORT_TERMS, with the same bits.
     """
     if not mesh.is_uniform:
         raise ArgumentError("the leading block is Toeplitz on uniform meshes only")
@@ -206,29 +241,13 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     s = 0.5 * a
     p = 3.0 - 2.0 * s
     n = mesh.m - 1
-    h = 1.0 / mesh.m
-    d = np.arange(-(n - 1), n, dtype=float)
-    acc = np.zeros_like(d)
-    near = np.abs(d) <= 2.0
-    for e, v in zip(range(-2, 3), (1.0, -4.0, 6.0, -4.0, 1.0)):
-        acc[near] += v * np.maximum(e - d[near], 0.0) ** p
-    far = d <= -3.0
-    if np.any(far):
-        e = p - 4.0
-        k = 2.0 * np.arange(_SERIES_TERMS)
-        moments = 2.0 * (2.0 ** (k + 4.0) - 4.0) / ((k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0))
-        k = k[:-1]
-        # C(e, 2j) from C(e, 2j - 2) by the ratio of neighbours
-        binom = np.cumprod(np.append(1.0, (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))))
-        dist = -d[far]
-        # Horner in place, the same roundings as polynomial.polyval
-        x2, coeffs = dist**-2.0, (binom * moments).tolist()
-        series = np.full_like(x2, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            series *= x2
-            series += c
-        acc[far] = p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist**e * series
-    scale = beta_fn(2.0 - s, 2.0 - s) * h ** (1.0 - 2.0 * s) / gamma_fn(2.0 - s) ** 2
+    band, short = _stencil_band(p)
+    acc = np.zeros(2 * n - 1)  # offset d at d + n - 1
+    lo, hi = min(n - 1, _BAND_D), min(n - 1, 2)
+    acc[n - 1 - lo : n + hi] = band[_BAND_D - lo : _BAND_D + 1 + hi]
+    if n - 1 > _BAND_D:
+        acc[: n - 1 - _BAND_D] = _far_series(p, np.arange(n - 1.0, _BAND_D, -1.0), short)
+    scale = beta_fn(2.0 - s, 2.0 - s) * (1.0 / mesh.m) ** (1.0 - 2.0 * s) / gamma_fn(2.0 - s) ** 2
     return -scale * acc
 
 
@@ -238,8 +257,9 @@ def _element_gauss(nodes: np.ndarray, points: int):
     xi, w = legendre_panel(points, -1.0, 1.0)
     lo = nodes[:-1][:, None]
     widths = np.diff(nodes)[:, None]
-    x = lo + 0.5 * widths * (xi + 1.0)
-    return x, 0.5 * widths * w, (x - lo) / widths
+    half = 0.5 * widths
+    x = lo + half * (xi + 1.0)
+    return x, half * w, (x - lo) / widths
 
 
 def _anchors(field: ScalarField) -> tuple:
@@ -267,8 +287,10 @@ def _cut_rule(points: int, lo: float, hi: float, breaks=(), right_exp=0.0, left_
         right = right_exp if b == hi else 0.0
         left = left_exp if a == lo else 0.0
         t, w = jacobi_panel(points, right, left, a, b) if right or left else legendre_panel(points, a, b)
+        if right != right_exp or left != left_exp:  # else both factors are x^0 = 1
+            w = w * (hi - t) ** (right_exp - right) * (t - lo) ** (left_exp - left)
         nodes.append(t)
-        weights.append(w * (hi - t) ** (right_exp - right) * (t - lo) ** (left_exp - left))
+        weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -280,11 +302,11 @@ def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=()) -> np.nda
     jump or kink of the integrand there costs no accuracy.
     """
     x, wq, n_r = _element_gauss(nodes, points)
-    sums = np.sum(weighted(x, wq, n_r), axis=-1)
+    sums = weighted(x, wq, n_r).sum(axis=-1)
     # elements k with a break b strictly inside, nodes[k] < b < nodes[k + 1]
     for k in {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}:
         t, w = _cut_rule(points, nodes[k], nodes[k + 1], breaks)
-        sums[..., k] = np.sum(weighted(t, w, (t - nodes[k]) / (nodes[k + 1] - nodes[k])), axis=-1)
+        sums[..., k] = weighted(t, w, (t - nodes[k]) / (nodes[k + 1] - nodes[k])).sum(axis=-1)
     return sums
 
 
@@ -297,7 +319,8 @@ def mass_bands(mesh: Mesh, q: ScalarField):
 
     def weighted(x, wq, n_r):
         wqv, n_l = wq * q(x), 1.0 - n_r
-        return np.stack([wqv * n_l * n_l, wqv * n_l * n_r, wqv * n_r * n_r])
+        left = wqv * n_l
+        return np.stack([left * n_l, left * n_r, wqv * n_r * n_r])
 
     ll, lr, rr = _element_sums(mesh.nodes, _MASS_POINTS, weighted, _anchors(q))
     diag = rr[:n] + ll[1:]
@@ -306,34 +329,29 @@ def mass_bands(mesh: Mesh, q: ScalarField):
 
 
 def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
-    """Exact load vector (ps, phi_i) for a left-anchored power sum."""
+    """Exact load vector (ps, phi_i) for a left-anchored power sum. Row 0 of
+    the stacks is hat j's rising leg on [x_{j-1}, x_j], row 1 its falling leg
+    on [x_j, x_{j+1}]; one pass per term serves both, summed leg by leg."""
     if not ps.is_left:
         raise UnsupportedFormError("closed-form loads need left-anchored terms")
-    nodes = mesh.nodes
-    n = mesh.m - 1
+    x, n = mesh.nodes, mesh.m - 1
+    xl, xr = np.stack([x[:n], x[1:-1]]), np.stack([x[1:-1], x[2:]])
+    widths = xr - xl
+    B = np.array([[1.0], [-1.0]]) / widths
+    A = np.stack([-x[:n], x[2:]]) / widths
+    legs = []
+    for t in ps.terms:
+        hi = xr - t.anchor
+        active = hi > 0.0
+        lo = np.maximum(np.maximum(t.anchor, xl) - t.anchor, 0.0)
+        hi = np.maximum(hi, 0.0)
+        j1 = (hi ** (t.exponent + 1.0) - lo ** (t.exponent + 1.0)) / (t.exponent + 1.0)
+        j2 = (hi ** (t.exponent + 2.0) - lo ** (t.exponent + 2.0)) / (t.exponent + 2.0)
+        legs.append(np.where(active, t.coeff * ((A + B * t.anchor) * j1 + B * j2), 0.0))
     out = np.zeros(n)
-    legs = (
-        # rising leg of hat j on [x_{j-1}, x_j]
-        (nodes[0:n], nodes[1 : n + 1], 1.0 / mesh.widths[:n], -nodes[0:n] / mesh.widths[:n]),
-        # falling leg of hat j on [x_j, x_{j+1}]
-        (
-            nodes[1 : n + 1],
-            nodes[2 : n + 2],
-            -1.0 / mesh.widths[1:],
-            nodes[2 : n + 2] / mesh.widths[1:],
-        ),
-    )
-    for xl, xr, B, A in legs:
-        for t in ps.terms:
-            hi = xr - t.anchor
-            active = hi > 0.0
-            if not np.any(active):
-                continue
-            lo = np.maximum(np.maximum(t.anchor, xl) - t.anchor, 0.0)
-            hi = np.maximum(hi, 0.0)
-            j1 = (hi ** (t.exponent + 1.0) - lo ** (t.exponent + 1.0)) / (t.exponent + 1.0)
-            j2 = (hi ** (t.exponent + 2.0) - lo ** (t.exponent + 2.0)) / (t.exponent + 2.0)
-            out += np.where(active, t.coeff * ((A + B * t.anchor) * j1 + B * j2), 0.0)
+    for leg in (0, 1):
+        for rows in legs:
+            out += rows[leg]
     return out
 
 
@@ -352,9 +370,8 @@ def quadrature_load(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
         x1 = mesh.nodes[1]
         t, jw = _cut_rule(2 * _LOAD_POINTS, 0.0, x1, breaks, left_exp=field.hint)
         smooth = field(t) * t ** (-field.hint)
-        rising[0] = float(np.dot(jw, smooth * (t / x1)))
-    out = rising[:n] + falling[1:]
-    return out
+        rising[0] = jw @ (smooth * (t / x1))
+    return rising[:n] + falling[1:]
 
 
 def load_vector(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
@@ -391,9 +408,8 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
     left = mesh.nodes[-2]
     t, jw = _cut_rule(2 * _ENDPOINT_POINTS, left, 1.0, anchors, right_exp=a - 1.0)
     width_last = 1.0 - left
-    falling_last = float(np.dot(jw, q(t) * (1.0 - t) / width_last))
-    out = rising[:n] + np.concatenate((falling[1:-1], [falling_last]))
-    return out / gamma_fn(a)
+    falling[-1] = jw @ (q(t) * (1.0 - t) / width_last)
+    return (rising[:n] + falling[1:]) / gamma_fn(a)
 
 
 @dataclass(frozen=True)
@@ -560,8 +576,8 @@ class Lead:
         """Upper bound on the row sums of |A|: the stencil's absolute sum
         covers every row; a dense block gives its largest row sum."""
         if self.stencil is not None:
-            return float(np.sum(np.abs(self.stencil)))
-        return float(np.max(np.sum(np.abs(self.dense), axis=1)))
+            return float(np.abs(self.stencil).sum())
+        return float(np.abs(self.dense).sum(axis=1).max())
 
 
 @dataclass(frozen=True)

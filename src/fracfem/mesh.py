@@ -7,6 +7,7 @@ through its m - 1 interior nodal values only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +51,10 @@ class Mesh:
         """Number of elements."""
         return self.nodes.size - 1
 
-    @property
+    @cached_property
     def is_uniform(self) -> bool:
-        """Whether the nodes are exactly j/m, as build_mesh(m) makes them."""
+        """Whether the nodes are exactly j/m, as build_mesh(m) makes them;
+        the nodes are read-only, so the answer is kept."""
         return np.array_equal(self.nodes, np.arange(self.m + 1) / self.m)
 
     @property

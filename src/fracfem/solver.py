@@ -63,34 +63,34 @@ class ReconSolution:
 
 def system_matvec(system: AssembledSystem, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product with the full system matrix."""
-    y = system.lead.matvec(x) + system.mass_matvec(x)
+    y = system.lead.matvec(x)  # a fresh array, summed into in place
+    y += system.mass_matvec(x)
     if system.r_vec is not None:
-        y = y + system.r_vec * float(np.dot(system.s_vec, x))
+        y += system.r_vec * float(system.s_vec @ x)
     return y
 
 
 def _norm_inf_estimate(system: AssembledSystem) -> float:
     """Upper bound on the row sums of the assembled matrix."""
     lead = system.lead.abs_row_sum()
-    mass = float(np.max(np.abs(system.mass_diag))) + 2.0 * float(
-        np.max(np.abs(system.mass_off), initial=0.0)
+    mass = float(np.abs(system.mass_diag).max()) + 2.0 * float(
+        np.abs(system.mass_off).max(initial=0.0)
     )
     rank_one = 0.0
     if system.r_vec is not None:
-        rank_one = float(np.max(np.abs(system.r_vec))) * float(
-            np.sum(np.abs(system.s_vec))
-        )
+        rank_one = float(np.abs(system.r_vec).max()) * float(np.abs(system.s_vec).sum())
     return lead + mass + rank_one
 
 
 def _relative_residual(system: AssembledSystem, coeffs: np.ndarray) -> float:
     """Normwise backward error |Ax - b|_inf / (|A|_inf |x|_inf + |b|_inf)."""
-    scale = _norm_inf_estimate(system) * float(np.max(np.abs(coeffs), initial=0.0))
-    scale += float(np.max(np.abs(system.load), initial=0.0))
+    scale = _norm_inf_estimate(system) * float(np.abs(coeffs).max(initial=0.0))
+    scale += float(np.abs(system.load).max(initial=0.0))
     if scale == 0.0:
         return 0.0
-    gap = system_matvec(system, coeffs) - system.load
-    return float(np.max(np.abs(gap))) / scale
+    gap = system_matvec(system, coeffs)
+    gap -= system.load
+    return float(np.abs(gap).max()) / scale
 
 
 def _strang_preconditioner(system: AssembledSystem):
@@ -124,18 +124,19 @@ def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float,
     from x = 0, stopping once Givens rotations put the residual 2-norm at or
     below ``target``. Returns x, the iteration count and that residual."""
     basis, tri = np.empty((steps + 1, r.size)), np.zeros((steps, steps))
-    beta = float(np.linalg.norm(r))
+    beta = math.sqrt(float(r @ r))  # the bits of np.linalg.norm, one call
     if beta == 0.0:
         return np.zeros_like(r), 0, 0.0
-    basis[0] = r / beta
+    np.divide(r, beta, out=basis[0])
     rhs, rotations = [beta], []
     for j in range(steps):
         w = system_matvec(system, precond(basis[j]))
-        h = basis[: j + 1] @ w  # classical Gram-Schmidt, applied twice
-        w -= h @ basis[: j + 1]
-        again = basis[: j + 1] @ w
-        w -= again @ basis[: j + 1]
-        col, below = (h + again).tolist(), float(np.linalg.norm(w))
+        done = basis[: j + 1]
+        h = done @ w  # classical Gram-Schmidt, applied twice
+        w -= h @ done
+        again = done @ w
+        w -= again @ done
+        col, below = (h + again).tolist(), math.sqrt(float(w @ w))
         for i, (c, s) in enumerate(rotations):
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         diag = math.hypot(col[j], below)
@@ -145,7 +146,7 @@ def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float,
         rhs[j:] = [c * rhs[j], -s * rhs[j]]
         if abs(rhs[j + 1]) <= target or below == 0.0:
             break
-        basis[j + 1] = w / below
+        np.divide(w, below, out=basis[j + 1])
     k = len(rotations)
     y = solve_triangular(tri[:k, :k], rhs[:k], check_finite=False)
     return precond(y @ basis[:k]), k, abs(rhs[k])
@@ -161,7 +162,7 @@ def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float
     precond = _strang_preconditioner(system)
     coeffs, gap, iterations = np.zeros(system.n), system.load, 0
     while True:
-        target = _GMRES_SWEEP_RTOL * float(np.linalg.norm(gap))
+        target = _GMRES_SWEEP_RTOL * math.sqrt(float(gap @ gap))
         budget = min(_GMRES_SWEEP_INNER, _GMRES_MAX_INNER - iterations)
         while budget > 0:
             step, k, est = _gmres_cycle(system, precond, gap, target, min(_GMRES_RESTART, budget))

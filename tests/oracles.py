@@ -24,7 +24,12 @@ stencil, leading block and assembled system to dense matrices, for
 comparisons with dense products and numpy's dense solve; the package
 multiplies and solves without forming them. eval_terms_masked is the
 boolean-mask evaluation of a power sum that the package's evaluator
-replaces term by term.
+replaces term by term. lead_stencil_full_series and powersum_load_per_term
+are the evaluations that the package's cached stencil band with its short
+far series, and its one pass per power-sum term over both hat legs,
+replace; they use the package's beta_fn and gamma_fn and keep every
+rounding of the evaluations they stand for, so the tests compare them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from scipy.special import gamma as gamma_fn
 
 from fracfem.assembly import mass_bands
 from fracfem.errors import ArgumentError, DomainError
-from fracfem.fraccalc import LEFT, PowerSum, PowerTerm
+from fracfem.fraccalc import LEFT, PowerSum, PowerTerm, beta_fn
+from fracfem.fraccalc import gamma_fn as gamma_math
 from fracfem.mesh import PwLinear
 
 _LIMIT = 200
@@ -438,4 +444,56 @@ def eval_terms_masked(terms, x):
         if t.exponent <= 0.0:
             edge = dx == 0.0
             out[edge] += t.coeff if t.exponent == 0.0 else np.sign(t.coeff) * np.inf
+    return out
+
+
+def lead_stencil_full_series(m, alpha):
+    """The uniform-mesh stencil of assembly.lead_stencil with all 50 terms of
+    the moment series at every far offset D >= 3, each computed afresh."""
+    s = 0.5 * alpha
+    p = 3.0 - 2.0 * s
+    n = m - 1
+    d = np.arange(-(n - 1), n, dtype=float)
+    acc = np.zeros_like(d)
+    near = np.abs(d) <= 2.0
+    for e, v in zip(range(-2, 3), (1.0, -4.0, 6.0, -4.0, 1.0)):
+        acc[near] += v * np.maximum(e - d[near], 0.0) ** p
+    far = d <= -3.0
+    if np.any(far):
+        e = p - 4.0
+        k = 2.0 * np.arange(50)
+        moments = 2.0 * (2.0 ** (k + 4.0) - 4.0) / ((k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0))
+        k = k[:-1]
+        binom = np.cumprod(np.append(1.0, (e - k) * (e - k - 1.0) / ((k + 1.0) * (k + 2.0))))
+        dist = -d[far]
+        x2, coeffs = dist**-2.0, (binom * moments).tolist()
+        series = np.full_like(x2, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            series *= x2
+            series += c
+        acc[far] = p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist**e * series
+    scale = beta_fn(2.0 - s, 2.0 - s) * (1.0 / m) ** (1.0 - 2.0 * s) / gamma_math(2.0 - s) ** 2
+    return -scale * acc
+
+
+def powersum_load_per_term(mesh, ps):
+    """Load vector (ps, phi_i) of a left-anchored power sum, one hat leg and
+    one term at a time, a term skipped on a leg where it is zero throughout."""
+    nodes, widths, n = mesh.nodes, mesh.widths, mesh.m - 1
+    out = np.zeros(n)
+    legs = (
+        (nodes[0:n], nodes[1 : n + 1], 1.0 / widths[:n], -nodes[0:n] / widths[:n]),
+        (nodes[1 : n + 1], nodes[2 : n + 2], -1.0 / widths[1:], nodes[2 : n + 2] / widths[1:]),
+    )
+    for xl, xr, B, A in legs:
+        for t in ps.terms:
+            hi = xr - t.anchor
+            active = hi > 0.0
+            if not np.any(active):
+                continue
+            lo = np.maximum(np.maximum(t.anchor, xl) - t.anchor, 0.0)
+            hi = np.maximum(hi, 0.0)
+            j1 = (hi ** (t.exponent + 1.0) - lo ** (t.exponent + 1.0)) / (t.exponent + 1.0)
+            j2 = (hi ** (t.exponent + 2.0) - lo ** (t.exponent + 2.0)) / (t.exponent + 2.0)
+            out += np.where(active, t.coeff * ((A + B * t.anchor) * j1 + B * j2), 0.0)
     return out

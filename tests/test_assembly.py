@@ -21,6 +21,7 @@ from fracfem.assembly import (
     lead_stencil,
     load_vector,
     mass_bands,
+    powersum_load,
     toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError
@@ -42,7 +43,9 @@ from .oracles import (
     frac_integral_quad,
     full_matrix,
     hat_value,
+    lead_stencil_full_series,
     load_entry_quad,
+    powersum_load_per_term,
     stencil_far_field_peano,
     stencil_to_dense,
     stiffness_entry_decimal,
@@ -250,6 +253,36 @@ def test_stencil_far_field_needs_no_gauss_rule(monkeypatch):
     assert np.all(np.isfinite(st)) and np.all(st[: 4096 - 4] < 0.0)
 
 
+# 101 evenly spaced alphas from 1.0001 to 1.9999, and four-decimal alphas at
+# which 11 series terms from offset 12 on round differently from 50
+STENCIL_ALPHAS = [*np.linspace(1.0001, 1.9999, 101), 1.607, 1.853, 1.9405, 1.9472]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 13, 14, 21, 22, 23, 40, 64, 4096, 65536])
+def test_stencil_matches_full_series_bit_for_bit(m):
+    # the cached band and the short far series change no bit, not even the
+    # sign of a zero
+    mesh = build_mesh(m)
+    for alpha in STENCIL_ALPHAS:
+        got, want = lead_stencil(mesh, alpha), lead_stencil_full_series(m, alpha)
+        assert np.array_equal(got, want), (m, alpha)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (m, alpha)
+
+
+def test_stencil_cache_is_bounded_and_read_only():
+    lead_stencil(build_mesh(64), 1.5)
+    assert assembly._stencil_band.cache_info().maxsize is not None
+    band, short = assembly._stencil_band(1.5)
+    assert not band.flags.writeable
+    with pytest.raises(ValueError):
+        band[0] = 0.0
+    assert isinstance(short, tuple)
+    # a returned stencil is the caller's own: writing to it leaves the cache
+    st = lead_stencil(build_mesh(8), 1.5)
+    st[:] = 0.0
+    assert np.array_equal(lead_stencil(build_mesh(8), 1.5), lead_stencil_full_series(8, 1.5))
+
+
 def test_stencil_requires_uniform_mesh():
     with pytest.raises(ArgumentError):
         lead_stencil(build_mesh(8, delta=2.0), 1.5)
@@ -389,6 +422,27 @@ def test_load_matches_quadrature(field, breaks, left_exp):
             mesh.nodes, field.fn, j, left_exponent=left_exp, breaks=breaks
         )
         assert out[j - 1] == pytest.approx(oracle, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0])
+@pytest.mark.parametrize(
+    "ps",
+    [
+        source_bump().powersum,
+        source_step().powersum,
+        source_inverse_quartic().powersum,
+        # custom sums with two interior anchors; 0.25 is a node of m = 16
+        parse_field("chi(0.3,0.7)", 0.0).powersum,
+        fraccalc.PowerSum.from_terms([(2.5, 0.25, 1.5), (-0.75, 0.6, 0.5)]),
+    ],
+    ids=["a", "b", "c", "chi", "powers"],
+)
+@pytest.mark.parametrize("m", [2, 3, 16, 37, 256])
+def test_powersum_load_matches_per_term_loop_bit_for_bit(m, ps, delta):
+    mesh = build_mesh(m, delta)
+    got, want = powersum_load(mesh, ps), powersum_load_per_term(mesh, ps)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_quadrature_load_path_without_powersum():
@@ -581,11 +635,15 @@ def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
 def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
     # bisection from [0, 1] never lands on 0.3 or 0.7; the potential's
     # anchors become panel edges, and the constant matches a quadrature
-    # split at the same points
+    # split at the same points, taken one u_s term at a time as in
+    # test_splitting_constant_term_by_term (q u_s as one field is off by up
+    # to 9e-12 in the oracle itself)
     spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0.3,0.7)", 0.0), f=source_bump())
-    u_s = spec.singular_pair.u_s
-    integral = frac_integral_quad(
-        lambda t: spec.q.fn(t) * u_s(t), alpha, 1.0, alpha - 1.0, breaks=(0.3, 0.7)
+    integral = sum(
+        t.coeff * frac_integral_quad(
+            lambda x, e=t.exponent: spec.q.fn(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.3, 0.7)
+        )
+        for t in spec.singular_pair.u_s.terms
     )
     assert spec.singular_pair.c0 == pytest.approx(1.0 / (1.0 + integral), rel=1e-12)
 

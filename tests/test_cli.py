@@ -18,6 +18,7 @@ from fracfem.cli import (
     run_experiment,
 )
 from fracfem.errors import ArgumentError
+from fracfem.mesh import build_mesh
 
 # potential scale that drives 1 + (I^1.5 q u_s)(1) through zero
 DEGENERATE_SCALE = -1.0 / 0.051821321143524765
@@ -336,3 +337,35 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
         outputs.append(done.stdout)
     assert outputs[0].startswith("alpha,k,h,")
     assert outputs[0] == outputs[1]
+
+
+def test_cached_stencil_band_leaves_no_trace_in_the_csv(capsys):
+    # lead_stencil keeps its alpha-only band for the life of the process; a
+    # study must print the bytes of a fresh interpreter after other alphas
+    # have cycled that cache and other studies have filled it for its own
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    chi = ["--q", "custom", "--q-expr", "chi(0,0.5)", "--q-hint", "0", "--reference-m", "256"]
+    studies = [
+        ["--alpha", "1.3,1.7", "--example", "b", "--method", "recon", "--levels", "3:5", *chi],
+        ["--alpha", "1.6,1.8", "--example", "c", "--method", "recon_mixed", "--levels", "3:5", *chi],
+    ]
+    fresh = []
+    for args in studies:
+        done = subprocess.run(
+            [sys.executable, "-m", "fracfem.cli", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        fresh.append(done.stdout)
+    assert fresh[0].startswith("alpha,k,h,") and fresh[1].startswith("alpha,k,h,")
+
+    for alpha in np.linspace(1.01, 1.99, 2 * assembly._stencil_band.cache_info().maxsize):
+        assembly.lead_stencil(build_mesh(64), alpha)
+    run_experiment(_tiny(alphas=(1.3, 1.6, 1.7, 1.8), q_kind="x_times_1mx", k_min=2, k_max=4))
+    for _ in range(2):
+        for args, want in zip(studies, fresh):
+            assert main(args) == 0
+            assert capsys.readouterr().out == want

@@ -46,6 +46,14 @@ def test_uniformity_follows_the_nodes():
     assert np.array_equal(lead.dense, assemble_lead(mesh, 1.5))
 
 
+def test_uniformity_is_kept_and_the_nodes_cannot_change_it():
+    mesh = build_mesh(8)
+    assert "is_uniform" not in vars(mesh)
+    assert mesh.is_uniform and vars(mesh)["is_uniform"] is True
+    with pytest.raises(ValueError):
+        mesh.nodes[1] = 0.2
+
+
 def test_build_mesh_validation():
     with pytest.raises(ArgumentError):
         build_mesh(1)
