@@ -26,7 +26,6 @@ from .assembly import (
     assemble_system,
     build_singular_pair,
     lead_stencil,
-    toeplitz_matvec,
 )
 from .errors import (
     ArgumentError,
@@ -41,10 +40,10 @@ from .errors import (
 )
 from .fields import ScalarField, parse_field
 from .fraccalc import (
-    FracOrder,
     PowerSum,
     PowerTerm,
     beta_fn,
+    frac_order,
     gamma_fn,
     rl_integral_powersum,
     rl_integral_powersum_at,

@@ -50,7 +50,7 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
     ps = spec.f.powersum
-    if ps is None or not ps.is_left:
+    if ps is None:
         raise UnsupportedSourceError(
             f"source {spec.f.label!r} has no closed-form fractional integral"
         )
@@ -88,12 +88,9 @@ class ErrorNorms:
     linf: float
 
 
-def error_norms(
-    approx: StandardSolution | ReconSolution,
-    exact: ExactSolution,
-    which_field: str = "full_u",
-) -> ErrorNorms:
-    """L2, energy, and sup errors of the chosen field.
+def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) -> ErrorNorms:
+    """L2, energy, and sup errors: of the full solution u for the standard
+    method, of the regular part u_r for the reconstruction method.
 
     L2 and the sup are taken over the union refinement of the approximation
     mesh and the exact solution's fine mesh. When both fields are
@@ -104,11 +101,7 @@ def error_norms(
     on the fine mesh interpolant of the error, so it reflects the
     |.|_(alpha/2) seminorm.
     """
-    if which_field not in ("full_u", "regular_part"):
-        raise ArgumentError(f"unknown field selector {which_field!r}")
-    if which_field == "regular_part":
-        if not isinstance(approx, ReconSolution):
-            raise ArgumentError("regular_part errors need a reconstruction solution")
+    if isinstance(approx, ReconSolution):
         approx_fn, exact_fn = approx.u_r_h, exact.u_r
     else:
         approx_fn, exact_fn = approx, exact.u

@@ -17,17 +17,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DegenerateSplittingError,
-    DomainError,
-    UnsupportedFormError,
-)
+from .errors import ArgumentError, DegenerateSplittingError, DomainError
 from .fields import ScalarField
 from .fraccalc import (
-    FracOrder,
     PowerSum,
     beta_fn,
+    frac_order,
     gamma_fn,
     jacobi_panel,
     legendre_panel,
@@ -72,11 +67,13 @@ class ProblemSpec:
     bc: str = DIRICHLET
 
     def __post_init__(self):
-        order = FracOrder(self.alpha)
+        frac_order(self.alpha)
         if self.bc not in (DIRICHLET, MIXED):
             raise ArgumentError(f"bc must be 'dirichlet' or 'mixed', got {self.bc!r}")
-        if self.bc == MIXED:
-            order.require_mixed_range()
+        if self.bc == MIXED and self.alpha <= 1.5:
+            raise DomainError(
+                f"mixed boundary conditions need alpha in (3/2, 2), got {self.alpha}"
+            )
         sample = self.q(np.linspace(1e-3, 1.0 - 1e-3, 1000))
         if not np.all(np.isfinite(sample)) or np.max(np.abs(sample)) > 1e8:
             raise DomainError("potential q must be bounded on [0, 1]")
@@ -155,7 +152,7 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     p = 3 - 2s, summed from element-pair moments as A[i, j] = M_RR[i, j] +
     M_RL[i, j+1] + M_LR[i+1, j] + M_LL[i+1, j+1]. A[i, j] = 0 for j >= i + 2.
     """
-    a = float(FracOrder(float(alpha)).alpha)
+    a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
     x, h, n = mesh.nodes, mesh.widths, mesh.m - 1
@@ -237,7 +234,7 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     """
     if not mesh.is_uniform:
         raise ArgumentError("the leading block is Toeplitz on uniform meshes only")
-    a = float(FracOrder(float(alpha)).alpha)
+    a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
     n = mesh.m - 1
@@ -329,11 +326,9 @@ def mass_bands(mesh: Mesh, q: ScalarField):
 
 
 def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
-    """Exact load vector (ps, phi_i) for a left-anchored power sum. Row 0 of
-    the stacks is hat j's rising leg on [x_{j-1}, x_j], row 1 its falling leg
-    on [x_j, x_{j+1}]; one pass per term serves both, summed leg by leg."""
-    if not ps.is_left:
-        raise UnsupportedFormError("closed-form loads need left-anchored terms")
+    """Exact load vector (ps, phi_i) for a power sum. Row 0 of the stacks is
+    hat j's rising leg on [x_{j-1}, x_j], row 1 its falling leg on
+    [x_j, x_{j+1}]; one pass per term serves both, summed leg by leg."""
     x, n = mesh.nodes, mesh.m - 1
     xl, xr = np.stack([x[:n], x[1:-1]]), np.stack([x[1:-1], x[2:]])
     widths = xr - xl
@@ -380,7 +375,7 @@ def load_vector(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
     (0, 1) where the field jumps or kinks."""
     if field.is_zero:
         return np.zeros(mesh.m - 1)
-    if field.powersum is not None and field.powersum.is_left:
+    if field.powersum is not None:
         return powersum_load(mesh, field.powersum)
     return quadrature_load(mesh, field, breaks)
 
@@ -393,7 +388,7 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
     (1 - t)^(alpha - 1) weight into a Gauss-Jacobi rule. Elements are cut at
     the anchors of q.
     """
-    a = float(FracOrder(float(alpha)).alpha)
+    a = frac_order(alpha)
     n = mesh.m - 1
     if q.is_zero:
         return np.zeros(n)
@@ -416,21 +411,20 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
 class SingularPair:
     """Splitting data u = u_r + mu * u_s for the reconstruction method.
 
-    q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x); f_tilde(x) = f(x) +
-    (I^alpha f)(1) Q(x) is the modified source seen by the regular part.
+    q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x); the regular part sees the
+    modified source f(x) + (I^alpha f)(1) Q(x).
     """
 
     u_s: PowerSum
     c0: float
     c1: PowerSum
     q_profile: ScalarField
-    f_tilde: ScalarField
     f_frac_at_one: float
     singular_exponent: float
 
 
 def build_singular_pair(spec: ProblemSpec) -> SingularPair:
-    """Construct the singular profile, splitting constant, and modified source.
+    """Construct the singular profile, the splitting constant, Q and (I^alpha f)(1).
 
     Raises DegenerateSplittingError when 1 + (I^alpha q u_s)(1) vanishes
     numerically; no alternative profile is selected automatically.
@@ -467,7 +461,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     c0 = 1.0 / denom
 
     f_ps = spec.f.powersum
-    if f_ps is not None and f_ps.is_left:
+    if f_ps is not None:
         f_at_one = float(rl_integral_powersum_at(a, f_ps, 1.0))
     else:
         f_at_one = weighted_endpoint_integral(spec.f.fn, a, spec.f.hint or 0.0)
@@ -482,51 +476,8 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     if q_us is not None:
         q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
     q_hint = min(2.0 - a, q_lead + p_sing)
-    q_profile = ScalarField(
-        fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q"
-    )
-
-    f_fn = spec.f.fn
-
-    def f_tilde_fn(x):
-        x = np.asarray(x, dtype=float)
-        return f_fn(x) + f_at_one * q_profile_fn(x)
-
-    f_tilde_ps = None
-    if q_profile_ps is not None and f_ps is not None and f_ps.is_left:
-        f_tilde_ps = f_ps + q_profile_ps.scaled(f_at_one)
-    f_hint = min(spec.f.hint if spec.f.hint is not None else 0.0, q_hint)
-    f_tilde = ScalarField(fn=f_tilde_fn, hint=f_hint, powersum=f_tilde_ps, label="f~")
-
-    return SingularPair(u_s, c0, c1, q_profile, f_tilde, f_at_one, p_sing)
-
-
-def _toeplitz_spectrum(stencil: np.ndarray) -> np.ndarray:
-    """rfft of the reversed stencil in the power-of-two circulant embedding."""
-    return np.fft.rfft(stencil[::-1], 1 << stencil.size.bit_length())
-
-
-def _embedded_matvec(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Toeplitz product from the embedding spectrum: one rfft and one irfft."""
-    n, length = x.size, 2 * (spectrum.size - 1)
-    conv = np.fft.irfft(spectrum * np.fft.rfft(x, length), length)
-    return conv[n - 1 : 2 * n - 1]
-
-
-def toeplitz_matvec(stencil: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply the Toeplitz matrix A[i, j] = stencil[j - i + n - 1] by x.
-
-    The product is a linear convolution, evaluated by circulant embedding in
-    a power-of-two FFT length.
-    """
-    stencil = np.asarray(stencil, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if stencil.size != 2 * n - 1:
-        raise ArgumentError(
-            f"stencil length {stencil.size} does not match vector size {n}"
-        )
-    return _embedded_matvec(_toeplitz_spectrum(stencil), x)
+    q_profile = ScalarField(fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q")
+    return SingularPair(u_s, c0, c1, q_profile, f_at_one, p_sing)
 
 
 @dataclass(frozen=True)
@@ -551,13 +502,17 @@ class Lead:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """Embedding spectrum of the stencil, built on the first matvec."""
-        return _toeplitz_spectrum(self.stencil)
+        """rfft of the reversed stencil in the power-of-two circulant
+        embedding, built on the first matvec."""
+        return np.fft.rfft(self.stencil[::-1], 1 << self.stencil.size.bit_length())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x; on a stencil the same bits as ``toeplitz_matvec``."""
+        """A x; on a stencil a linear convolution by the circulant embedding,
+        one rfft and one irfft."""
         if self.stencil is not None:
-            return _embedded_matvec(self._spectrum, x)
+            n, length = x.size, 2 * (self._spectrum.size - 1)
+            conv = np.fft.irfft(self._spectrum * np.fft.rfft(x, length), length)
+            return conv[n - 1 : 2 * n - 1]
         return self.dense @ x
 
     def diagonal(self) -> np.ndarray:

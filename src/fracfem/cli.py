@@ -118,8 +118,7 @@ class ExperimentConfig:
 
     @property
     def needs_reference(self) -> bool:
-        f = self.source
-        return not (self.potential.is_zero and f.powersum is not None and f.powersum.is_left)
+        return not (self.potential.is_zero and self.source.powersum is not None)
 
     @property
     def source_smoothness(self) -> float:
@@ -199,11 +198,11 @@ def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
         if config.method == "standard":
             system = assemble_system(spec, mesh, "standard")
             sol = solve_standard(system)
-            norms = error_norms(sol, exact, "full_u")
+            norms = error_norms(sol, exact)
             err_mu = None
         else:
             sol = solve_reconstruction(spec, mesh)
-            norms = error_norms(sol, exact, "regular_part")
+            norms = error_norms(sol, exact)
             err_mu = abs(exact.mu - sol.mu_h)
         rows.append(
             LevelRow(k, m, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu)

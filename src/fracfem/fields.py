@@ -204,7 +204,7 @@ def _poly_coeffs(ps: PowerSum) -> list[float] | None:
     """Low-to-high coefficients when every term is c * x^k with integer k >= 0."""
     coeffs: dict[int, float] = {}
     for t in ps.terms:
-        if t.side != "left" or t.anchor != 0.0:
+        if t.anchor != 0.0:
             return None
         if t.exponent < 0.0 or t.exponent != round(t.exponent):
             return None
@@ -227,7 +227,7 @@ def _parse_factor(tk: _Tokens) -> PowerSum:
             t = base.terms[0]
             if t.anchor != 0.0 and exponent != round(exponent):
                 raise ArgumentError("fractional powers must be anchored at x = 0")
-            return PowerSum((PowerTerm(1.0, t.anchor, exponent, t.side),))
+            return PowerSum((PowerTerm(1.0, t.anchor, exponent),))
         if exponent == round(exponent) and exponent >= 0:
             out = PowerSum.from_terms([(1.0, 0.0, 0.0)])
             for _ in range(int(round(exponent))):

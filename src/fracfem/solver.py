@@ -152,8 +152,8 @@ def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float,
     return precond(y @ basis[:k]), k, abs(rhs[k])
 
 
-def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float]:
-    """Preconditioned GMRES in sweeps until the backward error is <= ``tol``.
+def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
+    """Preconditioned GMRES in sweeps until the backward error is <= RESIDUAL_TOL.
 
     Each sweep solves for the correction from the true residual in restarted
     cycles, until GMRES's own residual falls by _GMRES_SWEEP_RTOL or the
@@ -171,7 +171,7 @@ def _gmres_solve(system: AssembledSystem, tol: float) -> tuple[np.ndarray, float
                 break
             gap = system.load - system_matvec(system, coeffs)
         res = _relative_residual(system, coeffs)
-        if res <= tol:
+        if res <= RESIDUAL_TOL:
             return coeffs, res
         if iterations >= _GMRES_MAX_INNER:
             raise IterativeFailure("GMRES did not converge", iterations, res)
@@ -208,14 +208,13 @@ def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
     return solve_iterative(assemble_system(spec, mesh, "reconstruction"))
 
 
-def solve_iterative(system: AssembledSystem, tol: float = RESIDUAL_TOL):
-    """Solve ``system`` by the one path, GMRES, to a chosen target ``tol`` of
-    the inf-norm backward error, checked after each sweep; solve_standard
-    and solve_reconstruction take it at RESIDUAL_TOL.
+def solve_iterative(system: AssembledSystem):
+    """Solve ``system`` by the one path, GMRES, to RESIDUAL_TOL in the
+    inf-norm backward error, checked after each sweep.
 
     Returns the solution type of the system's method. Raises
     SingularSystemError(row, value) for a zero or non-finite scaled diagonal
     and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
     iterations.
     """
-    return _solution(system, *_gmres_solve(system, tol))
+    return _solution(system, *_gmres_solve(system))

@@ -44,7 +44,7 @@ from scipy.special import gamma as gamma_fn
 
 from fracfem.assembly import mass_bands
 from fracfem.errors import ArgumentError, DomainError
-from fracfem.fraccalc import LEFT, PowerSum, PowerTerm, beta_fn
+from fracfem.fraccalc import PowerSum, PowerTerm, beta_fn
 from fracfem.fraccalc import gamma_fn as gamma_math
 from fracfem.mesh import PwLinear
 
@@ -330,28 +330,20 @@ def hat_jump_data(mesh, j):
     return anchors, jumps
 
 
-def basis_frac_derivative(mesh, j, s, side="left"):
-    """Riemann-Liouville derivative of order s in (0, 1) of a hat function.
+def basis_frac_derivative(mesh, j, s):
+    """Left Riemann-Liouville derivative of order s in (0, 1) of a hat function.
 
     The first derivative of a hat is piecewise constant, so the fractional
     derivative is the (1 - s)-integral of its slope jumps:
 
         D^s phi_j = 1/Gamma(2 - s) * sum_k sigma_k ((x - x_k)_+)^(1 - s)
-
-    for the left derivative, and the mirrored (x_k - x)_+ powers with the
-    same jump coefficients for the right one.
     """
     if not 0.0 < s < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {s}")
-    if side not in ("left", "right"):
-        raise ArgumentError(f"side must be 'left' or 'right', got {side!r}")
     anchors, jumps = hat_jump_data(mesh, j)
     scale = 1.0 / gamma_fn(2.0 - s)
     return PowerSum(
-        tuple(
-            PowerTerm(scale * sigma, float(a), 1.0 - s, side)
-            for a, sigma in zip(anchors, jumps)
-        )
+        tuple(PowerTerm(scale * sigma, float(a), 1.0 - s) for a, sigma in zip(anchors, jumps))
     )
 
 
@@ -438,7 +430,7 @@ def eval_terms_masked(terms, x):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for t in terms:
-        dx = x - t.anchor if t.side == LEFT else t.anchor - x
+        dx = x - t.anchor
         inside = dx > 0.0
         out[inside] += t.coeff * dx[inside] ** t.exponent
         if t.exponent <= 0.0:

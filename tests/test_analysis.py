@@ -45,6 +45,21 @@ def test_closed_form_matches_green_kernel(alpha):
     )
 
 
+@given(
+    alpha=st.floats(min_value=1.001, max_value=1.999),
+    x=st.floats(min_value=0.01, max_value=0.99),
+    example=st.sampled_from(["a", "b", "c"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_green_kernel_quadrature(alpha, x, example):
+    # the power-rule solution against the Green kernel integrated by quad,
+    # across the whole range of alpha and for every catalog source
+    f = SOURCES[example]()
+    where = {"b": dict(breaks=(0.5,)), "c": dict(left_exponent=-0.25)}.get(example, {})
+    got = exact_q0(ProblemSpec(alpha, zero_field(), f), 16).u(x)
+    assert got == pytest.approx(green_solution_quad(alpha, f.fn, x, **where), rel=1e-9)
+
+
 def test_closed_form_boundary_and_split():
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
     exact = exact_q0(spec)
@@ -142,7 +157,7 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     lead = Lead.of(fine, alpha)
     approx = ReconSolution(u_r_h, 0.0, None, 0.0, None)
     exact = ExactSolution("reference", None, u_r, 0.0, PowerSum(()), alpha, "dirichlet", fine, lead)
-    got = error_norms(approx, exact, "regular_part")
+    got = error_norms(approx, exact)
     l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
     assert got.l2 == pytest.approx(l2, rel=1e-13)
     assert got.linf == linf
@@ -164,19 +179,6 @@ def test_mu_h_is_exact_without_potential(alpha, m, delta, mixed, example):
     spec = ProblemSpec(alpha, zero_field(), SOURCES[example](), "mixed" if mixed else "dirichlet")
     sol = solve_reconstruction(spec, build_mesh(m, delta))
     assert sol.mu_h == exact_q0(spec, 16).mu
-
-
-def test_error_norms_validates_field_selector():
-    mesh = build_mesh(8)
-    pw = PwLinear(mesh, np.zeros(7))
-    approx = StandardSolution(pw, 0.0)
-    exact = ExactSolution(
-        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh, Lead.of(mesh, 1.5)
-    )
-    with pytest.raises(ArgumentError):
-        error_norms(approx, exact, which_field="gradient")
-    with pytest.raises(ArgumentError):
-        error_norms(approx, exact, which_field="regular_part")
 
 
 def test_rates_on_synthetic_sequence():

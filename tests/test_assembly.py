@@ -22,7 +22,6 @@ from fracfem.assembly import (
     load_vector,
     mass_bands,
     powersum_load,
-    toeplitz_matvec,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError
 from fracfem.fields import (
@@ -342,22 +341,6 @@ def test_lead_diagonal_and_rows_match_dense(alpha, m, delta):
         assert np.array_equal(lead.row(i), dense[i])
 
 
-@given(
-    alpha=LEAD_CASES["alpha"],
-    m=st.integers(min_value=2, max_value=300),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_stencil_matvec_is_bit_identical_to_toeplitz_matvec(alpha, m, seed):
-    # the cached embedding spectrum changes no bit of the product
-    stencil = lead_stencil(build_mesh(m), alpha)
-    lead = Lead(stencil=stencil)
-    rng = np.random.default_rng(seed)
-    for _ in range(2):
-        x = rng.standard_normal(m - 1)
-        assert np.array_equal(lead.matvec(x), toeplitz_matvec(stencil, x))
-
-
 def test_lead_holds_exactly_one_format():
     with pytest.raises(ArgumentError):
         Lead()
@@ -605,13 +588,9 @@ def test_mixed_profile_and_modified_source():
     pair = build_singular_pair(spec)
     assert pair.singular_exponent == pytest.approx(-0.25)
     x = np.array([0.3, 0.7])
-    # Q = c0 c1 - c0 q u_s and f~ = f + (I^a f)(1) Q, checked pointwise
+    # Q = c0 c1 - c0 q u_s, checked pointwise
     expect_q = pair.c0 * (pair.c1(x) - spec.q(x) * pair.u_s(x))
     np.testing.assert_allclose(pair.q_profile(x), expect_q, rtol=1e-13)
-    expect_ft = spec.f(x) + pair.f_frac_at_one * expect_q
-    np.testing.assert_allclose(pair.f_tilde(x), expect_ft, rtol=1e-13)
-    assert pair.f_tilde.powersum is not None
-    np.testing.assert_allclose(pair.f_tilde.powersum(x), expect_ft, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -744,9 +723,9 @@ def test_dense_block_presence_by_size_and_grading(monkeypatch):
     gmres_calls = []
     gmres = solver._gmres_solve
 
-    def counted(system, tol):
+    def counted(system):
         gmres_calls.append(system.mesh.m)
-        return gmres(system, tol)
+        return gmres(system)
 
     monkeypatch.setattr(solver, "_gmres_solve", counted)
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())

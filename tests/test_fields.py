@@ -26,7 +26,7 @@ def test_bump_values_and_structure():
     np.testing.assert_allclose(f.fn(xs), xs * (1.0 - xs), rtol=1e-15)
     np.testing.assert_allclose(f.powersum(xs), xs * (1.0 - xs), rtol=1e-15)
     assert not f.is_zero
-    assert f.powersum.is_left
+    assert f.powersum.is_zero_anchored
 
 
 def test_step_values_and_structure():

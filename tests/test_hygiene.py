@@ -39,6 +39,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def read_names(source: str) -> set[str]:
+    """Names a module reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    bare = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bare | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_every_export_is_read_inside_the_package():
+    # a public name that only a test calls belongs in tests/, not in the API
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = [a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    read = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert exported and [name for name in exported if name not in read] == []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_extended_precision(path):
     # answers must not depend on the platform's long double

@@ -15,7 +15,6 @@ from .oracles import (
     hat,
     hat_jump_data,
     left_half_derivative_quad,
-    right_half_derivative_quad,
 )
 
 
@@ -147,19 +146,9 @@ def _away_from_nodes(nodes, lo, hi):
 def test_left_hat_derivative_matches_quadrature(delta, s):
     mesh = build_mesh(4, delta=delta)
     for j in (1, 2, 3):
-        ps = basis_frac_derivative(mesh, j, s, side="left")
+        ps = basis_frac_derivative(mesh, j, s)
         oracle = left_half_derivative_quad(mesh.nodes, j, s)
         for x in _away_from_nodes(mesh.nodes, mesh.nodes[j - 1], 1.0):
-            assert ps(x) == pytest.approx(oracle(x), rel=1e-8, abs=1e-10)
-
-
-def test_right_hat_derivative_matches_quadrature():
-    mesh = build_mesh(4)
-    s = 0.75
-    for i in (1, 2, 3):
-        ps = basis_frac_derivative(mesh, i, s, side="right")
-        oracle = right_half_derivative_quad(mesh.nodes, i, s)
-        for x in _away_from_nodes(mesh.nodes, 0.0, mesh.nodes[i + 1]):
             assert ps(x) == pytest.approx(oracle(x), rel=1e-8, abs=1e-10)
 
 
@@ -169,5 +158,3 @@ def test_basis_frac_derivative_validation():
         basis_frac_derivative(mesh, 0, 0.75)
     with pytest.raises(DomainError):
         basis_frac_derivative(mesh, 1, 1.5)
-    with pytest.raises(ArgumentError):
-        basis_frac_derivative(mesh, 1, 0.75, side="center")
