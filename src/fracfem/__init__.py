@@ -53,7 +53,6 @@ from .mesh import Mesh, PwLinear, build_mesh
 from .solver import (
     ReconSolution,
     StandardSolution,
-    solve_iterative,
     solve_reconstruction,
     solve_standard,
     system_matvec,

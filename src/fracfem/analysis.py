@@ -33,13 +33,10 @@ class ExactSolution:
     fine mesh on which error norms sample it and the leading block there,
     which the energy norm needs."""
 
-    kind: str
     u: Callable
     u_r: Callable
     mu: float
     u_s: PowerSum
-    alpha: float
-    bc: str
     mesh: Mesh
     lead: Lead = field(repr=False, compare=False)
 
@@ -61,9 +58,7 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
     u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
     mesh = build_mesh(fine_m)
-    return ExactSolution(
-        "closed_form", u, u_r, mu, u_s, spec.alpha, spec.bc, mesh, Lead.of(mesh, spec.alpha)
-    )
+    return ExactSolution(u, u_r, mu, u_s, mesh, Lead.of(mesh, spec.alpha))
 
 
 def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
@@ -76,9 +71,7 @@ def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSol
         raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
     mesh = build_mesh(fine_m)
     sol = solve_reconstruction(spec, mesh)
-    return ExactSolution(
-        "reference", sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, spec.alpha, spec.bc, mesh, sol.lead
-    )
+    return ExactSolution(sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, mesh, sol.lead)
 
 
 @dataclass(frozen=True)
@@ -93,13 +86,14 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
     method, of the regular part u_r for the reconstruction method.
 
     L2 and the sup are taken over the union refinement of the approximation
-    mesh and the exact solution's fine mesh. When both fields are
-    piecewise linear (a regular part against a fine-mesh reference) their
-    difference is linear on every union cell, so both follow exactly from
-    the differences at the union nodes; otherwise Gauss points in every cell
-    sample it. The energy norm is the quadratic form of the leading block
-    on the fine mesh interpolant of the error, so it reflects the
-    |.|_(alpha/2) seminorm.
+    mesh and the exact solution's fine mesh, from one array of differences
+    at the union nodes. When both fields are piecewise linear (a regular
+    part against a fine-mesh reference) their difference is linear on every
+    union cell, so both follow exactly from those differences; otherwise
+    Gauss points in every cell sample it as well. The energy norm is the
+    quadratic form of the leading block on the fine mesh interpolant of the
+    error, whose node values are the same differences at the fine nodes,
+    so it reflects the |.|_(alpha/2) seminorm.
     """
     if isinstance(approx, ReconSolution):
         approx_fn, exact_fn = approx.u_r_h, exact.u_r
@@ -107,22 +101,17 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
         approx_fn, exact_fn = approx, exact.u
 
     union = np.union1d(approx.mesh.nodes, exact.mesh.nodes)
-    fine_interior = exact.mesh.nodes[1:-1]
+    node_gap = exact_fn(union) - approx_fn(union)
+    linf = float(np.max(np.abs(node_gap)))
     if isinstance(approx_fn, PwLinear) and isinstance(exact_fn, PwLinear):
-        node_gap = exact_fn(union) - approx_fn(union)
         lo, hi = node_gap[:-1], node_gap[1:]
         l2 = float(np.sqrt(np.sum(np.diff(union) * (lo * lo + lo * hi + hi * hi)) / 3.0))
-        linf = float(np.max(np.abs(node_gap)))
-        d = node_gap[np.searchsorted(union, fine_interior)]
     else:
         x, wq, _ = _element_gauss(union, _GAUSS_PER_CELL)
         gap = exact_fn(x) - approx_fn(x)
         l2 = float(np.sqrt(np.sum(wq * gap * gap)))
-        interior = union[1:-1]
-        node_gap = exact_fn(interior) - approx_fn(interior)
-        linf = max(float(np.max(np.abs(gap))), float(np.max(np.abs(node_gap))))
-        d = exact_fn(fine_interior) - approx_fn(fine_interior)
-
+        linf = max(float(np.max(np.abs(gap))), linf)
+    d = node_gap[np.searchsorted(union, exact.mesh.nodes[1:-1])]
     quad_form = float(np.dot(d, exact.lead.matvec(d)))
     energy = math.sqrt(max(quad_form, 0.0))
 
@@ -166,7 +155,6 @@ class LevelRow:
     """Errors of one study level."""
 
     k: int
-    m: int
     h: float
     err_l2: float
     err_energy: float
@@ -180,7 +168,6 @@ class ConvergenceReport:
 
     alpha: float
     method: str
-    bc: str
     example: str
     q_label: str
     delta: float

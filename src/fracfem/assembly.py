@@ -537,13 +537,10 @@ class Lead:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Discrete system for one mesh: leading block, potential mass, load,
-    and for the reconstruction method the rank-one coupling r s^T."""
+    """Discrete system for one mesh: leading block, potential mass, load and,
+    for the reconstruction method only, the coupling r s^T and its pair."""
 
     mesh: Mesh
-    alpha: float
-    method: str
-    bc: str
     lead: Lead
     mass_diag: np.ndarray
     mass_off: np.ndarray
@@ -577,13 +574,9 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
     diag, off = mass_bands(mesh, spec.q)
     if method == "standard":
         load = load_vector(mesh, spec.f)
-        return AssembledSystem(
-            mesh, spec.alpha, method, spec.bc, lead, diag, off, load, None, None, None
-        )
+        return AssembledSystem(mesh, lead, diag, off, load, None, None, None)
     pair = spec.singular_pair
     r_vec = load_vector(mesh, pair.q_profile, _anchors(spec.q))  # Q jumps where q does
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
     load = load_vector(mesh, spec.f) + pair.f_frac_at_one * r_vec
-    return AssembledSystem(
-        mesh, spec.alpha, method, spec.bc, lead, diag, off, load, r_vec, s_vec, pair
-    )
+    return AssembledSystem(mesh, lead, diag, off, load, r_vec, s_vec, pair)

@@ -170,7 +170,6 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
         report = ConvergenceReport(
             alpha=alpha,
             method=config.method,
-            bc=config.bc,
             example=config.example,
             q_label=config.potential.label,
             delta=config.delta,
@@ -204,9 +203,7 @@ def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
             sol = solve_reconstruction(spec, mesh)
             norms = error_norms(sol, exact)
             err_mu = abs(exact.mu - sol.mu_h)
-        rows.append(
-            LevelRow(k, m, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu)
-        )
+        rows.append(LevelRow(k, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu))
     return rows
 
 

@@ -277,7 +277,10 @@ def parse_field(expr: str, hint: float | None) -> ScalarField:
             "custom fields need an explicit singularity hint (0 when smooth at x = 0)"
         )
     tk = _Tokens(expr)
-    ps = _parse_expr(tk)
+    try:
+        ps = _parse_expr(tk)
+    except RecursionError:
+        raise ArgumentError(f"expression nests too deeply, {expr.count('(')} parentheses") from None
     if tk.peek() is not None:
         raise ArgumentError(f"trailing input at position {tk.pos} in {expr!r}")
     worst = ps.min_exponent_at_zero()

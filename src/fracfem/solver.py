@@ -82,17 +82,6 @@ def _norm_inf_estimate(system: AssembledSystem) -> float:
     return lead + mass + rank_one
 
 
-def _relative_residual(system: AssembledSystem, coeffs: np.ndarray) -> float:
-    """Normwise backward error |Ax - b|_inf / (|A|_inf |x|_inf + |b|_inf)."""
-    scale = _norm_inf_estimate(system) * float(np.abs(coeffs).max(initial=0.0))
-    scale += float(np.abs(system.load).max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    gap = system_matvec(system, coeffs)
-    gap -= system.load
-    return float(np.abs(gap).max()) / scale
-
-
 def _strang_preconditioner(system: AssembledSystem):
     """Inverse of A ~ D^(1/2) C D^(1/2), applied by FFT.
 
@@ -158,8 +147,12 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
     Each sweep solves for the correction from the true residual in restarted
     cycles, until GMRES's own residual falls by _GMRES_SWEEP_RTOL or the
     sweep's budget is spent; the true one can stall above that at rounding.
+    The true residual b - Ax, formed once per cycle, starts the next one and
+    gives the backward error |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf).
     """
     precond = _strang_preconditioner(system)
+    norm_a = _norm_inf_estimate(system)
+    norm_b = float(np.abs(system.load).max(initial=0.0))
     coeffs, gap, iterations = np.zeros(system.n), system.load, 0
     while True:
         target = _GMRES_SWEEP_RTOL * math.sqrt(float(gap @ gap))
@@ -167,29 +160,35 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
         while budget > 0:
             step, k, est = _gmres_cycle(system, precond, gap, target, min(_GMRES_RESTART, budget))
             coeffs, iterations, budget = coeffs + step, iterations + k, budget - k
+            gap = system.load - system_matvec(system, coeffs)
             if est <= target:
                 break
-            gap = system.load - system_matvec(system, coeffs)
-        res = _relative_residual(system, coeffs)
+        scale = norm_a * float(np.abs(coeffs).max(initial=0.0)) + norm_b
+        res = float(np.abs(gap).max()) / scale if scale else 0.0
         if res <= RESIDUAL_TOL:
             return coeffs, res
         if iterations >= _GMRES_MAX_INNER:
             raise IterativeFailure("GMRES did not converge", iterations, res)
-        gap = system.load - system_matvec(system, coeffs)
 
 
 def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float):
-    if system.method == "standard":
+    if system.pair is None:
         return StandardSolution(PwLinear(system.mesh, coeffs), res)
     mu_h = reconstruction_scalar(system, coeffs)
     return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res, system.lead)
 
 
 def solve_standard(system: AssembledSystem) -> StandardSolution:
-    """Solve the standard Galerkin system."""
-    if system.method != "standard":
+    """Solve the standard Galerkin system by the one path, GMRES, to
+    RESIDUAL_TOL in the inf-norm backward error.
+
+    Raises SingularSystemError(row, value) for a zero or non-finite scaled
+    diagonal and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
+    iterations.
+    """
+    if system.pair is not None:
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")
-    return solve_iterative(system)
+    return _solution(system, *_gmres_solve(system))
 
 
 def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
@@ -204,17 +203,7 @@ def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
 
 
 def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
-    """Assemble and solve the reconstruction system, then recover mu_h."""
-    return solve_iterative(assemble_system(spec, mesh, "reconstruction"))
-
-
-def solve_iterative(system: AssembledSystem):
-    """Solve ``system`` by the one path, GMRES, to RESIDUAL_TOL in the
-    inf-norm backward error, checked after each sweep.
-
-    Returns the solution type of the system's method. Raises
-    SingularSystemError(row, value) for a zero or non-finite scaled diagonal
-    and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
-    iterations.
-    """
+    """Assemble and solve the reconstruction system as solve_standard does,
+    with the same raises, then recover mu_h."""
+    system = assemble_system(spec, mesh, "reconstruction")
     return _solution(system, *_gmres_solve(system))

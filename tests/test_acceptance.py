@@ -24,7 +24,7 @@ from fracfem.fraccalc import (
     rl_integral_powersum,
 )
 from fracfem.mesh import build_mesh
-from fracfem.solver import solve_iterative, solve_reconstruction
+from fracfem.solver import solve_reconstruction
 
 from .oracles import (
     assemble_mass_q,
@@ -308,9 +308,10 @@ def test_criterion_6(capsys):
     checks.append((mus == {pair_value}, f"strength scale drift: {mus}"))
 
     # the GMRES solve agrees with a dense solve of the same system
-    system = assemble_system(spec, build_mesh(256), "reconstruction")
+    mesh = build_mesh(256)
+    system = assemble_system(spec, mesh, "reconstruction")
     direct = np.linalg.solve(full_matrix(system), system.load)
-    iterative = solve_iterative(system)
+    iterative = solve_reconstruction(spec, mesh)
     scale = float(np.max(np.abs(direct)))
     gap = float(np.max(np.abs(iterative.u_r_h.coeffs - direct)))
     checks.append((gap <= 1e-8 * scale, f"dense solve vs GMRES {gap:.1e}"))

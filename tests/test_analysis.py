@@ -63,7 +63,6 @@ def test_closed_form_matches_green_kernel_quadrature(alpha, x, example):
 def test_closed_form_boundary_and_split():
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
     exact = exact_q0(spec)
-    assert exact.kind == "closed_form"
     assert exact.mu == pytest.approx(0.12895761909663, rel=1e-9)
     assert abs(exact.u(1.0)) < 1e-14
     assert exact.u(0.0) == 0.0
@@ -112,9 +111,7 @@ def test_error_norms_vanish_on_identical_fields():
     coeffs = np.sin(np.pi * mesh.nodes[1:-1])
     pw = PwLinear(mesh, coeffs)
     approx = StandardSolution(pw, 0.0)
-    exact = ExactSolution(
-        "closed_form", pw, pw, 0.0, PowerSum(()), 1.5, "dirichlet", mesh, Lead.of(mesh, 1.5)
-    )
+    exact = ExactSolution(pw, pw, 0.0, PowerSum(()), mesh, Lead.of(mesh, 1.5))
     norms = error_norms(approx, exact)
     assert norms.l2 == 0.0 and norms.energy == 0.0 and norms.linf == 0.0
 
@@ -156,7 +153,7 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
     lead = Lead.of(fine, alpha)
     approx = ReconSolution(u_r_h, 0.0, None, 0.0, None)
-    exact = ExactSolution("reference", None, u_r, 0.0, PowerSum(()), alpha, "dirichlet", fine, lead)
+    exact = ExactSolution(None, u_r, 0.0, PowerSum(()), fine, lead)
     got = error_norms(approx, exact)
     l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
     assert got.l2 == pytest.approx(l2, rel=1e-13)
@@ -212,7 +209,6 @@ def test_reference_solution_is_cached_and_validated():
     second = reference_solution(spec, fine_m=64)
     assert first.mu == second.mu
     assert np.array_equal(first.u_r.coeffs, second.u_r.coeffs)
-    assert first.kind == "reference"
     assert first.mesh.m == 64
     with pytest.raises(ArgumentError):
         reference_solution(spec, fine_m=8)
@@ -231,14 +227,13 @@ def test_report_accessors():
     report = ConvergenceReport(
         alpha=1.5,
         method="standard",
-        bc="dirichlet",
         example="a",
         q_label="zero",
         delta=1.0,
         expected={"l2": 0.5},
         rows=[
-            LevelRow(3, 8, 0.125, 0.1, 0.2, 0.3, None),
-            LevelRow(4, 16, 0.0625, 0.05, 0.1, 0.15, None),
+            LevelRow(3, 0.125, 0.1, 0.2, 0.3, None),
+            LevelRow(4, 0.0625, 0.05, 0.1, 0.15, None),
         ],
     )
     np.testing.assert_allclose(report.errors_of("l2"), [0.1, 0.05])

@@ -228,6 +228,17 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert captured.out.startswith(CSV_COLUMNS)
 
 
+def test_deeply_nested_expression_exits_with_an_error(capsys):
+    argv = [
+        "--alpha", "1.5", "--method", "recon", "--q", "custom",
+        "--q-expr", "(" * 400 + "x" + ")" * 400, "--q-hint", "0", "--levels", "2:3",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "nests too deeply" in captured.err
+    assert captured.out == ""
+
+
 def test_singular_pair_built_once_per_cell(monkeypatch):
     # the reference solve and every level of a cell share one spec, so the
     # pair is built once per alpha, not once per mesh

@@ -90,6 +90,14 @@ def test_grammar_rejects_malformed_input():
             parse_field(expr, 0.0)
 
 
+def test_deep_nesting_is_a_typed_error():
+    # the recursive descent runs out of stack; the error must stay typed
+    with pytest.raises(ArgumentError, match="nests too deeply"):
+        parse_field("(" * 400 + "x" + ")" * 400, 0.0)
+    # long flat sums loop rather than recurse
+    assert parse_field(" + ".join(["x"] * 3000), 0.0)(0.5) == pytest.approx(1500.0)
+
+
 def test_grammar_rejects_unrepresentable_products():
     # two shifted factors have no shifted-power product form
     with pytest.raises(ArgumentError):

@@ -24,7 +24,6 @@ from fracfem.mesh import build_mesh
 from fracfem.solver import (
     RESIDUAL_TOL,
     reconstruction_scalar,
-    solve_iterative,
     solve_reconstruction,
     solve_standard,
     system_matvec,
@@ -113,19 +112,62 @@ def test_gmres_agrees_with_lu():
     mesh = build_mesh(256)
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
-    iterative = solve_iterative(system)
+    iterative = solve_reconstruction(spec, mesh)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(iterative.u_r_h.coeffs - expect)) <= 1e-8 * scale
     mu = reconstruction_scalar(system, expect)
     assert iterative.mu_h == pytest.approx(mu, abs=1e-8 * abs(mu))
 
 
-def test_gmres_converges_at_large_m():
-    # one tight 2-norm GMRES target stagnates here; the sweeps do not
+def _count_matvecs(monkeypatch):
+    calls = []
+    matvec = solver_mod.system_matvec
+
+    def counted(system, x):
+        calls.append(x.size)
+        return matvec(system, x)
+
+    monkeypatch.setattr(solver_mod, "system_matvec", counted)
+    return calls
+
+
+def test_gmres_converges_at_large_m(monkeypatch):
+    # the circulant preconditioner holds the iteration count at the largest
+    # uniform mesh: one cycle of a few iterations, then one true residual
     spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
-    system = assemble_system(spec, build_mesh(65536), "reconstruction")
-    sol = solve_iterative(system)
+    calls = _count_matvecs(monkeypatch)
+    sol = solve_reconstruction(spec, build_mesh(65536))
     assert sol.residual <= RESIDUAL_TOL
+    assert len(calls) <= 10
+
+
+def test_one_true_residual_per_cycle(monkeypatch):
+    # restarts of 3 in sweeps of 3 force 8 cycles of 24 iterations in all;
+    # each iteration and each cycle's residual make one matvec apiece
+    monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 3)
+    monkeypatch.setattr(solver_mod, "_GMRES_SWEEP_INNER", 3)
+    spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
+    system = assemble_system(spec, build_mesh(512), "reconstruction")
+    calls = _count_matvecs(monkeypatch)
+    coeffs, res = solver_mod._gmres_solve(system)
+    assert res <= RESIDUAL_TOL
+    assert len(calls) == 24 + 8
+
+
+@pytest.mark.parametrize(
+    "alpha, delta, m", [(1.25, 5.0, 256), (1.95, 1.0, 512)], ids=["graded", "uniform"]
+)
+def test_gmres_converges_through_restarts(monkeypatch, alpha, delta, m):
+    # cycles of 3 iterations restart many times within the default sweep
+    monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 3)
+    spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
+    mesh = build_mesh(m, delta)
+    sol = solve_reconstruction(spec, mesh)
+    assert sol.residual <= RESIDUAL_TOL
+    system = assemble_system(spec, mesh, "reconstruction")
+    expect = np.linalg.solve(full_matrix(system), system.load)
+    scale = float(np.max(np.abs(expect)))
+    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
 
 
 def test_gmres_iteration_budget(monkeypatch):
@@ -134,13 +176,13 @@ def test_gmres_iteration_budget(monkeypatch):
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(128), "standard")
     with pytest.raises(IterativeFailure):
-        solve_iterative(system)
+        solve_standard(system)
 
 
 def test_gmres_converges_on_strongly_graded_mesh():
     spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
     system = assemble_system(spec, build_mesh(256, delta=5.0), "standard")
-    sol = solve_iterative(system)
+    sol = solve_standard(system)
     assert sol.residual <= RESIDUAL_TOL
 
 
@@ -149,13 +191,14 @@ def test_gmres_converges_on_strongly_graded_mesh():
     [(a, d, 1024) for d in (2.0, 5.0) for a in (1.05, 1.95)]
     + [(1.05, 2.0, 2048), (1.95, 5.0, 2048)],
 )
-def test_solve_iterative_on_graded_meshes(alpha, delta, m):
+def test_gmres_on_graded_meshes(alpha, delta, m):
     # the scaled Strang circulant follows the grading; a dense solve checks it to m = 1024
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
-    system = assemble_system(spec, build_mesh(m, delta), "reconstruction")
-    sol = solve_iterative(system)
+    mesh = build_mesh(m, delta)
+    sol = solve_reconstruction(spec, mesh)
     assert sol.residual <= RESIDUAL_TOL
     if m <= 1024:
+        system = assemble_system(spec, mesh, "reconstruction")
         expect = np.linalg.solve(full_matrix(system), system.load)
         scale = float(np.max(np.abs(expect)))
         assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
@@ -230,9 +273,6 @@ def _diagonal_system(diagonal):
     mesh = build_mesh(4)
     return AssembledSystem(
         mesh=mesh,
-        alpha=1.5,
-        method="standard",
-        bc="dirichlet",
         lead=Lead(dense=np.diag(diagonal)),
         mass_diag=np.zeros(3),
         mass_off=np.zeros(2),
@@ -253,7 +293,7 @@ def test_zero_matrix_is_reported_singular():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_diagonal_is_reported_singular():
     with pytest.raises(SingularSystemError) as info:
-        solve_iterative(_diagonal_system([1.0, np.nan, 1.0]))
+        solve_standard(_diagonal_system([1.0, np.nan, 1.0]))
     assert info.value.row == 1 and np.isnan(info.value.value)
     assert "row 1" in str(info.value) and "nan" in str(info.value)
     with pytest.raises(SingularSystemError) as info:
