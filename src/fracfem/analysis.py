@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DIRICHLET, Lead, ProblemSpec, _element_gauss
+from .assembly import DIRICHLET, Lead, ProblemSpec
 from .errors import ArgumentError, UnsupportedSourceError
-from .fraccalc import PowerSum, rl_integral_powersum
+from .fraccalc import PowerSum, legendre_panel, rl_integral_powersum
 from .mesh import Mesh, PwLinear, build_mesh
 from .solver import ReconSolution, StandardSolution, solve_reconstruction
 
@@ -36,7 +36,6 @@ class ExactSolution:
     u: Callable
     u_r: Callable
     mu: float
-    u_s: PowerSum
     mesh: Mesh
     lead: Lead = field(repr=False, compare=False)
 
@@ -53,12 +52,10 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
         )
     frac = rl_integral_powersum(spec.alpha, ps)
     mu = float(frac(1.0))
-    p_sing = spec.singular_exponent
-    u = frac.scaled(-1.0) + PowerSum.monomial(mu, p_sing)
+    u = frac.scaled(-1.0) + PowerSum.monomial(mu, spec.singular_exponent)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
-    u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
     mesh = build_mesh(fine_m)
-    return ExactSolution(u, u_r, mu, u_s, mesh, Lead.of(mesh, spec.alpha))
+    return ExactSolution(u, u_r, mu, mesh, Lead.of(mesh, spec.alpha))
 
 
 def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
@@ -71,7 +68,7 @@ def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSol
         raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
     mesh = build_mesh(fine_m)
     sol = solve_reconstruction(spec, mesh)
-    return ExactSolution(sol, sol.u_r_h, sol.mu_h, sol.pair.u_s, mesh, sol.lead)
+    return ExactSolution(sol, sol.u_r_h, sol.mu_h, mesh, sol.lead)
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
         lo, hi = node_gap[:-1], node_gap[1:]
         l2 = float(np.sqrt(np.sum(np.diff(union) * (lo * lo + lo * hi + hi * hi)) / 3.0))
     else:
-        x, wq, _ = _element_gauss(union, _GAUSS_PER_CELL)
+        x, wq = legendre_panel(_GAUSS_PER_CELL, union[:-1, None], union[1:, None])
         gap = exact_fn(x) - approx_fn(x)
         l2 = float(np.sqrt(np.sum(wq * gap * gap)))
         linf = max(float(np.max(np.abs(gap))), linf)

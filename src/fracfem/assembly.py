@@ -24,10 +24,10 @@ from .fraccalc import (
     beta_fn,
     frac_order,
     gamma_fn,
-    jacobi_panel,
     legendre_panel,
     rl_integral_powersum_at,
     weighted_endpoint_integral,
+    weighted_rule,
 )
 from .mesh import Mesh
 
@@ -248,17 +248,6 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     return -scale * acc
 
 
-def _element_gauss(nodes: np.ndarray, points: int):
-    """Gauss points ``x`` (one row per element), their weights ``wq`` and the
-    rising hat ``n_r = (x - x_lo) / h`` at them."""
-    xi, w = legendre_panel(points, -1.0, 1.0)
-    lo = nodes[:-1][:, None]
-    widths = np.diff(nodes)[:, None]
-    half = 0.5 * widths
-    x = lo + half * (xi + 1.0)
-    return x, half * w, (x - lo) / widths
-
-
 def _anchors(field: ScalarField) -> tuple:
     """Points in (0, 1) where the field's power-sum terms start or stop, so
     where it may jump or kink; none for a field without a power sum."""
@@ -267,43 +256,34 @@ def _anchors(field: ScalarField) -> tuple:
     return tuple(sorted({t.anchor for t in field.powersum.terms if 0.0 < t.anchor < 1.0}))
 
 
-def _cut_rule(points: int, lo: float, hi: float, breaks=(), right_exp=0.0, left_exp=0.0):
-    """Nodes t and weights w, sum w g(t) ~ int_lo^hi (hi-t)^right_exp (t-lo)^left_exp g(t) dt.
-
-    Without a break strictly inside (lo, hi) this is one panel of ``points``
-    points; otherwise the breaks cut it into panels of points // 2 each. A
-    panel absorbs a factor singular at its own end into Gauss-Jacobi
-    weights, and any other factor multiplies its weights.
-    """
-    cuts = [b for b in breaks if lo < b < hi]
-    if cuts:
-        points //= 2
-    edges = [lo, *cuts, hi]
-    nodes, weights = [], []
-    for a, b in zip(edges, edges[1:]):
-        right = right_exp if b == hi else 0.0
-        left = left_exp if a == lo else 0.0
-        t, w = jacobi_panel(points, right, left, a, b) if right or left else legendre_panel(points, a, b)
-        if right != right_exp or left != left_exp:  # else both factors are x^0 = 1
-            w = w * (hi - t) ** (right_exp - right) * (t - lo) ** (left_exp - left)
-        nodes.append(t)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=()) -> np.ndarray:
+def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), left_exp=0.0, right_exp=0.0):
     """Per-element Gauss sums of the integrands that ``weighted(x, wq, n_r)``
-    stacks, with the weights wq multiplied in (rows of x are elements).
+    stacks, with the weights wq multiplied in (rows of x are elements) and
+    n_r = (x - x_lo) / h the rising hat.
 
-    An element with a break strictly inside takes _cut_rule instead, so a
-    jump or kink of the integrand there costs no accuracy.
+    weighted_rule redoes an element with a break strictly inside, so a jump
+    or kink there costs no accuracy; also the first element if the integrand
+    behaves like (x - x_0)^left_exp, and the last if like (x_m - x)^right_exp,
+    with twice the points and the power absorbed into the weights, then
+    divided back out of them, since the integrand carries it.
     """
-    x, wq, n_r = _element_gauss(nodes, points)
-    sums = weighted(x, wq, n_r).sum(axis=-1)
+    lo, hi = nodes[:-1, None], nodes[1:, None]
+    x, wq = legendre_panel(points, lo, hi)
+    sums = weighted(x, wq, (x - lo) / (hi - lo)).sum(axis=-1)
+    last = nodes.size - 2
     # elements k with a break b strictly inside, nodes[k] < b < nodes[k + 1]
-    for k in {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}:
-        t, w = _cut_rule(points, nodes[k], nodes[k + 1], breaks)
-        sums[..., k] = weighted(t, w, (t - nodes[k]) / (nodes[k + 1] - nodes[k])).sum(axis=-1)
+    redo = {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}
+    redo.update(k for k, e in ((0, left_exp), (last, right_exp)) if e)
+    for k in redo:
+        left = left_exp if k == 0 else 0.0
+        right = right_exp if k == last else 0.0
+        lo, hi = nodes[k], nodes[k + 1]
+        t, w = weighted_rule(points * 2 if left or right else points, lo, hi, right, left, breaks)
+        if left:
+            w /= (t - lo) ** left
+        if right:
+            w /= (hi - t) ** right
+        sums[..., k] = weighted(t, w, (t - lo) / (hi - lo)).sum(axis=-1)
     return sums
 
 
@@ -317,12 +297,10 @@ def mass_bands(mesh: Mesh, q: ScalarField):
     def weighted(x, wq, n_r):
         wqv, n_l = wq * q(x), 1.0 - n_r
         left = wqv * n_l
-        return np.stack([left * n_l, left * n_r, wqv * n_r * n_r])
+        return np.array([left * n_l, left * n_r, wqv * n_r * n_r])
 
     ll, lr, rr = _element_sums(mesh.nodes, _MASS_POINTS, weighted, _anchors(q))
-    diag = rr[:n] + ll[1:]
-    off = lr[1:n]
-    return diag, off
+    return rr[:n] + ll[1:], lr[1:n]
 
 
 def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
@@ -350,61 +328,46 @@ def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
     return out
 
 
-def quadrature_load(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
-    """Load vector by per-element Gauss rules, elements cut at ``breaks``;
-    the first element uses a Gauss-Jacobi rule absorbing the declared
-    singularity hint."""
-    n = mesh.m - 1
+def quadrature_load(mesh: Mesh, fn, points: int, breaks=(), left_exp=0.0, right_exp=0.0) -> np.ndarray:
+    """Load vector (fn, phi_i) by per-element Gauss rules of ``points``
+    points, elements cut at ``breaks``; fn behaves like x^left_exp at 0 and
+    (1 - x)^right_exp at 1, powers the end elements absorb."""
 
     def weighted(x, wq, n_r):
-        wfv = wq * field(x)
-        return np.stack([wfv * n_r, wfv * (1.0 - n_r)])
+        wfv = wq * fn(x)
+        return np.array([wfv * n_r, wfv * (1.0 - n_r)])
 
-    rising, falling = _element_sums(mesh.nodes, _LOAD_POINTS, weighted, breaks)
-    if field.hint is not None:
-        x1 = mesh.nodes[1]
-        t, jw = _cut_rule(2 * _LOAD_POINTS, 0.0, x1, breaks, left_exp=field.hint)
-        smooth = field(t) * t ** (-field.hint)
-        rising[0] = jw @ (smooth * (t / x1))
-    return rising[:n] + falling[1:]
+    rising, falling = _element_sums(mesh.nodes, points, weighted, breaks, left_exp, right_exp)
+    return rising[:-1] + falling[1:]
 
 
 def load_vector(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
     """Load vector (field, phi_i), exact when the field has a power-sum form;
     otherwise by quadrature, with elements cut at ``breaks``, the points in
-    (0, 1) where the field jumps or kinks."""
+    (0, 1) where the field jumps or kinks, and the first element absorbing
+    the field's singularity hint."""
     if field.is_zero:
         return np.zeros(mesh.m - 1)
     if field.powersum is not None:
         return powersum_load(mesh, field.powersum)
-    return quadrature_load(mesh, field, breaks)
+    return quadrature_load(mesh, field, _LOAD_POINTS, breaks, left_exp=field.hint or 0.0)
 
 
 def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
     """Vector s with s_j = (I_0^alpha q phi_j)(1).
 
     This is the same endpoint-weighted functional that defines the splitting
-    constant, evaluated on the basis; the element touching t = 1 absorbs the
-    (1 - t)^(alpha - 1) weight into a Gauss-Jacobi rule. Elements are cut at
-    the anchors of q.
+    constant, evaluated on the basis: the load of (1 - x)^(alpha - 1) q, whose
+    last element absorbs the weight into a Gauss-Jacobi rule. Elements are
+    cut at the anchors of q.
     """
     a = frac_order(alpha)
-    n = mesh.m - 1
     if q.is_zero:
-        return np.zeros(n)
-
-    def weighted(x, wq, n_r):
-        wqv = wq * (1.0 - x) ** (a - 1.0) * q(x)
-        return np.stack([wqv * n_r, wqv * (1.0 - n_r)])
-
-    anchors = _anchors(q)
-    rising, falling = _element_sums(mesh.nodes, _ENDPOINT_POINTS, weighted, anchors)
-    # redo the last element with the weight absorbed exactly
-    left = mesh.nodes[-2]
-    t, jw = _cut_rule(2 * _ENDPOINT_POINTS, left, 1.0, anchors, right_exp=a - 1.0)
-    width_last = 1.0 - left
-    falling[-1] = jw @ (q(t) * (1.0 - t) / width_last)
-    return (rising[:n] + falling[1:]) / gamma_fn(a)
+        return np.zeros(mesh.m - 1)
+    load = quadrature_load(
+        mesh, lambda x: (1.0 - x) ** (a - 1.0) * q(x), _ENDPOINT_POINTS, _anchors(q), right_exp=a - 1.0
+    )
+    return load / gamma_fn(a)
 
 
 @dataclass(frozen=True)
@@ -420,7 +383,6 @@ class SingularPair:
     c1: PowerSum
     q_profile: ScalarField
     f_frac_at_one: float
-    singular_exponent: float
 
 
 def build_singular_pair(spec: ProblemSpec) -> SingularPair:
@@ -477,7 +439,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
     q_hint = min(2.0 - a, q_lead + p_sing)
     q_profile = ScalarField(fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q")
-    return SingularPair(u_s, c0, c1, q_profile, f_at_one, p_sing)
+    return SingularPair(u_s, c0, c1, q_profile, f_at_one)
 
 
 @dataclass(frozen=True)

@@ -213,60 +213,71 @@ def gauss_jacobi(n: int, a: float, b: float):
 
 
 def legendre_panel(n: int, a: float, b: float):
-    """Plain Gauss nodes/weights on [a, b]."""
+    """Plain Gauss nodes/weights on [a, b]; column arrays a, b give one row per panel."""
     xi, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (xi + 1.0), half * w
 
 
-def jacobi_panel(n: int, right_exp: float, left_exp: float, a: float, b: float):
-    """Nodes/weights t, w with sum w*g(t) = int_a^b (b-t)^right_exp (t-a)^left_exp g(t) dt."""
-    xi, w = gauss_jacobi(n, right_exp, left_exp)
-    half = 0.5 * (b - a)
-    return a + half * (xi + 1.0), w * half ** (right_exp + left_exp + 1.0)
+def weighted_rule(n: int, lo, hi, right_exp=0.0, left_exp=0.0, breaks=(), ends=None):
+    """Nodes t and weights w, sum w g(t) ~ int_lo^hi (b-t)^right_exp (t-a)^left_exp g(t) dt
+    with (a, b) = ``ends``, by default (lo, hi).
+
+    Without a break strictly inside (lo, hi) this is one panel of n points;
+    otherwise the breaks cut it into panels of n // 2 each. A panel that
+    ends at a or b absorbs the factor singular there into Gauss-Jacobi
+    weights, and any other factor with a nonzero exponent multiplies its
+    weights. An uncut panel builds no list and concatenates nothing.
+    """
+    a, b = (lo, hi) if ends is None else ends
+    cuts = breaks and [x for x in breaks if lo < x < hi]
+    if cuts:
+        edges = [lo, *cuts, hi]
+        panels = [weighted_rule(n // 2, *e, right_exp, left_exp, ends=(a, b)) for e in zip(edges, edges[1:])]
+        return tuple(np.concatenate(part) for part in zip(*panels))
+    right = right_exp if hi == b else 0.0
+    left = left_exp if lo == a else 0.0
+    xi, w = gauss_jacobi(n, right, left) if right or left else gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    t = lo + half * (xi + 1.0)
+    w = w * half ** (right + left + 1.0)
+    if right != right_exp:
+        w = w * (b - t) ** right_exp
+    if left != left_exp:
+        w = w * (t - a if a else t) ** left_exp  # t - 0 would only copy t
+    return t, w
 
 
 def _panel_value(g, a_exp, b_exp, lo, hi):
-    """One-panel estimate of int_lo^hi (1-t)^a_exp t^b_exp g(t) dt.
-
-    A panel touching 1 absorbs (1-t)^a_exp into its weights, one touching 0
-    absorbs t^b_exp; the factors not absorbed multiply g.
-    """
-    right = a_exp if hi == 1.0 else 0.0
-    left = b_exp if lo == 0.0 else 0.0
-    if right or left:
-        t, w = jacobi_panel(_ADAPTIVE_POINTS, right, left, lo, hi)
-    else:
-        t, w = legendre_panel(_ADAPTIVE_POINTS, lo, hi)
-    vals = g(t)
-    if a_exp != right:
-        vals = (1.0 - t) ** a_exp * vals
-    if b_exp != left:
-        vals = vals * t ** b_exp
-    return float(np.dot(w, vals))
+    """One-panel estimate of int_lo^hi (1-t)^a_exp t^b_exp g(t) dt."""
+    t, w = weighted_rule(_ADAPTIVE_POINTS, lo, hi, a_exp, b_exp, ends=(0.0, 1.0))
+    return float(np.dot(w, g(t)))
 
 
-def _adaptive(g, a_exp, b_exp, lo, hi, depth=0, whole=None):
-    """Bisect [lo, hi] until two half panels agree with the whole panel.
+def _adaptive(g, a_exp, b_exp, lo, hi, depth=0, whole=None, root=None):
+    """Bisect [lo, hi] until two half panels agree with the whole panel, to
+    _ADAPTIVE_TOL of their sum or of ``root``, the estimate of the piece the
+    bisection started from: toward a power of t at 0 that no exponent
+    absorbs, a panel's relative error does not shrink with its width.
 
     ``whole`` is the panel's own estimate, which the parent already computed
     as one of its halves; only the root call evaluates it here.
     """
     if whole is None:
-        whole = _panel_value(g, a_exp, b_exp, lo, hi)
+        whole = root = _panel_value(g, a_exp, b_exp, lo, hi)
     mid = 0.5 * (lo + hi)
     left = _panel_value(g, a_exp, b_exp, lo, mid)
     right = _panel_value(g, a_exp, b_exp, mid, hi)
     split = left + right
     err = abs(split - whole)
-    if err <= _ADAPTIVE_TOL * max(abs(split), 1e-30):
+    if err <= _ADAPTIVE_TOL * max(abs(split), abs(root), 1e-30):
         return split
     if depth >= _ADAPTIVE_MAX_DEPTH:
         raise QuadratureFailure(
             "adaptive endpoint-weighted quadrature hit the depth cap", err
         )
-    return _adaptive(g, a_exp, b_exp, lo, mid, depth + 1, left) + _adaptive(
-        g, a_exp, b_exp, mid, hi, depth + 1, right
+    return _adaptive(g, a_exp, b_exp, lo, mid, depth + 1, left, root) + _adaptive(
+        g, a_exp, b_exp, mid, hi, depth + 1, right, root
     )
 
 

@@ -20,7 +20,6 @@ from fracfem.analysis import (
 from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedSourceError
 from fracfem.fields import SOURCES, ScalarField, source_bump, source_step, zero_field
-from fracfem.fraccalc import PowerSum
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 from fracfem.solver import ReconSolution, StandardSolution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
@@ -69,7 +68,7 @@ def test_closed_form_boundary_and_split():
     # u and u_r differ by mu times the singular profile
     x = np.linspace(0.05, 0.95, 7)
     np.testing.assert_allclose(
-        exact.u(x) - exact.u_r(x), exact.mu * exact.u_s(x), rtol=1e-12
+        exact.u(x) - exact.u_r(x), exact.mu * spec.singular_pair.u_s(x), rtol=1e-12
     )
 
 
@@ -78,7 +77,7 @@ def test_closed_form_mixed_condition():
     exact = exact_q0(spec)
     assert abs(exact.u(1.0)) < 1e-14
     # the singular profile now carries the negative exponent alpha - 2
-    assert exact.u_s(0.25) == pytest.approx(0.25 ** -0.25 - 0.25 ** 2, rel=1e-14)
+    assert spec.singular_pair.u_s(0.25) == pytest.approx(0.25 ** -0.25 - 0.25 ** 2, rel=1e-14)
 
 
 def test_closed_form_requires_power_sum_and_zero_potential():
@@ -111,7 +110,7 @@ def test_error_norms_vanish_on_identical_fields():
     coeffs = np.sin(np.pi * mesh.nodes[1:-1])
     pw = PwLinear(mesh, coeffs)
     approx = StandardSolution(pw, 0.0)
-    exact = ExactSolution(pw, pw, 0.0, PowerSum(()), mesh, Lead.of(mesh, 1.5))
+    exact = ExactSolution(pw, pw, 0.0, mesh, Lead.of(mesh, 1.5))
     norms = error_norms(approx, exact)
     assert norms.l2 == 0.0 and norms.energy == 0.0 and norms.linf == 0.0
 
@@ -153,7 +152,7 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
     lead = Lead.of(fine, alpha)
     approx = ReconSolution(u_r_h, 0.0, None, 0.0, None)
-    exact = ExactSolution(None, u_r, 0.0, PowerSum(()), fine, lead)
+    exact = ExactSolution(None, u_r, 0.0, fine, lead)
     got = error_norms(approx, exact)
     l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
     assert got.l2 == pytest.approx(l2, rel=1e-13)

@@ -247,7 +247,7 @@ def test_stencil_far_field_needs_no_gauss_rule(monkeypatch):
         raise AssertionError("the stencil far field evaluated a Gauss panel")
 
     monkeypatch.setattr(assembly, "legendre_panel", refuse)
-    monkeypatch.setattr(assembly, "jacobi_panel", refuse)
+    monkeypatch.setattr(assembly, "weighted_rule", refuse)
     st = lead_stencil(build_mesh(4096), 1.5)
     assert np.all(np.isfinite(st)) and np.all(st[: 4096 - 4] < 0.0)
 
@@ -460,7 +460,7 @@ def test_endpoint_weight_vector_matches_quadrature():
 
 # a potential that jumps inside elements: 0.3 and 0.7 are nodes of no
 # build_mesh(2) or build_mesh(5); on m = 2 they sit in the first and the last
-# element, whose rules are the Gauss-Jacobi overrides
+# element, whose rules absorb an end power
 INTERIOR_JUMPS = parse_field("chi(0.3,0.7)*(1+x)", 0.0)
 
 
@@ -480,25 +480,30 @@ def test_mass_bands_cut_at_interior_anchors(m):
             assert off[j - 1] == pytest.approx(entries[1], rel=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 5])
+# uniform meshes, and a graded one whose nodes 1/36, 1/9, 1/4, 4/9 and 25/36
+# leave 0.3 and 0.7 inside elements too
+CUT_MESHES = pytest.mark.parametrize(
+    "mesh", [build_mesh(2), build_mesh(5), build_mesh(6, 2.0)], ids=["2", "5", "6-graded"]
+)
+
+
+@CUT_MESHES
 @pytest.mark.parametrize("alpha", [1.3, 1.7])
-def test_endpoint_weight_vector_cut_at_interior_anchors(m, alpha):
-    mesh = build_mesh(m)
+def test_endpoint_weight_vector_cut_at_interior_anchors(mesh, alpha):
     s = endpoint_weight_vector(mesh, INTERIOR_JUMPS, alpha)
-    for j in range(1, m):
+    for j in range(1, mesh.m):
         want = endpoint_weight_entry_quad(mesh.nodes, INTERIOR_JUMPS.fn, j, alpha, (0.3, 0.7))
         assert s[j - 1] == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("m", [2, 5])
-def test_quadrature_load_cut_at_breaks(m):
+@CUT_MESHES
+def test_quadrature_load_cut_at_breaks(mesh):
     # x^(-1/4) (1 + chi(0.3,0.7)): singular at 0 and jumping at both breaks,
     # with no power sum to say where
     jumps = parse_field("chi(0.3,0.7)", 0.0).fn
     field = ScalarField(fn=lambda x: x**-0.25 * (1.0 + jumps(x)), hint=-0.25)
-    mesh = build_mesh(m)
     out = load_vector(mesh, field, (0.3, 0.7))
-    for j in range(1, m):
+    for j in range(1, mesh.m):
         want = load_entry_quad(mesh.nodes, field.fn, j, left_exponent=-0.25, breaks=(0.3, 0.7))
         assert out[j - 1] == pytest.approx(want, rel=1e-10)
 
@@ -586,7 +591,7 @@ def test_splitting_constant_quadrature_and_closed_form_agree():
 def test_mixed_profile_and_modified_source():
     spec = ProblemSpec(alpha=1.75, q=source_bump(), f=source_bump(), bc="mixed")
     pair = build_singular_pair(spec)
-    assert pair.singular_exponent == pytest.approx(-0.25)
+    assert spec.singular_exponent == pytest.approx(-0.25)
     x = np.array([0.3, 0.7])
     # Q = c0 c1 - c0 q u_s, checked pointwise
     expect_q = pair.c0 * (pair.c1(x) - spec.q(x) * pair.u_s(x))
@@ -662,7 +667,7 @@ def test_singular_pair_is_cached_on_the_spec():
     # a spec derived with replace() builds its own pair
     moved = dataclasses.replace(spec, alpha=1.7)
     assert moved.singular_pair is not spec.singular_pair
-    assert moved.singular_pair.singular_exponent == pytest.approx(0.7)
+    assert moved.singular_pair.u_s(0.5) == pytest.approx(0.5**0.7 - 0.5**2, rel=1e-14)
 
 
 def test_degenerate_splitting_detected():

@@ -313,6 +313,20 @@ def test_potential_with_non_dyadic_jumps_converges(capsys):
         assert float(r["rate_l2"]) >= 1.7 and float(r["rate_mu"]) >= 1.7, r
 
 
+def test_potential_with_a_weak_power_at_zero_runs(capsys):
+    # x^0.3 with hint 0: no exponent absorbs the power, and the splitting
+    # constant's bisection toward 0 has to stop on the estimate of its piece
+    argv = [
+        "--alpha", "1.4", "--example", "b", "--q", "custom", "--q-expr", "x^0.3-chi(0.25,0.75)",
+        "--q-hint", "0", "--method", "recon", "--levels", "3:7", "--reference-m", "2048",
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+    assert [r["k"] for r in rows] == ["3", "4", "5", "6", "7"]
+    assert all(float(r["rate_mu"]) >= 1.7 for r in rows[2:]), rows
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     # the package must not import fracfem.cli itself, or runpy warns that the
     # module is already loaded before running it as __main__

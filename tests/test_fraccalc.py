@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fracfem.errors import ArgumentError, DomainError, UnsupportedFormError
 from fracfem.fraccalc import (
@@ -15,11 +16,11 @@ from fracfem.fraccalc import (
     frac_order,
     gamma_fn,
     gauss_jacobi,
-    jacobi_panel,
     legendre_panel,
     rl_integral_powersum,
     rl_integral_powersum_at,
     weighted_endpoint_integral,
+    weighted_rule,
 )
 
 from .oracles import (
@@ -266,14 +267,45 @@ def test_gauss_legendre_rule_converges_slowly_but_runs():
 def test_panel_helpers_integrate_polynomials_exactly():
     t, w = legendre_panel(6, 0.2, 0.7)
     assert float(w @ t**3) == pytest.approx((0.7**4 - 0.2**4) / 4.0, rel=1e-14)
-    t, w = jacobi_panel(8, 0.5, 0.0, 0.0, 1.0)
+    t, w = weighted_rule(8, 0.0, 1.0, 0.5, 0.0)
     # int_0^1 (1-t)^0.5 t dt = B(2, 1.5)
     assert float(w @ t) == pytest.approx(beta_fn(2.0, 1.5), rel=1e-13)
-    t, w = jacobi_panel(8, 0.0, -0.25, 0.0, 1.0)
+    t, w = weighted_rule(8, 0.0, 1.0, 0.0, -0.25)
     # int_0^1 t^(-1/4) (1-t) dt = B(0.75, 2)
     assert float(w @ (1.0 - t)) == pytest.approx(beta_fn(0.75, 2.0), rel=1e-13)
-    t, w = jacobi_panel(8, 0.5, -0.25, 0.0, 1.0)
+    t, w = weighted_rule(8, 0.0, 1.0, 0.5, -0.25)
     assert float(w @ np.ones_like(t)) == pytest.approx(beta_fn(0.75, 1.5), rel=1e-13)
+
+
+def test_weighted_rule_interior_panel_multiplies_both_factors():
+    # a panel touching neither end absorbs nothing: plain Gauss nodes, both
+    # factors in the weights
+    t, w = weighted_rule(16, 0.2, 0.7, 0.5, -0.25, ends=(0.0, 1.0))
+    t0, w0 = legendre_panel(16, 0.2, 0.7)
+    np.testing.assert_array_equal(t, t0)
+    np.testing.assert_allclose(w, w0 * (1.0 - t0) ** 0.5 * t0**-0.25, rtol=1e-15)
+    want, _ = quad(lambda x: (1.0 - x) ** 0.5 * x**-0.25 * np.exp(x), 0.2, 0.7, epsabs=0.0, epsrel=1e-13)
+    assert float(w @ np.exp(t)) == pytest.approx(want, rel=1e-12)
+
+
+def test_weighted_rule_cut_panels_absorb_only_at_the_true_ends():
+    # three panels of 12 points: the first absorbs t^(-1/4), the last
+    # (1-t)^(1/2), and the middle one multiplies both factors in
+    t, w = weighted_rule(24, 0.0, 1.0, 0.5, -0.25, breaks=(0.35, 0.65))
+    assert t.size == 36 and np.all(np.diff(t) > 0.0)
+    for lo, hi in ((0.0, 0.35), (0.35, 0.65), (0.65, 1.0)):
+        inside = (t > lo) & (t < hi)
+        assert inside.sum() == 12
+    want, _ = quad(np.exp, 0.0, 1.0, weight="alg", wvar=(-0.25, 0.5), epsabs=0.0, epsrel=1e-13)
+    assert float(w @ np.exp(t)) == pytest.approx(want, rel=1e-12)
+
+
+def test_weighted_integral_stops_near_an_unabsorbed_weak_power():
+    # t^0.3 with no left exponent: a panel [0, h] keeps the same relative
+    # error at every h, so only the estimate of the whole piece can stop
+    # the bisection toward 0
+    got = weighted_endpoint_integral(lambda t: t**0.3, 1.5)
+    assert got == pytest.approx(gamma_fn(1.3) / gamma_fn(2.8), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [8, 16, 20, 24, 32, 48])

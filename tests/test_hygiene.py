@@ -39,6 +39,29 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from a sibling module."""
+    tree = ast.parse(source)
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_checker_flags_a_private_import():
+    source = "from .a import b, _c\nfrom . import _d\nfrom os import _exit\n"
+    assert private_imports(source) == ["_c (line 1)", "_d (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    # a helper two modules share is public in the one that defines it
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def read_names(source: str) -> set[str]:
     """Names a module reads, bare or as an attribute."""
     tree = ast.parse(source)
