@@ -41,6 +41,12 @@ _METHODS = ("standard", "recon", "recon_mixed")
 # Sobolev index of the catalog sources, used for predicted rates only.
 _SOURCE_SMOOTHNESS = {"a": 1.0, "b": 0.5, "c": 0.25}
 
+# config fields a JSON file could fill with a value of the wrong type; None
+# leaves a hint, an expression or the output path unset
+_HINT, _TEXT = (int, float, type(None)), (str, type(None))
+_FIELD_TYPES = {"k_min": int, "k_max": int, "reference_m": int, "delta": (int, float), "f_hint": _HINT,
+                "q_hint": _HINT, "f_expr": _TEXT, "q_expr": _TEXT, "out": _TEXT}
+
 
 @dataclass
 class ExperimentConfig:
@@ -71,25 +77,21 @@ class ExperimentConfig:
         if self.example == "custom" and not self.f_expr:
             raise ArgumentError("example 'custom' needs an f expression")
         if self.q_kind not in ("zero", "x_times_1mx", "custom"):
-            raise ArgumentError(
-                f"q must be zero, x_times_1mx, or custom, got {self.q_kind!r}"
-            )
+            raise ArgumentError(f"q must be zero, x_times_1mx, or custom, got {self.q_kind!r}")
         if self.q_kind == "custom" and not self.q_expr:
             raise ArgumentError("q 'custom' needs a q expression")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ArgumentError(f"{name} has the wrong type: {value!r}")
         if not 2 <= self.k_min <= self.k_max:
-            raise ArgumentError(
-                f"levels need 2 <= k_min <= k_max, got {self.k_min}:{self.k_max}"
-            )
-        if self.delta < 1.0:
-            raise ArgumentError(f"grading exponent must be >= 1, got {self.delta}")
+            raise ArgumentError(f"levels need 2 <= k_min <= k_max, got {self.k_min}:{self.k_max}")
+        if not (math.isfinite(self.delta) and self.delta >= 1.0):
+            raise ArgumentError(f"grading exponent must be a finite number >= 1, got {self.delta}")
         if self.fmt not in ("csv", "markdown"):
             raise ArgumentError(f"format must be csv or markdown, got {self.fmt!r}")
-        if self.method == "recon_mixed":
-            for a in self.alphas:
-                if a <= 1.5:
-                    raise ArgumentError(
-                        f"mixed conditions need alpha > 3/2, got {a}"
-                    )
+        if self.method == "recon_mixed" and min(self.alphas) <= 1.5:
+            raise ArgumentError(f"mixed conditions need alpha > 3/2, got {min(self.alphas)}")
         if self.reference_m < 16 or self.reference_m & (self.reference_m - 1):
             raise ArgumentError(
                 f"reference mesh size must be a power of two >= 16, got {self.reference_m}"
@@ -208,12 +210,9 @@ def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
 
 
 def _fmt(value, spec: str = ".10e") -> str:
-    if value is None:
+    if value is None or not math.isfinite(value):
         return ""
-    v = float(value)
-    if not math.isfinite(v):
-        return ""
-    return format(v, spec)
+    return format(float(value), spec)
 
 
 def emit_table(reports: list[ConvergenceReport], fmt: str = "csv") -> str:
@@ -325,10 +324,13 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
         raw["q_kind"] = raw.pop("q")
     if args.alpha is not None:
         raw["alphas"] = args.alpha
-    if isinstance(raw.get("alphas"), str):
-        raw["alphas"] = [float(tok) for tok in raw["alphas"].split(",") if tok]
     if "alphas" in raw:
-        raw["alphas"] = tuple(float(a) for a in raw["alphas"])
+        value = raw["alphas"]
+        items = [tok for tok in value.split(",") if tok] if isinstance(value, str) else value
+        try:
+            raw["alphas"] = tuple(float(a) for a in items)
+        except (TypeError, ValueError):
+            raise ArgumentError(f"alphas must be numbers, got {value!r}") from None
     if args.levels is not None:
         raw["k_min"], raw["k_max"] = _parse_levels(args.levels)
     if args.q is not None:

@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ArgumentError,
@@ -205,7 +204,8 @@ def gauss_jacobi(n: int, a: float, b: float):
     with np.errstate(invalid="ignore"):
         off = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
     off[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-    nodes, vectors = eigh_tridiagonal(diag, np.sqrt(off))
+    # eigh reads only the lower triangle; no rule here has more than 24 points
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(off), -1))
     weights = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0) * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)

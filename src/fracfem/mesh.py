@@ -22,8 +22,8 @@ def build_mesh(m: int, delta: float = 1.0) -> "Mesh":
     """
     if m < 2:
         raise ArgumentError(f"need at least two elements, got m={m}")
-    if delta < 1.0:
-        raise ArgumentError(f"grading exponent must be >= 1, got {delta}")
+    if not (np.isfinite(delta) and delta >= 1.0):
+        raise ArgumentError(f"grading exponent must be a finite number >= 1, got {delta}")
     base = np.arange(m + 1, dtype=float) / m
     nodes = base if delta == 1.0 else base**delta
     return Mesh(nodes)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .assembly import AssembledSystem, Lead, ProblemSpec, SingularPair, assemble_system
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
@@ -137,7 +136,9 @@ def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float,
             break
         np.divide(w, below, out=basis[j + 1])
     k = len(rotations)
-    y = solve_triangular(tri[:k, :k], rhs[:k], check_finite=False)
+    y = np.empty(k)
+    for i in range(k - 1, -1, -1):  # back-substitution on the Givens factor
+        y[i] = (rhs[i] - tri[i, i + 1 : k] @ y[i + 1 :]) / tri[i, i]
     return precond(y @ basis[:k]), k, abs(rhs[k])
 
 

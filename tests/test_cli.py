@@ -1,5 +1,6 @@
 """Configuration validation, table emission, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,10 @@ from fracfem.mesh import build_mesh
 
 # potential scale that drives 1 + (I^1.5 q u_s)(1) through zero
 DEGENERATE_SCALE = -1.0 / 0.051821321143524765
+
+# SHA-256 of the CSV of the chi(0,0.5) reconstruction study in
+# test_csv_bytes_do_not_depend_on_the_blas_thread_count
+CHI_RECON_SHA256 = "faca98ffe6ab9c323b85e36f0b5e919960977be33970c2ef8947c11434c844b1"
 
 
 def _tiny(**overrides):
@@ -226,6 +231,29 @@ def test_main_error_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "alpha=1.5 failed" in captured.err
     assert captured.out.startswith(CSV_COLUMNS)
+    # values of the wrong type end in a one-line error that names them
+    for raw, named in (({"alphas": 1.5}, "1.5"), ({"k_min": "3"}, "'3'"),
+                       ({"q_hint": "0"}, "'0'"), ({"out": 3}, "out")):
+        bad.write_text(json.dumps(raw))
+        assert main(["--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert main(["--alpha", "1.5,abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "1.5,abc" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
+    with pytest.raises(ArgumentError, match=str(delta)):
+        _tiny(delta=delta)
+    with pytest.raises(ArgumentError, match=str(delta)):
+        build_mesh(8, delta)
+    assert main(["--graded", str(delta), "--levels", "2:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grading exponent must be a finite number >= 1, got {delta}\n"
 
 
 def test_deeply_nested_expression_exits_with_an_error(capsys):
@@ -343,49 +371,51 @@ def test_module_entry_point_runs_without_runtime_warning():
     assert done.stdout.startswith("alpha,k,h,")
 
 
-def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
-    # a reference cell whose study levels reach m = 256; the solve must not
-    # round differently when BLAS splits its work across threads
+def _cli_stdout(args, **env):
+    """Standard output of ``python -m fracfem.cli args`` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    args = ["--alpha", "1.25,1.75", "--example", "b", "--q", "x_times_1mx", "--method", "recon",
-            "--levels", "6:8", "--reference-m", "2048"]
-    outputs = []
-    for threads in ("1", "2"):
-        done = subprocess.run(
-            [sys.executable, "-m", "fracfem.cli", *args],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(done.stdout)
-    assert outputs[0].startswith("alpha,k,h,")
-    assert outputs[0] == outputs[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "fracfem.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("alpha,k,h,")
+    return done.stdout
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
+    # reconstruction cells whose solves must not round differently when BLAS
+    # splits its work across threads. The first reaches m = 256. The second,
+    # chi(0,0.5), takes Gauss-Jacobi rules with a nonzero right exponent for
+    # its splitting constant and a GMRES cycle of several iterations per
+    # solve. Its digest was taken when scipy still supplied the tridiagonal
+    # eigensolver and the triangular solve; with reference m = 512 (not 256)
+    # the bytes move if either is swapped for np.linalg.eig or np.linalg.solve
+    studies = [
+        ["--alpha", "1.25,1.75", "--example", "b", "--q", "x_times_1mx", "--method", "recon",
+         "--levels", "6:8", "--reference-m", "2048"],
+        ["--alpha", "1.3,1.7", "--example", "b", "--q", "custom", "--q-expr", "chi(0,0.5)",
+         "--q-hint", "0", "--method", "recon", "--levels", "3:5", "--reference-m", "512"],
+    ]
+    for args in studies:
+        outputs = [_cli_stdout(args, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert outputs[0] == outputs[1]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == CHI_RECON_SHA256
 
 
 def test_cached_stencil_band_leaves_no_trace_in_the_csv(capsys):
     # lead_stencil keeps its alpha-only band for the life of the process; a
     # study must print the bytes of a fresh interpreter after other alphas
     # have cycled that cache and other studies have filled it for its own
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     chi = ["--q", "custom", "--q-expr", "chi(0,0.5)", "--q-hint", "0", "--reference-m", "256"]
     studies = [
         ["--alpha", "1.3,1.7", "--example", "b", "--method", "recon", "--levels", "3:5", *chi],
         ["--alpha", "1.6,1.8", "--example", "c", "--method", "recon_mixed", "--levels", "3:5", *chi],
     ]
-    fresh = []
-    for args in studies:
-        done = subprocess.run(
-            [sys.executable, "-m", "fracfem.cli", *args],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-        assert done.returncode == 0, done.stderr
-        fresh.append(done.stdout)
-    assert fresh[0].startswith("alpha,k,h,") and fresh[1].startswith("alpha,k,h,")
+    fresh = [_cli_stdout(args) for args in studies]
 
     for alpha in np.linspace(1.01, 1.99, 2 * assembly._stencil_band.cache_info().maxsize):
         assembly.lead_stencil(build_mesh(64), alpha)

@@ -84,15 +84,37 @@ def test_no_extended_precision(path):
     assert "longdouble" not in source and "float128" not in source
 
 
-def test_runtime_needs_no_scipy_special_or_sparse():
+def scipy_imports(source: str) -> list[str]:
+    """Lines on which a module imports scipy or one of its subpackages."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.module, node.lineno))
+    return [f"{name} (line {line})" for name, line in names if name.split(".")[0] == "scipy"]
+
+
+def test_checker_flags_a_scipy_import():
+    source = "import numpy\nimport scipy.linalg as sl\nfrom scipy import special\nfrom .scipy import x\n"
+    assert scipy_imports(source) == ["scipy.linalg (line 2)", "scipy (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy is the only runtime dependency; scipy serves the test oracles
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_runtime_loads_no_scipy():
     # a fresh interpreter runs a study with levels m = 4, 8 and an m = 1024
-    # reference, all solved by GMRES; it loads neither subpackage
+    # reference, all solved by GMRES; it loads no scipy module at all
     script = (
         "import sys, fracfem, fracfem.cli\n"
         "argv = ['--alpha', '1.5', '--example', 'a', '--q', 'x_times_1mx',\n"
         "        '--method', 'recon', '--levels', '2:3', '--reference-m', '1024']\n"
         "assert fracfem.cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'scipy.sparse'))))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
