@@ -51,6 +51,10 @@ _FAR_PAIRS = 1 << 13  # element pairs per far-field block, about 1 MiB of powers
 # D > _BAND_D take 11, as (4/441)^11 < 2^-74, far enough below an ulp that
 # the short sum rounds like the full one (with D > 11 it did not always).
 _SERIES_TERMS, _SHORT_TERMS, _BAND_D = 50, 11, 20
+# A graded lead table keeps its nodes j^delta below 2^_TABLE_LOG2, so its
+# powers, of exponents in (-3, 2), stay normal floats; steeper gradings take
+# the direct block.
+_TABLE_LOG2 = 256
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,28 @@ class ProblemSpec:
         """Splitting data of this problem, built on first use and kept for
         the life of the spec; it depends on (alpha, q, f, bc), not on a mesh."""
         return build_singular_pair(self)
+
+    @cached_property
+    def _lead_tables(self) -> dict:
+        """Graded lead tables of this problem by grading exponent, filled by
+        ``lead`` and kept for the life of the spec."""
+        return {}
+
+    def lead(self, mesh: Mesh) -> Lead:
+        """Leading block on ``mesh``. A build_mesh(m, delta) grading is
+        self-similar, x_j = m^-delta y_j with y_j = j^delta, and the block is
+        homogeneous of degree 1 - alpha in the nodes, so it is
+        m^(delta (alpha - 1)) times the leading block of one table on the
+        nodes y, grown by rows when a finer mesh asks for more. Other meshes
+        take ``Lead.of``."""
+        delta = mesh.delta
+        if delta is None or mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
+            return Lead.of(mesh, self.alpha)
+        n = mesh.m - 1
+        table = self._lead_tables.get(delta)
+        if table is None or table.shape[0] < n:
+            table = self._lead_tables[delta] = _grown_table(table, delta, self.alpha, n)
+        return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
 
 
 def _graded_rule(h: float, gap: float):
@@ -140,36 +166,62 @@ def _far_moments(gap, ha, hb, e) -> np.ndarray:
     return out
 
 
+def _power_drop(u: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
+    """u_+^p - (u - h)_+^p for widths h > 0; where u > h, as
+    -u^p expm1(p log1p(-h/u)), so that nothing cancels when h << u."""
+    apart = u > h
+    v = np.where(apart, u, 2.0 * h)  # keeps log1p's argument above -1
+    return np.where(apart, -(v**p) * np.expm1(p * np.log1p(-h / v)), np.maximum(u, 0.0) ** p)
+
+
 def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     """Dense leading block A[i, j] = -(D_0^s phi_j, D_1^s phi_i), s = alpha/2.
 
-    The band i - j in {-1, 0, 1, 2} takes the nine-term closed form. For
-    i - j >= 3 the supports are apart, and integrating that form by parts
-    twice on each side gives the Peano form, whose kernel has one sign:
+    The band i - j in {-1, 0, 1, 2} takes the closed form element pair by
+    element pair: over element e of hat i and f of hat j, the product of
+    their slopes times the double difference of t_+^p across the pair,
+
+        sum_{e, f} phi_i'|_e phi_j'|_f  Delta_e Delta_f (z - y)_+^p,
+
+    whose inner difference over f is _power_drop, free of cancellation when
+    f is narrow. For i - j >= 3 the supports are apart, and integrating the
+    closed form by parts twice on each side gives the Peano form, whose
+    kernel has one sign:
 
         -B/Gamma^2 * p(p-1)(p-2)(p-3) int int phi_i(z) phi_j(y) (z-y)^(p-4),
 
     p = 3 - 2s, summed from element-pair moments as A[i, j] = M_RR[i, j] +
     M_RL[i, j+1] + M_LR[i+1, j] + M_LL[i+1, j+1]. A[i, j] = 0 for j >= i + 2.
     """
+    n = mesh.m - 1
+    return _lead_rows(mesh.nodes, alpha, np.zeros((n, n)))
+
+
+def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, r0: int = 0) -> np.ndarray:
+    """Writes rows r0 <= i < r0 + len(out) of the leading block on the nodes
+    x, columns 0..x.size - 3 (every hat of x), into ``out``, which holds
+    zeros, and returns it. An entry takes the same arithmetic whatever the
+    row range, so a block built in row ranges equals one built at once, bit
+    for bit."""
     a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
-    x, h, n = mesh.nodes, mesh.widths, mesh.m - 1
-    rise, fall = 1.0 / h[:-1], -1.0 / h[1:]
-    c = np.stack([rise, fall - rise, -fall], axis=1)  # hat i's slope jumps at x_i..x_i+2
+    h, n, r1 = np.diff(x), x.size - 2, r0 + out.shape[0]
     scale = beta_fn(2.0 - s, 2.0 - s) / gamma_fn(2.0 - s) ** 2
-    out = np.zeros((n, n))
-    three = np.arange(3)
     for off in (-1, 0, 1, 2):
-        i = np.arange(max(off, 0), n + min(off, 0))
-        gaps = x[i[:, None, None] + three[:, None]] - x[i[:, None, None] - off + three]
-        terms = np.maximum(gaps, 0.0) ** p
-        out[i, i - off] = -scale * np.einsum("tl,tk,tlk->t", c[i], c[i - off], terms)
+        i = np.arange(max(off, r0), min(r1, n + min(off, 0)))
+        # pairs (e, f) = (0, 0), (0, 1), (1, 0), (1, 1) of the elements of
+        # hats i and j = i - off; hat i rises on element i, falls on i + 1
+        e, f = i[:, None] + (0, 0, 1, 1), i[:, None] - off + (0, 1, 0, 1)
+        hf = h[f]
+        drop = _power_drop(x[e] - x[f], hf, p) - _power_drop(x[e + 1] - x[f], hf, p)
+        drop /= h[e] * hf
+        out[i - r0, i - off] = -scale * (drop[:, 0] - drop[:, 1] - drop[:, 2] + drop[:, 3])
     scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
-    block = max(1, _FAR_PAIRS // mesh.m)
-    for a0 in range(3, mesh.m, block):
-        rows = np.arange(a0, min(a0 + block, mesh.m))
+    m = n + 1
+    block = max(1, _FAR_PAIRS // m)
+    for a0 in range(max(3, r0), min(r1 + 1, m), block):
+        rows = np.arange(a0, min(a0 + block, r1 + 1, m))
         cols = np.arange(rows[-1] - 1)
         gap = x[rows, None] - x[None, cols + 1]
         gap[gap <= 0.0] = np.inf  # touching or overlapping pairs: no far field
@@ -178,8 +230,23 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
         ).reshape(2, 2, rows.size, cols.size)
         rising = scale * (mom[1, 1, :, :-1] + mom[1, 0, :, 1:])  # hat a on element a
         falling = scale * (mom[0, 1, :, :-1] + mom[0, 0, :, 1:])  # hat a - 1
-        out[a0 : rows[-1] + 1, : cols.size - 1] += np.tril(rising, a0 - 3)[: n - a0]
-        out[a0 - 1 : rows[-1], : cols.size - 1] += np.tril(falling, a0 - 4)
+        # element a feeds rows a and a - 1; keep those in r0..r1 - 1
+        skip = int(a0 == r0)
+        out[a0 - r0 : rows[-1] + 1 - r0, : cols.size - 1] += np.tril(rising, a0 - 3)[: r1 - a0]
+        out[a0 - 1 - r0 + skip : rows[-1] - r0, : cols.size - 1] += np.tril(falling, a0 - 4)[skip:]
+    return out
+
+
+def _grown_table(table: np.ndarray | None, delta: float, alpha, n: int) -> np.ndarray:
+    """Rows 0..n-1 of the leading block on the unscaled graded nodes
+    y_j = j^delta, with n + 1 columns so that row n - 1 keeps its
+    superdiagonal entry. The rows of ``table`` are copied and only the new
+    ones computed, so the table does not depend on how it was grown."""
+    done = 0 if table is None else table.shape[0]
+    out = np.zeros((n, n + 1))
+    if done:
+        out[:done, : done + 1] = table
+    _lead_rows(np.arange(n + 3.0) ** delta, alpha, out[done:], done)
     return out
 
 
@@ -532,7 +599,7 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
             "the standard method needs Dirichlet conditions; "
             "use the reconstruction method for the mixed problem"
         )
-    lead = Lead.of(mesh, spec.alpha)
+    lead = spec.lead(mesh)
     diag, off = mass_bands(mesh, spec.q)
     if method == "standard":
         load = load_vector(mesh, spec.f)

@@ -24,16 +24,22 @@ def build_mesh(m: int, delta: float = 1.0) -> "Mesh":
         raise ArgumentError(f"need at least two elements, got m={m}")
     if not (np.isfinite(delta) and delta >= 1.0):
         raise ArgumentError(f"grading exponent must be a finite number >= 1, got {delta}")
+    return Mesh(_graded_nodes(m, delta), delta)
+
+
+def _graded_nodes(m: int, delta: float) -> np.ndarray:
+    """Nodes (j/m)^delta, j = 0..m, and exactly j/m when delta = 1."""
     base = np.arange(m + 1, dtype=float) / m
-    nodes = base if delta == 1.0 else base**delta
-    return Mesh(nodes)
+    return base if delta == 1.0 else base**delta
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition 0 = x_0 < x_1 < ... < x_m = 1."""
+    """Partition 0 = x_0 < x_1 < ... < x_m = 1. ``delta`` records the grading
+    exponent of build_mesh's nodes (j/m)^delta; None for any other nodes."""
 
     nodes: np.ndarray
+    delta: float | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -43,6 +49,10 @@ class Mesh:
             raise ArgumentError("mesh must span exactly [0, 1]")
         if not np.all(np.diff(nodes) > 0.0):
             raise ArgumentError("mesh nodes must be strictly increasing")
+        if self.delta is not None and not np.array_equal(
+            nodes, _graded_nodes(nodes.size - 1, self.delta)
+        ):
+            raise ArgumentError(f"mesh nodes are not (j/m)^delta for delta={self.delta}")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 

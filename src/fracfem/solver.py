@@ -168,7 +168,7 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
         res = float(np.abs(gap).max()) / scale if scale else 0.0
         if res <= RESIDUAL_TOL:
             return coeffs, res
-        if iterations >= _GMRES_MAX_INNER:
+        if iterations >= _GMRES_MAX_INNER or not math.isfinite(res):
             raise IterativeFailure("GMRES did not converge", iterations, res)
 
 
@@ -185,7 +185,7 @@ def solve_standard(system: AssembledSystem) -> StandardSolution:
 
     Raises SingularSystemError(row, value) for a zero or non-finite scaled
     diagonal and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
-    iterations.
+    iterations or at the first sweep whose backward error is not finite.
     """
     if system.pair is not None:
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")

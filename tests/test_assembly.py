@@ -107,12 +107,18 @@ def test_uniform_lead_is_toeplitz_with_zero_upper_band():
     assert np.max(np.abs(np.triu(A, k=2))) == 0.0
 
 
+def _system_lead(alpha, mesh):
+    """The dense leading block that assemble_system builds on ``mesh``."""
+    spec = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
+    return assemble_system(spec, mesh, "standard").lead.dense
+
+
 @pytest.mark.parametrize("alpha", [1.25, 1.75])
 def test_lead_matches_decimal_oracle_strongly_graded(alpha):
-    # delta = 5 puts the jump coefficients near 1/h_min ~ 1e9, so the nine
-    # products cancel through about 9 digits; float64 would fail here
+    # delta = 5 puts the jump coefficients near 1/h_min ~ 1e9, so summed
+    # over the nine products of slope jumps the closed form cancels through
+    # about 9 digits
     mesh = build_mesh(64, delta=5.0)
-    A = assemble_lead(mesh, alpha)
     n = mesh.m - 1
     rng = np.random.default_rng(11)
     scatter = [tuple(sorted(rng.integers(0, n, 2), reverse=True)) for _ in range(30)]
@@ -123,10 +129,12 @@ def test_lead_matches_decimal_oracle_strongly_graded(alpha):
         | set(scatter)
     )
     assert len(entries) >= 200
-    row_max = np.max(np.abs(A), axis=1)
-    for i, j in entries:
-        exact = stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1)
-        assert abs(A[i, j] - exact) <= 1e-8 * row_max[i], (i, j)
+    exact = {(i, j): stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1) for i, j in entries}
+    # the direct block, and the scaled table block that assemble_system takes
+    for A in (assemble_lead(mesh, alpha), _system_lead(alpha, mesh)):
+        row_max = np.max(np.abs(A), axis=1)
+        for i, j in entries:
+            assert abs(A[i, j] - exact[i, j]) <= 1e-8 * row_max[i], (i, j)
 
 
 def test_lead_row_blocks_do_not_change_entries(monkeypatch):
@@ -140,12 +148,95 @@ def test_lead_row_blocks_do_not_change_entries(monkeypatch):
         assert np.array_equal(assemble_lead(mesh, 1.25), whole)
 
 
+def _grown(alpha, delta, levels):
+    """The lead table of a fresh spec after it was asked for build_mesh(2^k,
+    delta) at each k of ``levels`` in turn."""
+    spec = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
+    for k in levels:
+        spec.lead(build_mesh(2**k, delta))
+    return spec._lead_tables[delta]
+
+
+def test_lead_table_does_not_depend_on_how_it_was_grown(monkeypatch):
+    # grown level by level as a study asks (7 -> 15 -> ... -> 511 rows),
+    # built at 511 at once, and asked at 511 and then at 63
+    reference = _grown(1.25, 5.0, [9])
+    assert reference.shape == (511, 512)
+    assert np.max(np.abs(np.triu(reference, k=2))) == 0.0
+    for rows in (None, 1, 7):
+        if rows is not None:  # far-field blocks of 1 and 7 element rows at 511
+            monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * 513)
+        for levels in (range(3, 10), [9], [9, 6]):
+            assert np.array_equal(_grown(1.25, 5.0, levels), reference), (rows, list(levels))
+
+
+def test_lead_table_is_kept_on_the_spec():
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    twin = ProblemSpec(alpha=1.25, q=spec.q, f=spec.f)
+    key = hash(spec)
+    fine = assemble_system(spec, build_mesh(32, 5.0), "standard")
+    table = spec._lead_tables[5.0]
+    assert table.shape == (31, 32)
+    # a coarser level takes a scaled block of the same table
+    coarse = assemble_system(spec, build_mesh(16, 5.0), "standard")
+    assert spec._lead_tables[5.0] is table
+    assert np.array_equal(coarse.lead.dense, 16.0 ** (5.0 * 0.25) * table[:15, :15])
+    assert np.array_equal(fine.lead.dense, 32.0 ** (5.0 * 0.25) * table[:31, :31])
+    # one table per grading exponent; none for uniform or raw-node meshes
+    spec.lead(build_mesh(8, 2.0))
+    spec.lead(build_mesh(64))
+    spec.lead(Mesh(build_mesh(64, 3.0).nodes))
+    assert sorted(spec._lead_tables) == [2.0, 5.0]
+    # the table is not a field: equality and hashing ignore it
+    assert "_lead_tables" in vars(spec) and "_lead_tables" not in vars(twin)
+    assert spec == twin and hash(spec) == key == hash(twin)
+    # another spec, or one derived with replace(), builds its own table
+    for other in (twin, dataclasses.replace(spec)):
+        other.lead(build_mesh(32, 5.0))
+        assert other._lead_tables[5.0] is not table
+        assert np.array_equal(other._lead_tables[5.0], table)
+    moved = dataclasses.replace(spec, alpha=1.75)
+    moved.lead(build_mesh(32, 5.0))
+    assert np.array_equal(moved._lead_tables[5.0], _grown(1.75, 5.0, [5]))
+    assert not np.array_equal(moved._lead_tables[5.0], table)
+
+
+@given(
+    st.floats(min_value=1.001, max_value=1.999),
+    st.floats(min_value=1.1, max_value=6.0),
+    st.integers(min_value=4, max_value=96),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaled_table_block_matches_direct_lead(alpha, delta, m):
+    # the table is first grown past m, so the block is a leading slice of it
+    spec = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
+    spec.lead(build_mesh(2 * m, delta))
+    mesh = build_mesh(m, delta)
+    direct = assemble_lead(mesh, alpha)
+    scaled = spec.lead(mesh).dense
+    row_max = np.max(np.abs(direct), axis=1)
+    assert np.all(np.abs(scaled - direct) <= 1e-12 * row_max[:, None])
+
+
+def test_steep_gradings_take_the_direct_block():
+    # nodes j^delta past 2^256 would leave the normal floats in the table
+    spec = ProblemSpec(alpha=1.3, q=zero_field(), f=source_bump())
+    for m, delta in ((64, 40.0), (64, 44.0), (256, 33.0)):
+        mesh = build_mesh(m, delta)
+        lead, direct = spec.lead(mesh).dense, assemble_lead(mesh, 1.3)
+        if delta * np.log2(m + 1.0) > 256.0:
+            assert np.array_equal(lead, direct), (m, delta)
+        else:
+            row_max = np.max(np.abs(direct), axis=1)
+            assert np.all(np.abs(lead - direct) <= 1e-12 * row_max[:, None])
+    assert sorted(spec._lead_tables) == [40.0]
+
+
 @pytest.mark.parametrize("alpha", [1.25, 1.75])
 def test_lead_matches_decimal_oracle_at_m512(alpha):
     # at m = 512, delta = 5 the nine-term form cancels through ~30 digits in
     # column 0; the far field must come from the Peano form to hold 1e-10
     mesh = build_mesh(512, delta=5.0)
-    A = assemble_lead(mesh, alpha)
     n = mesh.m - 1
     rng = np.random.default_rng(17)
     scatter = [tuple(sorted(rng.integers(0, n, 2), reverse=True)) for _ in range(60)]
@@ -155,10 +246,11 @@ def test_lead_matches_decimal_oracle_at_m512(alpha):
         | {(i, i - 3) for i in range(3, n, 7)}
         | set(scatter)
     )
-    row_max = np.max(np.abs(A), axis=1)
-    for i, j in entries:
-        exact = stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1)
-        assert abs(A[i, j] - exact) <= 1e-10 * row_max[i], (i, j)
+    exact = {(i, j): stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1) for i, j in entries}
+    for A in (assemble_lead(mesh, alpha), _system_lead(alpha, mesh)):
+        row_max = np.max(np.abs(A), axis=1)
+        for i, j in entries:
+            assert abs(A[i, j] - exact[i, j]) <= 1e-10 * row_max[i], (i, j)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +270,36 @@ def test_lead_far_field_on_irregular_meshes(nodes):
     for i, j in zip(*np.tril_indices(mesh.m - 1, -3)):
         exact = stiffness_entry_decimal(mesh.nodes, 1.3, i + 1, j + 1)
         assert abs(A[i, j] - exact) <= 1e-12 * row_max[i], (i, j)
+
+
+_ALTERNATING = np.tile([1e-6, 1.0], 15)
+
+
+@pytest.mark.parametrize(
+    "nodes, bound",
+    [
+        (build_mesh(96, 6.0).nodes, 1e-13),
+        (build_mesh(16, 64.0).nodes, 1e-11),
+        (np.r_[0.0, np.sort(np.random.default_rng(5).random(23)), 1.0], 1e-13),
+        (np.r_[0.0, 1e-9, 2e-9, 3e-9, np.linspace(0.1, 1.0, 12)], 1e-13),
+        (np.r_[np.cumsum(np.r_[0.0, _ALTERNATING])[:-1] / _ALTERNATING.sum(), 1.0], 1e-8),
+    ],
+    ids=["graded-6", "graded-64", "random", "tiny-elements", "alternating-1e-6"],
+)
+def test_lead_near_band_where_neighbour_widths_differ(nodes, bound):
+    # summed over the hats' slope jumps, the closed form cancels by about the
+    # ratio of neighbouring widths (up to 2^64 here); element pair by element
+    # pair, with the narrow element's difference taken by expm1 and log1p, it
+    # does not
+    mesh = Mesh(nodes)
+    A = assemble_lead(mesh, 1.05)
+    assert np.all(np.isfinite(A))
+    n = mesh.m - 1
+    row_max = np.max(np.abs(A), axis=1)
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 2)):
+            exact = stiffness_entry_decimal(mesh.nodes, 1.05, i + 1, j + 1)
+            assert abs(A[i, j] - exact) <= bound * row_max[i], (i, j)
 
 
 @pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])

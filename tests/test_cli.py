@@ -24,9 +24,10 @@ from fracfem.mesh import build_mesh
 # potential scale that drives 1 + (I^1.5 q u_s)(1) through zero
 DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 
-# SHA-256 of the CSV of the chi(0,0.5) reconstruction study in
-# test_csv_bytes_do_not_depend_on_the_blas_thread_count
+# SHA-256 of the CSVs of the chi(0,0.5) reconstruction study and the graded
+# standard study in test_csv_bytes_do_not_depend_on_the_blas_thread_count
 CHI_RECON_SHA256 = "faca98ffe6ab9c323b85e36f0b5e919960977be33970c2ef8947c11434c844b1"
+GRADED_STANDARD_SHA256 = "fdc5032d644e165b30ff962689c19f1c605c6b9d20d72df0a7b67ab670b8bf31"
 
 
 def _tiny(**overrides):
@@ -393,17 +394,23 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
     # its splitting constant and a GMRES cycle of several iterations per
     # solve. Its digest was taken when scipy still supplied the tridiagonal
     # eigensolver and the triangular solve; with reference m = 512 (not 256)
-    # the bytes move if either is swapped for np.linalg.eig or np.linalg.solve
+    # the bytes move if either is swapped for np.linalg.eig or np.linalg.solve.
+    # The third is a graded standard study up to m = 512, whose dense leads
+    # are scaled blocks of one table per cell.
     studies = [
-        ["--alpha", "1.25,1.75", "--example", "b", "--q", "x_times_1mx", "--method", "recon",
-         "--levels", "6:8", "--reference-m", "2048"],
-        ["--alpha", "1.3,1.7", "--example", "b", "--q", "custom", "--q-expr", "chi(0,0.5)",
-         "--q-hint", "0", "--method", "recon", "--levels", "3:5", "--reference-m", "512"],
+        (["--alpha", "1.25,1.75", "--example", "b", "--q", "x_times_1mx", "--method", "recon",
+          "--levels", "6:8", "--reference-m", "2048"], None),
+        (["--alpha", "1.3,1.7", "--example", "b", "--q", "custom", "--q-expr", "chi(0,0.5)",
+          "--q-hint", "0", "--method", "recon", "--levels", "3:5", "--reference-m", "512"],
+         CHI_RECON_SHA256),
+        (["--alpha", "1.25,1.75", "--example", "a", "--q", "zero", "--method", "standard",
+          "--graded", "5", "--levels", "3:9"], GRADED_STANDARD_SHA256),
     ]
-    for args in studies:
+    for args, digest in studies:
         outputs = [_cli_stdout(args, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
-    assert hashlib.sha256(outputs[0].encode()).hexdigest() == CHI_RECON_SHA256
+        if digest is not None:
+            assert hashlib.sha256(outputs[0].encode()).hexdigest() == digest, args
 
 
 def test_cached_stencil_band_leaves_no_trace_in_the_csv(capsys):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfem.assembly import Lead, assemble_lead
+from fracfem.assembly import Lead, ProblemSpec, assemble_lead, assemble_system
 from fracfem.errors import ArgumentError, DomainError
+from fracfem.fields import source_bump, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 
 from .oracles import (
@@ -43,6 +44,28 @@ def test_uniformity_follows_the_nodes():
     lead = Lead.of(mesh, 1.5)
     assert lead.stencil is None
     assert np.array_equal(lead.dense, assemble_lead(mesh, 1.5))
+    # build_mesh's graded nodes passed in directly carry no grading record,
+    # so a system on them takes the direct block, not a scaled table block
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    for delta in (2.0, 5.0):
+        raw = Mesh(build_mesh(64, delta).nodes)
+        assert raw.delta is None and not raw.is_uniform
+        system = assemble_system(spec, raw, "standard")
+        assert np.array_equal(system.lead.dense, assemble_lead(raw, 1.25))
+    assert "_lead_tables" not in vars(spec)
+
+
+def test_build_mesh_records_its_grading():
+    assert build_mesh(8).delta == 1.0 and build_mesh(16, 2.5).delta == 2.5
+    nodes = build_mesh(16, 2.5).nodes
+    assert Mesh(nodes).delta is None
+    assert np.array_equal(Mesh(nodes, 2.5).nodes, nodes)
+    # a recorded exponent must give the nodes exactly as (j/m)^delta
+    nudged = nodes.copy()
+    nudged[3] = np.nextafter(nudged[3], 1.0)
+    for args in ((nodes, 2.0), (nudged, 2.5), (np.arange(17) / 16.0, 2.5), (nodes, np.nan)):
+        with pytest.raises(ArgumentError, match="delta"):
+            Mesh(*args)
 
 
 def test_uniformity_is_kept_and_the_nodes_cannot_change_it():
@@ -62,6 +85,9 @@ def test_build_mesh_validation():
         Mesh(np.array([0.0, 0.2, 0.9]))
     with pytest.raises(ArgumentError):
         Mesh(np.array([0.0, 0.6, 0.4, 1.0]))
+    # at m = 256, delta = 160 the first nodes underflow to 0
+    with pytest.raises(ArgumentError, match="increasing"):
+        build_mesh(256, 160.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=40))

@@ -301,6 +301,25 @@ def test_non_finite_diagonal_is_reported_singular():
     assert (info.value.row, info.value.value) == (2, np.inf)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "m, delta, error",
+    [(64, 160.0, SingularSystemError), (64, 100.0, SingularSystemError), (256, 64.0, IterativeFailure)],
+)
+def test_extreme_gradings_end_in_a_typed_error(m, delta, error):
+    # at m = 64 the first widths, below 1e-154, square to zero in the lead's
+    # near band, and the diagonal check names the row before anything divides;
+    # at m = 256, delta = 64 the far field overflows, and GMRES stops at the
+    # first sweep whose backward error is not finite
+    spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+    with pytest.raises(error) as info:
+        solve_standard(assemble_system(spec, build_mesh(m, delta), "standard"))
+    if error is IterativeFailure:
+        assert info.value.iterations <= 200 and np.isnan(info.value.residual)
+    else:
+        assert info.value.row == 0
+
+
 @pytest.mark.parametrize("delta", [1.0, 2.0], ids=["uniform", "graded"])
 def test_system_matvec_matches_full_matrix(delta):
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
