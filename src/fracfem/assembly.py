@@ -472,14 +472,13 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         q_us = q_ps.multiply_zero_anchored(u_s)
         q_us_at_one = float(rl_integral_powersum_at(a, q_us, 1.0))
     else:
-        # one u_s term at a time: q t^e is smooth between q's anchors once
-        # t^(q_lead + e) is taken out, which q u_s as a whole is not
+        # one u_s term t^e at a time: t^(q_lead + e) times q's smooth part,
+        # which is smooth between q's anchors; q u_s as a whole is not
         anchors = _anchors(spec.q)
+        q_smooth = (lambda x: q_fn(x) / x**q_lead) if q_lead else q_fn
         q_us_at_one = sum(
             t.coeff
-            * weighted_endpoint_integral(
-                lambda x, e=t.exponent: q_fn(x) * x**e, a, q_lead + t.exponent, anchors
-            )
+            * weighted_endpoint_integral(q_smooth, a, q_lead + t.exponent, anchors, factored=True)
             for t in u_s.terms
         )
     denom = 1.0 + q_us_at_one
@@ -548,6 +547,14 @@ class Lead:
         if self.stencil is not None:
             return np.full((self.stencil.size + 1) // 2, self.stencil[self.stencil.size // 2])
         return self.dense.diagonal().copy()
+
+    def to_array(self) -> np.ndarray:
+        """The block as an n x n array, copying nothing: the dense block
+        itself, or a read-only view whose rows are windows of the stencil."""
+        if self.stencil is not None:
+            n = (self.stencil.size + 1) // 2
+            return np.lib.stride_tricks.sliding_window_view(self.stencil, n)[::-1]
+        return self.dense
 
     def row(self, i: int) -> np.ndarray:
         """A fresh copy of row ``i``."""

@@ -282,7 +282,12 @@ def _adaptive(g, a_exp, b_exp, lo, hi, depth=0, whole=None, root=None):
 
 
 def weighted_endpoint_integral(
-    g: Callable, alpha, left_exponent: float = 0.0, breaks: Iterable[float] = ()
+    g: Callable,
+    alpha,
+    left_exponent: float = 0.0,
+    breaks: Iterable[float] = (),
+    *,
+    factored: bool = False,
 ) -> float:
     """Evaluate (I_0^alpha g)(1) = (1/Gamma(alpha)) int_0^1 (1-t)^(alpha-1) g(t) dt.
 
@@ -290,12 +295,14 @@ def weighted_endpoint_integral(
     the ``breaks`` in (0, 1): points where g jumps or kinks, since bisection
     from [0, 1] reaches a non-dyadic one only past its depth cap. With a
     nonzero ``left_exponent`` b, g is taken to behave like t^b near 0, and
-    the Jacobi weights see its smooth part g(t) / t^b. ``alpha`` lies in (1, 2).
+    the Jacobi weights see its smooth part g(t) / t^b; with ``factored``, g
+    is that smooth part itself and the integrand is t^b g(t), so no panel
+    divides by t^b to multiply it back. ``alpha`` lies in (1, 2).
     """
     a = frac_order(alpha)
     if left_exponent <= -1.0:
         raise DomainError(f"left weight exponent must exceed -1, got {left_exponent}")
-    smooth = (lambda t: g(t) / t**left_exponent) if left_exponent != 0.0 else g
+    smooth = g if factored or left_exponent == 0.0 else (lambda t: g(t) / t**left_exponent)
     edges = [0.0, *sorted({float(x) for x in breaks if 0.0 < x < 1.0}), 1.0]
     pieces = zip(edges, edges[1:])
     value = sum(_adaptive(smooth, a - 1.0, left_exponent, lo, hi) for lo, hi in pieces)

@@ -1,9 +1,12 @@
 """Solution of the assembled systems.
 
 Every system, on any mesh, uniform or graded, takes restarted GMRES (Saad &
-Schultz, 1986) on the lead's matvec, right-preconditioned by a diagonally
-scaled Strang circulant applied by FFT; the kernel needs only numpy and BLAS.
-No dense matrix is formed and nothing is factorised.
+Schultz, 1986), right-preconditioned by a diagonally scaled Strang circulant
+embedded at a power-of-two length; the kernel needs only numpy and BLAS.
+Nothing is factorised. Up to _DENSE_N unknowns the system matrix and the
+preconditioner are formed once per solve as dense arrays and each applied by
+one gemv, cheaper there than numpy's FFT calls; above it the system is applied
+matrix-free by system_matvec and the preconditioner by FFT.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ _GMRES_MAX_INNER = 2000
 # one GMRES sweep: 2-norm target relative to its residual, bounded inner budget
 _GMRES_SWEEP_RTOL = 1e-12
 _GMRES_SWEEP_INNER = 200
+# largest n solved on dense arrays: measured against the FFT path, a dense
+# solve takes about 0.6-0.75 of its time at n = 127, and 1.0-1.4 at n = 255
+_DENSE_N = 127
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,19 @@ def _norm_inf_estimate(system: AssembledSystem) -> float:
 
 
 def _strang_preconditioner(system: AssembledSystem):
-    """Inverse of A ~ D^(1/2) C D^(1/2), applied by FFT.
+    """Inverse of A ~ D^(1/2) C D^(1/2), as a callable on vectors.
 
     D is |diag(A)| without the rank-one coupling, and C is the Strang
-    circulant of the middle row of D^(-1/2) A D^(-1/2), mass bands included.
-    The scaling follows local refinement on graded meshes; on uniform ones D
-    is nearly constant and C is the Strang circulant of the stencil. A zero
-    or non-finite entry of D raises SingularSystemError before the division.
+    circulant of the middle row of D^(-1/2) A D^(-1/2), mass bands included,
+    embedded at N, the power of two >= n + 1: its first column takes the
+    row's offsets, all within N/2, and zeros elsewhere, and C^(-1) acts on
+    vectors zero-padded to N, of which the first n entries are kept. Up to
+    _DENSE_N unknowns D^(-1/2) C^(-1)[:n, :n] D^(-1/2) is formed once and
+    applied by one gemv; above it each application is one rfft/irfft pair of
+    length N. The scaling follows local refinement on graded meshes; on
+    uniform ones D is nearly constant and C is the Strang circulant of the
+    stencil. A zero or non-finite entry of D raises SingularSystemError
+    before the division.
     """
     n, k = system.n, system.n // 2
     diag = np.abs(system.lead.diagonal() + system.mass_diag)
@@ -102,12 +114,36 @@ def _strang_preconditioner(system: AssembledSystem):
     row[k - 1 : k] += system.mass_off[k - 1 : k]  # a missing neighbour: empty slices
     row[k + 1 : k + 2] += system.mass_off[k : k + 1]
     row *= scale[k] * scale
-    # first column of the circulant that takes this row's offsets |j - k| <= n/2
-    eig = np.fft.rfft(row[(k - np.arange(n)) % n])
-    return lambda r: scale * np.fft.irfft(np.fft.rfft(scale * r) / eig, n)
+    size = 1 << n.bit_length()
+    column = np.zeros(size)
+    column[(k - np.arange(n)) % size] = row
+    eig = np.fft.rfft(column)
+    if n > _DENSE_N:
+        return lambda r: scale * np.fft.irfft(np.fft.rfft(scale * r, size) / eig, size)[:n]
+    # C^(-1)[i, j] = inverse[(i - j) % size]: rows of a Toeplitz block are windows
+    inverse = np.fft.irfft(1.0 / eig, size)[np.arange(n - 1, -n, -1) % size]
+    block = np.lib.stride_tricks.sliding_window_view(inverse, n)[::-1] * scale
+    block *= scale[:, None]
+    return block.dot
 
 
-def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float, steps: int):
+def _system_operator(system: AssembledSystem):
+    """x -> A x: up to _DENSE_N unknowns one gemv on the dense system matrix,
+    lead, mass bands and r s^T fused once; above it system_matvec."""
+    n = system.n
+    if n > _DENSE_N:
+        return lambda x: system_matvec(system, x)
+    # one n x n allocation: r s^T by a rank-one product, then the lead added in
+    a = np.zeros((n, n)) if system.r_vec is None else np.dot(system.r_vec[:, None], system.s_vec[None, :])
+    a += system.lead.to_array()
+    flat = a.reshape(-1)  # a view: the three bands are strided slices
+    flat[:: n + 1] += system.mass_diag
+    flat[1 :: n + 1] += system.mass_off
+    flat[n :: n + 1] += system.mass_off
+    return a.dot
+
+
+def _gmres_cycle(matvec, precond, r: np.ndarray, target: float, steps: int):
     """At most ``steps`` iterations of right-preconditioned GMRES for A x = r
     from x = 0, stopping once Givens rotations put the residual 2-norm at or
     below ``target``. Returns x, the iteration count and that residual."""
@@ -118,7 +154,7 @@ def _gmres_cycle(system: AssembledSystem, precond, r: np.ndarray, target: float,
     np.divide(r, beta, out=basis[0])
     rhs, rotations = [beta], []
     for j in range(steps):
-        w = system_matvec(system, precond(basis[j]))
+        w = matvec(precond(basis[j]))
         done = basis[: j + 1]
         h = done @ w  # classical Gram-Schmidt, applied twice
         w -= h @ done
@@ -152,6 +188,7 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
     gives the backward error |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf).
     """
     precond = _strang_preconditioner(system)
+    matvec = _system_operator(system)
     norm_a = _norm_inf_estimate(system)
     norm_b = float(np.abs(system.load).max(initial=0.0))
     coeffs, gap, iterations = np.zeros(system.n), system.load, 0
@@ -159,9 +196,9 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
         target = _GMRES_SWEEP_RTOL * math.sqrt(float(gap @ gap))
         budget = min(_GMRES_SWEEP_INNER, _GMRES_MAX_INNER - iterations)
         while budget > 0:
-            step, k, est = _gmres_cycle(system, precond, gap, target, min(_GMRES_RESTART, budget))
+            step, k, est = _gmres_cycle(matvec, precond, gap, target, min(_GMRES_RESTART, budget))
             coeffs, iterations, budget = coeffs + step, iterations + k, budget - k
-            gap = system.load - system_matvec(system, coeffs)
+            gap = system.load - matvec(coeffs)
             if est <= target:
                 break
         scale = norm_a * float(np.abs(coeffs).max(initial=0.0)) + norm_b

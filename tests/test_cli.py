@@ -26,8 +26,8 @@ DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 
 # SHA-256 of the CSVs of the chi(0,0.5) reconstruction study and the graded
 # standard study in test_csv_bytes_do_not_depend_on_the_blas_thread_count
-CHI_RECON_SHA256 = "faca98ffe6ab9c323b85e36f0b5e919960977be33970c2ef8947c11434c844b1"
-GRADED_STANDARD_SHA256 = "fdc5032d644e165b30ff962689c19f1c605c6b9d20d72df0a7b67ab670b8bf31"
+CHI_RECON_SHA256 = "a7f086d4fb253a92b369c7e3fc28c8c4b38e2215164564dc860ccf43b9f54d57"
+GRADED_STANDARD_SHA256 = "854504a2a5933887e2b25fc8b7549743cc511e2dddd195bfff1d36461db0b62c"
 
 
 def _tiny(**overrides):

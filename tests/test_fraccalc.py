@@ -353,6 +353,19 @@ def test_gauss_jacobi_cache_is_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
+@pytest.mark.parametrize("b", [-0.5, 0.6, 2.0])
+def test_factored_integrand_matches_the_whole(b):
+    # handing over the smooth part g gives the integral of t^b g(t), with the
+    # breaks that a potential's anchors bring
+    def step(t):
+        return np.where(t <= 0.5, np.exp(t), 0.0)
+
+    for alpha in (1.3, 1.7):
+        whole = weighted_endpoint_integral(lambda t: step(t) * t**b, alpha, b, [0.5])
+        factored = weighted_endpoint_integral(step, alpha, b, [0.5], factored=True)
+        assert factored == pytest.approx(whole, rel=1e-13)
+
+
 def test_quadrature_rule_validation():
     with pytest.raises(ArgumentError):
         gauss_jacobi(0, 0.5, 0.0)

@@ -131,18 +131,89 @@ def _count_matvecs(monkeypatch):
     return calls
 
 
-def test_gmres_converges_at_large_m(monkeypatch):
-    # the circulant preconditioner holds the iteration count at the largest
-    # uniform mesh: one cycle of a few iterations, then one true residual
+@pytest.mark.parametrize("m", [1000, 3000, 8192, 65536])
+def test_gmres_converges_at_large_m(monkeypatch, m):
+    # the circulant preconditioner holds the iteration count up to the largest
+    # uniform mesh, n + 1 a power of two or not: one cycle of a few
+    # iterations, then one true residual
     spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
     calls = _count_matvecs(monkeypatch)
-    sol = solve_reconstruction(spec, build_mesh(65536))
+    sol = solve_reconstruction(spec, build_mesh(m))
     assert sol.residual <= RESIDUAL_TOL
     assert len(calls) <= 10
 
 
+def _count_operator(monkeypatch):
+    # matvecs of either path: each call of the operator _gmres_solve builds
+    calls = []
+    operator = solver_mod._system_operator
+
+    def counted(system):
+        matvec = operator(system)
+
+        def apply(x):
+            calls.append(x.size)
+            return matvec(x)
+
+        return apply
+
+    monkeypatch.setattr(solver_mod, "_system_operator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("case", ["chi_recon", "graded_standard", "mixed_recon"])
+def test_dense_and_fft_paths_agree(monkeypatch, case, m):
+    # one preconditioner, applied by gemv on dense arrays or by FFT: the same
+    # system takes as many matvecs (to one) and gives the same coefficients
+    spec, mesh, method = {
+        "chi_recon": (ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)", 0.0), f=source_bump()),
+                      build_mesh(m), "reconstruction"),
+        "graded_standard": (ProblemSpec(alpha=1.25, q=source_bump(), f=source_bump()),
+                            build_mesh(m, 5.0), "standard"),
+        "mixed_recon": (ProblemSpec(alpha=1.75, q=parse_field("x * (1 - x)", 0.0),
+                                    f=source_bump(), bc="mixed"),
+                        build_mesh(m), "reconstruction"),
+    }[case]
+    system = assemble_system(spec, mesh, method)
+    expect = np.linalg.solve(full_matrix(system), system.load)
+    scale = float(np.max(np.abs(expect)))
+    calls = _count_operator(monkeypatch)
+    counts = []
+    for dense_n in (system.n, system.n - 1):  # the dense path, then the FFT path
+        monkeypatch.setattr(solver_mod, "_DENSE_N", dense_n)
+        calls.clear()
+        coeffs, res = solver_mod._gmres_solve(system)
+        assert res <= RESIDUAL_TOL
+        assert np.max(np.abs(coeffs - expect)) <= 1e-9 * scale
+        counts.append(len(calls))
+    assert abs(counts[0] - counts[1]) <= 1, counts
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0], ids=["uniform", "graded"])
+def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
+    # D^(-1/2) C^(-1)[:n, :n] D^(-1/2), with C the circulant of length N, the
+    # power of two >= n + 1, whose first column takes the middle row of
+    # D^(-1/2) A D^(-1/2), mass bands included; both ways of applying it
+    spec = ProblemSpec(alpha=1.5, q=parse_field("4 + x", 0.0), f=source_bump())
+    system = assemble_system(spec, build_mesh(48, delta), "standard")
+    full = full_matrix(system)
+    n, k = system.n, system.n // 2
+    scale = 1.0 / np.sqrt(np.abs(np.diag(full)))
+    size = 64
+    column = np.zeros(size)
+    column[(k - np.arange(n)) % size] = full[k] * scale[k] * scale
+    circulant = column[(np.arange(size)[:, None] - np.arange(size)) % size]
+    expect = scale[:, None] * np.linalg.inv(circulant)[:n, :n] * scale
+    for dense_n in (n, n - 1):
+        monkeypatch.setattr(solver_mod, "_DENSE_N", dense_n)
+        precond = solver_mod._strang_preconditioner(system)
+        got = np.column_stack([precond(e) for e in np.eye(n)])
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+
+
 def test_one_true_residual_per_cycle(monkeypatch):
-    # restarts of 3 in sweeps of 3 force 8 cycles of 24 iterations in all;
+    # restarts of 3 in sweeps of 3 force 4 cycles of 12 iterations in all;
     # each iteration and each cycle's residual make one matvec apiece
     monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 3)
     monkeypatch.setattr(solver_mod, "_GMRES_SWEEP_INNER", 3)
@@ -151,7 +222,7 @@ def test_one_true_residual_per_cycle(monkeypatch):
     calls = _count_matvecs(monkeypatch)
     coeffs, res = solver_mod._gmres_solve(system)
     assert res <= RESIDUAL_TOL
-    assert len(calls) == 24 + 8
+    assert len(calls) == 12 + 4
 
 
 @pytest.mark.parametrize(
