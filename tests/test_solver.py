@@ -131,16 +131,17 @@ def _count_matvecs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("m", [1000, 3000, 8192, 65536])
-def test_gmres_converges_at_large_m(monkeypatch, m):
+def test_gmres_converges_at_large_m(monkeypatch):
     # the circulant preconditioner holds the iteration count up to the largest
     # uniform mesh, n + 1 a power of two or not: one cycle of a few
     # iterations, then one true residual
     spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
     calls = _count_matvecs(monkeypatch)
-    sol = solve_reconstruction(spec, build_mesh(m))
-    assert sol.residual <= RESIDUAL_TOL
-    assert len(calls) <= 10
+    for m in (1000, 3000, 8192, 65536):
+        calls.clear()
+        sol = solve_reconstruction(spec, build_mesh(m))
+        assert sol.residual <= RESIDUAL_TOL, m
+        assert len(calls) <= 10, (m, len(calls))
 
 
 def _count_operator(monkeypatch):
