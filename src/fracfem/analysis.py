@@ -97,8 +97,19 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
     else:
         approx_fn, exact_fn = approx, exact.u
 
-    union = np.union1d(approx.mesh.nodes, exact.mesh.nodes)
-    node_gap = exact_fn(union) - approx_fn(union)
+    fine = exact.mesh.nodes
+    at = np.searchsorted(fine, approx.mesh.nodes)
+    if np.array_equal(fine[np.minimum(at, fine.size - 1)], approx.mesh.nodes):
+        # nested meshes: the union is the fine mesh, and a fine-mesh
+        # interpolant takes its nodal values there (np.interp returns them)
+        union = fine
+        on_fine = isinstance(exact_fn, PwLinear) and exact_fn.mesh is exact.mesh
+        node_gap = (exact_fn.nodal_values if on_fine else exact_fn(fine)) - approx_fn(fine)
+        d = node_gap[1:-1]
+    else:
+        union = np.union1d(approx.mesh.nodes, fine)
+        node_gap = exact_fn(union) - approx_fn(union)
+        d = node_gap[np.searchsorted(union, fine[1:-1])]
     linf = float(np.max(np.abs(node_gap)))
     if isinstance(approx_fn, PwLinear) and isinstance(exact_fn, PwLinear):
         lo, hi = node_gap[:-1], node_gap[1:]
@@ -108,7 +119,6 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
         gap = exact_fn(x) - approx_fn(x)
         l2 = float(np.sqrt(np.sum(wq * gap * gap)))
         linf = max(float(np.max(np.abs(gap))), linf)
-    d = node_gap[np.searchsorted(union, exact.mesh.nodes[1:-1])]
     quad_form = float(np.dot(d, exact.lead.matvec(d)))
     energy = math.sqrt(max(quad_form, 0.0))
 

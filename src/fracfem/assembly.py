@@ -7,7 +7,11 @@ The leading block uses the closed form
 
 obtained by integrating pairs of one-sided power functions, with s = alpha/2.
 On uniform meshes the block is Toeplitz and is kept as its stencil; a system
-holds its block as one ``Lead`` in either format.
+holds its block as one ``Lead`` in either format. On other meshes the far
+field, hats two or more elements apart, is a one-signed Peano kernel: across
+dyadic column blocks well separated from a row element it is interpolated at
+Chebyshev points, a low-rank product, and the hats near the element take
+Gauss rules pair by pair.
 """
 
 from __future__ import annotations
@@ -45,7 +49,33 @@ _ENDPOINT_POINTS = 12
 # the tensor rule holds every element-pair moment to 1e-13 of itself for any
 # alpha in (1, 2) and width ratio, measured against a 60-point rule.
 _FAR_RULES = ((4, 0.032), (6, 0.19), (8, 0.49), (12, 1.39), (16, 2.66), (24, 6.26))
-_FAR_PAIRS = 1 << 13  # element pairs per far-field block, about 1 MiB of powers
+# (row element, column) pairs per far-field row block; each temporary of a
+# block holds at most half as many floats, 1 MiB
+_FAR_PAIRS = 1 << 18
+# Low-rank far field: a dyadic block of column hats serves a row element when
+# its span is at most _CHEB_ETA times its distance to the element, and the
+# kernel is interpolated across it at _CHEB_K Chebyshev points. With 22 points
+# at eta = 1, every far entry of build_mesh(256, delta), delta in {1.1, 2, 5,
+# 12}, and of 200 random nodes stayed within 6.5e-14 relative of the
+# _FAR_TENSORS tiers for alpha in {1.001, 1.05, 1.5, 1.95, 1.999}; 20 points
+# at eta = 1 gave 3.2e-13, 18 at eta = 0.75 1.7e-13, and none was faster.
+# Blocks have 2^_CHEB_LEVEL hats or more, and levels of up to _GATHER_SIZE
+# hats take one product for all their blocks, larger ones one per block: of
+# the levels 1-4 and sizes 8-128 tried, 8 and 32 grew the tables of a
+# delta = 5 study (m = 512, three alphas) fastest, 54 against 62 ms for 4
+# and 16.
+_CHEB_K, _CHEB_ETA, _CHEB_LEVEL, _GATHER_SIZE = 22, 1.0, 3, 32
+_CHEB_TAU = 0.5 - 0.5 * np.cos((np.arange(_CHEB_K) + 0.5) * np.pi / _CHEB_K)
+_CHEB_LAMBDA = (-1.0) ** np.arange(_CHEB_K) * np.sin((np.arange(_CHEB_K) + 0.5) * np.pi / _CHEB_K)
+# Gauss rule on a column element, exact for N_Y L_t, of degree _CHEB_K, with
+# the weights of the rising and the falling hat shape
+_HAT_POINTS = legendre_panel(_CHEB_K // 2 + 1, 0.0, 1.0)[0]
+_HAT_WEIGHTS = legendre_panel(_CHEB_K // 2 + 1, 0.0, 1.0)[1] * np.stack([_HAT_POINTS, 1.0 - _HAT_POINTS])
+_HAT_CHUNK = 64  # hats per pass of _block_factors, about 130 KiB of Lagrange values
+# alpha-free column factors by the bytes of their block's nodes, oldest dropped
+# first past _COLUMN_FACTORS_MAX blocks; the 1,006 of build_mesh(4096, 5) take 5.5 MiB
+_COLUMN_FACTORS: dict = {}
+_COLUMN_FACTORS_MAX = 4096
 # Terms of lead_stencil's moment series: each is at most 4/D^2 of the one
 # before. Offsets D >= 3 take 50, as (4/9)^50 / (1 - 4/9) < 2^-56; offsets
 # D > _BAND_D take 11, as (4/441)^11 < 2^-74, far enough below an ulp that
@@ -116,32 +146,44 @@ class ProblemSpec:
         return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
 
 
-def _graded_rule(h: float, gap: float):
-    """Gauss panels on [0, 1] for an element of width h whose end 0 lies gap from
-    the other element; each is at most the top eta limit times its distance."""
-    points, limit = _FAR_RULES[-1]
-    edges = [0.0]
-    while edges[-1] < 1.0:
-        edges.append(min(1.0, edges[-1] + limit * (gap / h + edges[-1])))
-    nodes, weights = zip(*(legendre_panel(points, lo, hi) for lo, hi in zip(edges, edges[1:])))
-    return np.concatenate(nodes), np.concatenate(weights)
+def _graded_edges(g: np.ndarray):
+    """Panel edges on [0, 1], one row per ratio g = gap / h, for an element
+    of width h whose end 0 lies gap from the other element: each panel is
+    at most the top eta limit times its distance. Rows that reach 1 early
+    repeat it; also returns each row's panel count."""
+    limit = _FAR_RULES[-1][1]
+    edges = [np.zeros_like(g)]
+    while np.any(edges[-1] < 1.0):
+        edges.append(np.minimum(1.0, edges[-1] + limit * (g + edges[-1])))
+    edges = np.stack(edges, axis=-1)
+    return edges, np.count_nonzero(edges < 1.0, axis=-1)
 
 
 def _tensor_rule(rule_a, rule_b):
-    """Nodes u, v and weights W[(q, r), (X, Y)] = w_q w_r N_X(u_q) N_Y(v_r)."""
+    """Nodes u, v and weights W[(q, r), (X, Y)] = w_q w_r N_X(u_q) N_Y(v_r);
+    with rules of one row per pair (trailing axis), W[(q, r), (X, Y), pair]."""
     (u, wu), (v, wv) = rule_a, rule_b
-    shapes = np.einsum("q,r,qx,ry->qrxy", wu, wv, np.stack([1 - u, u], 1), np.stack([v, 1 - v], 1))
-    return u, v, shapes.reshape(-1, 4)
+    a = np.moveaxis(wu * np.stack([1 - u, u]), 0, 1)[:, None, :, None]
+    b = np.moveaxis(wv * np.stack([v, 1 - v]), 0, 1)[None, :, None, :]
+    return u, v, (a * b).reshape(-1, 4, *u.shape[1:])
 
 
 def _pair_moments(gap, ha, hb, e, u, v, weights) -> np.ndarray:
     """Moments M[X, Y, k] = h_a h_b int int N_X N_Y (gap + h_a u + h_b v)^e du dv
     of element pairs k, the row element a lying gap to the right of the
     column element b. u and v in [0, 1] run from the facing ends; the shapes
-    are N_0 = 1 - u, N_1 = u on a and N_0 = v, N_1 = 1 - v on b."""
-    d = (gap + np.multiply.outer(u, ha))[:, None, :] + np.multiply.outer(v, hb)
-    m = np.einsum("kx,kp->xp", weights, np.power(d, e, out=d).reshape(-1, gap.size))
-    return (m * (ha * hb)).reshape(2, 2, gap.size)
+    are N_0 = 1 - u, N_1 = u on a and N_0 = v, N_1 = 1 - v on b. The widths
+    are folded into the power as (h_a h_b)^(1/e) (gap + ...), so a moment is
+    finite wherever it is a float, however small the gap."""
+    u, v = u.reshape(len(u), -1), v.reshape(len(v), -1)  # one column, or one per pair
+    fold = ha ** (1.0 / e) * hb ** (1.0 / e)
+    d = (gap * fold + u * (ha * fold))[:, None] + v * (hb * fold)
+    powers = np.power(d, e, out=d).reshape(-1, gap.size)
+    if weights.ndim == 2:
+        return np.einsum("kx,kp->xp", weights, powers).reshape(2, 2, gap.size)
+    # rules of their own: one product per pair, whose bits do not depend on the others
+    weights, powers = np.ascontiguousarray(weights.transpose(2, 1, 0)), np.ascontiguousarray(powers.T)
+    return (weights @ powers[..., None]).reshape(gap.size, 2, 2).transpose(1, 2, 0)
 
 
 # (eta limit, tensor rule) of each _FAR_RULES tier; they depend on no argument
@@ -150,7 +192,8 @@ _FAR_TENSORS = [(hi, _tensor_rule(*[legendre_panel(q, 0.0, 1.0)] * 2)) for q, hi
 
 def _far_moments(gap, ha, hb, e) -> np.ndarray:
     """Element-pair moments, each from the fewest Gauss points that its
-    separation ratio eta = max(h_a, h_b) / gap allows."""
+    separation ratio eta = max(h_a, h_b) / gap allows; past the top tier,
+    from graded panels, one call per pair of panel counts."""
     eta = np.maximum(ha, hb) / gap
     out = np.empty((2, 2, gap.size))
     lo = -1.0
@@ -159,11 +202,120 @@ def _far_moments(gap, ha, hb, e) -> np.ndarray:
         if k.size:
             out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *rule)
         lo = hi
-    for k in np.flatnonzero(eta > lo):
-        rule = _tensor_rule(_graded_rule(ha[k], gap[k]), _graded_rule(hb[k], gap[k]))
-        k = slice(k, k + 1)
-        out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *rule)
+    steep = np.flatnonzero(eta > lo)
+    if steep.size:
+        (ea, na), (eb, nb) = (_graded_edges(gap[steep] / h[steep]) for h in (ha, hb))
+        for pa, pb in sorted(set(zip(na.tolist(), nb.tolist()))):
+            sel = (na == pa) & (nb == pb)
+            rules = []
+            for edges in (ea[sel, : pa + 1], eb[sel, : pb + 1]):
+                rule = legendre_panel(_FAR_RULES[-1][0], edges[:, :-1, None], edges[:, 1:, None])
+                rules.append(tuple(part.reshape(len(edges), -1).T for part in rule))
+            k = steep[sel]
+            out[..., k] = _pair_moments(gap[k], ha[k], hb[k], e, *_tensor_rule(*rules))
     return out
+
+
+def _block_factors(x: np.ndarray, size: int, blocks) -> list:
+    """Column factors C[t, j] = int phi_j L_t dy / span of the hats j of the
+    column blocks ``blocks`` of ``size`` hats on the nodes x, read-only.
+    Block c carries hats c size .. (c + 1) size - 1 on the nodes from
+    x[c size] to x[(c + 1) size + 1], its span. L_t is the Lagrange basis
+    on the Chebyshev points tau_t of tau = (right end - y) / span, and each
+    element takes the Gauss rule exact for N_Y L_t, of degree _CHEB_K.
+
+    The factors depend on a block's nodes only, not on alpha: they are kept
+    in _COLUMN_FACTORS, keyed on the nodes' bytes, the oldest dropped past
+    _COLUMN_FACTORS_MAX blocks, and only the missing ones are computed."""
+    keys = [x[b * size : (b + 1) * size + 2].tobytes() for b in blocks]
+    missing = [key for key in dict.fromkeys(keys) if key not in _COLUMN_FACTORS]
+    step = max(1, _HAT_CHUNK // size)
+    for k in range(0, len(missing), step):
+        part = missing[k : k + step]
+        nodes = np.frombuffer(b"".join(part)).reshape(len(part), size + 2)
+        span = (nodes[:, -1] - nodes[:, 0])[:, None, None]
+        width = np.diff(nodes, axis=1)[..., None]  # the block's size + 1 elements
+        tau = ((nodes[:, -1:] - nodes[:, :-1])[..., None] - width * _HAT_POINTS) / span
+        inv = (tau[..., None] - _CHEB_TAU).reshape(-1, _HAT_POINTS.size, _CHEB_K)
+        np.divide(_CHEB_LAMBDA, inv, out=inv)  # barycentric form of L_t
+        weights = ((width / span)[..., None, :] * _HAT_WEIGHTS).reshape(-1, 2, _HAT_POINTS.size)
+        ends = (weights / inv.sum(axis=-1)[:, None] @ inv).reshape(len(part), size + 1, 2, _CHEB_K)
+        cols = ends[:, :-1, 0] + ends[:, 1:, 1]  # hat j rises on element j, falls on j + 1
+        for key, col in zip(part, cols.transpose(0, 2, 1)):
+            col = np.ascontiguousarray(col)
+            col.setflags(write=False)
+            _COLUMN_FACTORS[key] = col
+    cols = [_COLUMN_FACTORS[key] for key in keys]
+    for key in list(_COLUMN_FACTORS)[: max(0, len(_COLUMN_FACTORS) - _COLUMN_FACTORS_MAX)]:
+        del _COLUMN_FACTORS[key]
+    return cols
+
+
+# 1-D tier rules for the row factors: nodes u and W[X, q] = w_q N_X(u_q)
+_FAR_LIMITS = [hi for _, hi in _FAR_RULES]
+_FAR_LINES = [
+    (u, w * np.stack([1.0 - u, u])) for u, w in (legendre_panel(q, 0.0, 1.0) for q, _ in _FAR_RULES)
+]
+
+
+def _row_factors(dist, ha, span, counts, e) -> np.ndarray:
+    """Row factors R[k, X, t] = h_a span int N_X(u) (dist + h_a u + span tau_t)^e du
+    of row elements a, each lying dist to the right of a column block of
+    width span. They come in _FAR_RULES tier order, ``counts`` in each, and
+    take their tier's rule; the widths are folded into the power, as in
+    _pair_moments."""
+    out = np.empty((dist.size, 2, _CHEB_K))
+    fold = ha ** (1.0 / e) * span ** (1.0 / e)
+    dist, ha, span = dist * fold, ha * fold, span * fold
+    hi = 0
+    for (u, w), count in zip(_FAR_LINES, counts):
+        step = max(1, _FAR_PAIRS // (2 * u.size * _CHEB_K))
+        for k in range(hi, hi + count, step):
+            k = slice(k, min(k + step, hi + count))
+            d = (dist[k, None] + ha[k, None] * u)[..., None] + (span[k, None] * _CHEB_TAU)[:, None]
+            out[k] = w @ np.power(d, e, out=d)
+        hi += count
+    return out
+
+
+def _far_blocks(x: np.ndarray, rows: np.ndarray):
+    """Column blocks of the far field of row elements ``rows``: arrays a,
+    c, size, row element a taking the ``size`` = 2^level hats of block c,
+    ordered by falling size, and the (a, hat) pairs left to element-pair
+    moments.
+
+    From the block of all hats down, a row element takes a block when every
+    hat of it lies at least four hats to its left, its span is at most
+    _CHEB_ETA times its distance to the element, and h_a / distance is
+    within the _FAR_RULES tiers; otherwise it tries the two halves, and
+    below 2^_CHEB_LEVEL hats it keeps the hats one by one. Blocks are
+    aligned at 0 and never cut at the last hat, so what a row takes depends
+    on that row and the nodes only."""
+    a, c = rows, np.zeros_like(rows)
+    level = max(_CHEB_LEVEL, (x.size - 3).bit_length())
+    taken = [(rows[:0], rows[:0], rows[:0])]  # (a, c, 2^level)
+    while True:
+        size = 1 << level
+        end = (c + 1) * size  # one past the block's last hat
+        fit = end <= a - 3
+        right = x[np.where(fit, end + 1, 0)]
+        dist = x[a] - right
+        wide = right - x[c * size] > _CHEB_ETA * dist
+        ok = fit & ~wide & (x[a + 1] - x[a] <= _FAR_LIMITS[-1] * dist)
+        if ok.any():
+            taken.append((a[ok], c[ok], np.full(np.count_nonzero(ok), size)))
+        a, c = a[~ok], c[~ok]
+        if level == _CHEB_LEVEL:
+            break
+        level -= 1
+        a, c = np.repeat(a, 2), (2 * c[:, None] + (0, 1)).ravel()
+        keep = c << level <= a - 3
+        a, c = a[keep], c[keep]
+    start = c << level
+    count = np.minimum(start + (1 << level), a - 2) - start
+    first = np.repeat(np.cumsum(count) - count, count)
+    hats = np.repeat(start, count) + np.arange(count.sum()) - first
+    return *(np.concatenate(v) for v in zip(*taken)), np.repeat(a, count), hats
 
 
 def _power_drop(u: np.ndarray, h: np.ndarray, p: float) -> np.ndarray:
@@ -192,6 +344,16 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
 
     p = 3 - 2s, summed from element-pair moments as A[i, j] = M_RR[i, j] +
     M_RL[i, j+1] + M_LR[i+1, j] + M_LL[i+1, j+1]. A[i, j] = 0 for j >= i + 2.
+
+    Row element a takes its far hats in dyadic column blocks aligned at 0,
+    each as wide as _CHEB_ETA times its distance from a or less (see
+    _far_blocks): there the kernel is interpolated in y at the block's
+    _CHEB_K Chebyshev points, so a's moments against all the block's hats
+    are one product R[a] C of row factors, a's tier rule against the points,
+    and column factors, exact Gauss integrals of the Lagrange basis against
+    the hats that do not depend on alpha and are cached on the block's nodes.
+    The hats nearer to a take the element-pair moments above, by the tier of
+    their separation ratio or, past the top tier, by graded panels.
     """
     n = mesh.m - 1
     return _lead_rows(mesh.nodes, alpha, np.zeros((n, n)))
@@ -218,23 +380,100 @@ def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, r0: int = 0) -> np.ndarray
         drop /= h[e] * hf
         out[i - r0, i - off] = -scale * (drop[:, 0] - drop[:, 1] - drop[:, 2] + drop[:, 3])
     scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
-    m = n + 1
-    block = max(1, _FAR_PAIRS // m)
-    for a0 in range(max(3, r0), min(r1 + 1, m), block):
-        rows = np.arange(a0, min(a0 + block, r1 + 1, m))
-        cols = np.arange(rows[-1] - 1)
-        gap = x[rows, None] - x[None, cols + 1]
-        gap[gap <= 0.0] = np.inf  # touching or overlapping pairs: no far field
-        mom = _far_moments(
-            gap.ravel(), np.repeat(h[rows], cols.size), np.tile(h[cols], rows.size), p - 4.0
-        ).reshape(2, 2, rows.size, cols.size)
-        rising = scale * (mom[1, 1, :, :-1] + mom[1, 0, :, 1:])  # hat a on element a
-        falling = scale * (mom[0, 1, :, :-1] + mom[0, 0, :, 1:])  # hat a - 1
-        # element a feeds rows a and a - 1; keep those in r0..r1 - 1
-        skip = int(a0 == r0)
-        out[a0 - r0 : rows[-1] + 1 - r0, : cols.size - 1] += np.tril(rising, a0 - 3)[: r1 - a0]
-        out[a0 - 1 - r0 + skip : rows[-1] - r0, : cols.size - 1] += np.tril(falling, a0 - 4)[skip:]
+    e = p - 4.0
+    # Row element a feeds hat rows a (X = 1) and a - 1 (X = 0) at the hats
+    # j <= a - 3 and j <= a - 4; each hat column of a row element comes from
+    # one block or one pair of element moments, so every far entry is a sum
+    # of two terms and takes the same bits in any order of the adds.
+    last = min(r1, n)  # the last row element
+    batch = max(1, _FAR_PAIRS // (n + 1))
+    for a0 in range(max(3, r0), last + 1, batch):
+        a1 = min(a0 + batch, last + 1)
+        geometry, products, pairs = _far_plan(x[: a1 + 1].tobytes(), a0, a1, r0, r1)
+        rows = _row_factors(*geometry, e)
+        rows *= scale
+        for k, cols, pick, *targets in products:
+            v = rows[k] @ (cols if pick is None else cols[pick])
+            for side, (i, j, sel) in zip((1, 0), targets):
+                if not isinstance(j, slice):  # each pair's first hat
+                    j = j[:, None] + np.arange(cols.shape[-1])
+                out[i, j] += v[sel, side]
+        gap, ha, hb, inv, *targets = pairs
+        mom = _far_moments(gap, ha, hb, e)[..., inv]
+        v = scale * (mom[:, 1, : inv.size // 2] + mom[:, 0, inv.size // 2 :])
+        for side, (i, j, sel) in zip((1, 0), targets):
+            out[i, j] += v[side, sel]
     return out
+
+
+@lru_cache(maxsize=64)
+def _far_plan(nodes: bytes, a0: int, a1: int, r0: int, r1: int):
+    """What the far field of row elements a0 <= a < a1 on ``nodes`` (the
+    float64 bytes of x[0..a1]) needs that does not depend on alpha, for
+    hat rows r0..r1 - 1 of the output:
+
+    - the row factors' geometry (dist, h_a, span, tier counts), in tier
+      order;
+    - the block products (k, cols, pick, up, down): rows k of the row
+      factors times the column factors, cols of one block or cols[pick]
+      of a block per pair;
+    - the element pairs (gap, h_a, h_b) of the hats left over, with inv
+      taking their moments to each hat's Y = 1 and then Y = 0 half, and
+      the hats' up and down.
+
+    Row element a feeds hat rows a (X = 1, ``up``) and a - 1 (X = 0,
+    ``down``); a target (rows, hats, pick) adds the picked results into
+    out[rows, hats], hats a slice or each pair's first hat of its block.
+    Every alpha of a graded table asks for the same plans: they are cached."""
+    x = np.frombuffer(nodes)
+    h = np.diff(x)
+    a, c, size, ra, rj = _far_blocks(x, np.arange(a0, a1))
+    right = x[(c + 1) * size + 1]
+    dist, span = x[a] - right, right - x[c * size]
+    tiers = np.searchsorted(_FAR_LIMITS, h[a] / dist)  # every ratio is within the top tier
+    order = np.argsort(tiers, kind="stable")
+    counts = np.bincount(tiers, minlength=len(_FAR_LINES)).tolist()
+    rows = (dist[order], h[a][order], span[order], counts)
+    where = np.argsort(order)  # each pair's row in the row factors
+    products = []
+    cuts = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):  # one level at a time
+        products += _level_products(x, r0, r1, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
+    # hat j: Y = 1 on element j, Y = 0 on j + 1; neighbouring hats share an element
+    keys = np.concatenate([ra, ra]) * x.size + np.concatenate([rj, rj + 1])
+    pairs, inv = np.unique(keys, return_inverse=True)
+    b, f = np.divmod(pairs, x.size)
+    up, down = ra < r1, (ra > r0) & (rj < ra - 3)
+    targets = (ra[up] - r0, rj[up], up), (ra[down] - 1 - r0, rj[down], down)
+    return rows, products, (x[b] - x[f + 1], h[b], h[f], inv, *targets)
+
+
+def _level_products(x, r0, r1, a, c, size, k) -> list:
+    """_far_plan's block products of one level: row elements a, rows k of
+    the row factors, take the blocks c of ``size`` hats."""
+    blocks, inv = np.unique(c, return_inverse=True)
+    cols = _block_factors(x, size, blocks.tolist())
+    products = []
+    if size <= _GATHER_SIZE:  # many small blocks: one product per chunk of pairs
+        cols = np.stack(cols)
+        step = max(1, _FAR_PAIRS // (2 * _CHEB_K * size))
+        for s in range(0, a.size, step):
+            s = slice(s, s + step)
+            up, down = a[s] < r1, a[s] > r0
+            j = c[s] * size  # each pair's first hat
+            targets = (a[s][up, None] - r0, j[up], up), (a[s][down, None] - 1 - r0, j[down], down)
+            products.append((k[s], cols, inv[s], *targets))
+        return products
+    order = np.argsort(inv, kind="stable")  # the pairs of each block together
+    counts = np.bincount(inv)
+    step = max(1, _FAR_PAIRS // (4 * size))
+    for b, col, lo, hi in zip(blocks.tolist(), cols, np.cumsum(counts) - counts, np.cumsum(counts)):
+        j = slice(b * size, (b + 1) * size)
+        for s in range(lo, hi, step):
+            s = order[s : min(s + step, hi)]
+            up, down = a[s] < r1, a[s] > r0
+            products.append((k[s], col, None, (a[s][up] - r0, j, up), (a[s][down] - 1 - r0, j, down)))
+    return products
 
 
 def _grown_table(table: np.ndarray | None, delta: float, alpha, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from fracfem.mesh import Mesh, PwLinear, build_mesh
 from fracfem.solver import ReconSolution, StandardSolution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
 
-from .oracles import error_norms_gauss, green_q0, green_solution_quad
+from .oracles import error_norms_gauss, error_norms_union, green_q0, green_solution_quad
 
 # u(x) for q = 0, f = x(1-x), from independent kernel quadrature
 GREEN_BUMP_POINTS = np.array([0.25, 0.5, 0.75])
@@ -158,6 +158,35 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     assert got.l2 == pytest.approx(l2, rel=1e-13)
     assert got.linf == linf
     assert got.energy == energy
+
+
+@given(
+    kind=st.sampled_from(["random", "uniform", "delta2", "delta5"]),
+    m=st.integers(min_value=2, max_value=24),
+    refine=st.integers(min_value=1, max_value=4),
+    nested=st.booleans(),
+    alpha=st.floats(min_value=1.01, max_value=1.99),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_nested_error_norms_take_the_union_bits(kind, m, refine, nested, alpha, seed):
+    # study nodes that are fine nodes skip the union: the same ErrorNorms
+    # bits as the union path, for a fine-mesh reference and a closed form
+    rng = np.random.default_rng(seed)
+    coarse = Mesh(_study_nodes(kind, m, rng))
+    fine_nodes = _study_nodes(kind, m * refine + (0 if nested else 1), rng)
+    fine = Mesh(np.union1d(coarse.nodes, fine_nodes) if nested else fine_nodes)
+    assert nested == bool(np.isin(coarse.nodes, fine.nodes).all())
+    lead = Lead.of(fine, alpha)
+    u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
+    u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
+    recon = ReconSolution(u_r_h, 0.0, None, 0.0, None)
+    exact = ExactSolution(None, u_r, 0.0, fine, lead)
+    assert error_norms(recon, exact) == error_norms_union(recon, exact)
+    closed = exact_q0(ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()), 16)
+    closed = ExactSolution(closed.u, closed.u_r, closed.mu, fine, lead)
+    standard = StandardSolution(u_r_h, 0.0)
+    assert error_norms(standard, closed) == error_norms_union(standard, closed)
 
 
 @given(

@@ -159,15 +159,20 @@ def _grown(alpha, delta, levels):
 
 def test_lead_table_does_not_depend_on_how_it_was_grown(monkeypatch):
     # grown level by level as a study asks (7 -> 15 -> ... -> 511 rows),
-    # built at 511 at once, and asked at 511 and then at 63
-    reference = _grown(1.25, 5.0, [9])
-    assert reference.shape == (511, 512)
-    assert np.max(np.abs(np.triu(reference, k=2))) == 0.0
-    for rows in (None, 1, 7):
-        if rows is not None:  # far-field blocks of 1 and 7 element rows at 511
-            monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * 513)
-        for levels in (range(3, 10), [9], [9, 6]):
-            assert np.array_equal(_grown(1.25, 5.0, levels), reference), (rows, list(levels))
+    # built at 511 at once, and asked at 511 and then at 63; the other
+    # alphas and gradings at up to 255 rows
+    cases = [(1.25, 5.0, 9), *((alpha, delta, 8) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
+    for alpha, delta, top in cases:
+        reference = _grown(alpha, delta, [top])
+        assert reference.shape == (2**top - 1, 2**top)
+        assert np.max(np.abs(np.triu(reference, k=2))) == 0.0
+        for rows in (None, 1, 7):
+            if rows is not None:  # far-field row blocks of 1 and 7 element rows at the top
+                monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * (2**top + 1))
+            for levels in (range(3, top + 1), [top], [top, 6]):
+                grown = _grown(alpha, delta, levels)
+                assert np.array_equal(grown, reference), (alpha, delta, rows, list(levels))
+        monkeypatch.undo()
 
 
 def test_lead_table_is_kept_on_the_spec():
@@ -270,6 +275,63 @@ def test_lead_far_field_on_irregular_meshes(nodes):
     for i, j in zip(*np.tril_indices(mesh.m - 1, -3)):
         exact = stiffness_entry_decimal(mesh.nodes, 1.3, i + 1, j + 1)
         assert abs(A[i, j] - exact) <= 1e-12 * row_max[i], (i, j)
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.5, 1.999])
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        *(build_mesh(256, delta).nodes for delta in (1.1, 2.0, 5.0, 12.0)),
+        np.r_[0.0, np.sort(np.random.default_rng(5).random(23)), 1.0],
+    ],
+    ids=["graded-1.1", "graded-2", "graded-5", "graded-12", "random"],
+)
+def test_low_rank_far_field_matches_gauss_tiers(monkeypatch, nodes, alpha):
+    # the Chebyshev column blocks against the element-pair tier rules that
+    # they replace: with no admissible block, every far pair takes its tier
+    mesh = Mesh(nodes)
+    blocks = assembly._far_blocks(nodes, np.arange(3, mesh.m))[0]
+    assert blocks.size > 0
+    A = assemble_lead(mesh, alpha)
+    monkeypatch.setattr(assembly, "_far_plan", assembly._far_plan.__wrapped__)  # no cached plan
+    monkeypatch.setattr(assembly, "_CHEB_ETA", 0.0)
+    tiers = assemble_lead(mesh, alpha)
+    far = np.tril(np.ones(A.shape, dtype=bool), -3)
+    assert np.array_equal(A[~far], tiers[~far])
+    assert np.all(np.abs(A[far] - tiers[far]) <= 2e-13 * np.abs(tiers[far]))
+
+
+def test_steep_pairs_take_the_same_bits_in_any_group():
+    # element pairs past the top tier share one product per pair of panel
+    # counts; each moment must be what it is when evaluated alone
+    rng = np.random.default_rng(3)
+    ha, hb = 10.0 ** rng.uniform(-7.0, 0.0, (2, 60))
+    gap = np.maximum(ha, hb) / rng.uniform(0.01, 5e4, 60)
+    assert np.count_nonzero(np.maximum(ha, hb) / gap > assembly._FAR_RULES[-1][1]) > 40
+    for e in (-2.001, -2.5, -2.999):
+        together = assembly._far_moments(gap, ha, hb, e)
+        assert np.all(np.isfinite(together)) and np.all(together > 0.0)
+        for k in range(60):
+            alone = assembly._far_moments(gap[k : k + 1], ha[k : k + 1], hb[k : k + 1], e)
+            assert np.array_equal(alone[..., 0], together[..., k]), (e, k)
+
+
+def test_column_factor_cache_is_bounded_and_read_only(monkeypatch):
+    monkeypatch.setattr(assembly, "_far_plan", assembly._far_plan.__wrapped__)  # no cached plan
+    monkeypatch.setattr(assembly, "_COLUMN_FACTORS", {})
+    monkeypatch.setattr(assembly, "_COLUMN_FACTORS_MAX", 40)
+    x = build_mesh(256, 3.0).nodes
+    first = assemble_lead(Mesh(x), 1.4)
+    assert len(assembly._COLUMN_FACTORS) == 40
+    for key, cols in assembly._COLUMN_FACTORS.items():
+        assert not cols.flags.writeable
+        # keyed on the nodes that carry the block, and nothing else
+        assert cols.shape == (assembly._CHEB_K, len(key) // 8 - 2)
+    # factors are alpha-free, and a table built from a full or an emptied
+    # cache takes the same bits
+    assert np.array_equal(assemble_lead(Mesh(x), 1.4), first)
+    assembly._COLUMN_FACTORS.clear()
+    assert np.array_equal(assemble_lead(Mesh(x), 1.4), first)
 
 
 _ALTERNATING = np.tile([1e-6, 1.0], 15)
