@@ -228,7 +228,8 @@ def _block_factors(x: np.ndarray, size: int, blocks) -> list:
     in _COLUMN_FACTORS, keyed on the nodes' bytes, the oldest dropped past
     _COLUMN_FACTORS_MAX blocks, and only the missing ones are computed."""
     keys = [x[b * size : (b + 1) * size + 2].tobytes() for b in blocks]
-    missing = [key for key in dict.fromkeys(keys) if key not in _COLUMN_FACTORS]
+    found = {key: _COLUMN_FACTORS.get(key) for key in keys}
+    missing = [key for key, col in found.items() if col is None]
     step = max(1, _HAT_CHUNK // size)
     for k in range(0, len(missing), step):
         part = missing[k : k + step]
@@ -244,11 +245,10 @@ def _block_factors(x: np.ndarray, size: int, blocks) -> list:
         for key, col in zip(part, cols.transpose(0, 2, 1)):
             col = np.ascontiguousarray(col)
             col.setflags(write=False)
-            _COLUMN_FACTORS[key] = col
-    cols = [_COLUMN_FACTORS[key] for key in keys]
+            found[key] = _COLUMN_FACTORS[key] = col
     for key in list(_COLUMN_FACTORS)[: max(0, len(_COLUMN_FACTORS) - _COLUMN_FACTORS_MAX)]:
-        del _COLUMN_FACTORS[key]
-    return cols
+        _COLUMN_FACTORS.pop(key, None)
+    return [found[key] for key in keys]
 
 
 # 1-D tier rules for the row factors: nodes u and W[X, q] = w_q N_X(u_q)
