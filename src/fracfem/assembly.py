@@ -16,7 +16,7 @@ Gauss rules pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -72,10 +72,6 @@ _CHEB_LAMBDA = (-1.0) ** np.arange(_CHEB_K) * np.sin((np.arange(_CHEB_K) + 0.5) 
 _HAT_POINTS = legendre_panel(_CHEB_K // 2 + 1, 0.0, 1.0)[0]
 _HAT_WEIGHTS = legendre_panel(_CHEB_K // 2 + 1, 0.0, 1.0)[1] * np.stack([_HAT_POINTS, 1.0 - _HAT_POINTS])
 _HAT_CHUNK = 64  # hats per pass of _block_factors, about 130 KiB of Lagrange values
-# alpha-free column factors by the bytes of their block's nodes, oldest dropped
-# first past _COLUMN_FACTORS_MAX blocks; the 1,006 of build_mesh(4096, 5) take 5.5 MiB
-_COLUMN_FACTORS: dict = {}
-_COLUMN_FACTORS_MAX = 4096
 # Terms of lead_stencil's moment series: each is at most 4/D^2 of the one
 # before. Offsets D >= 3 take 50, as (4/9)^50 / (1 - 4/9) < 2^-56; offsets
 # D > _BAND_D take 11, as (4/441)^11 < 2^-74, far enough below an ulp that
@@ -129,6 +125,18 @@ class ProblemSpec:
         ``lead`` and kept for the life of the spec."""
         return {}
 
+    @cached_property
+    def _far_plans(self) -> dict:
+        """Alpha-free far-field plans by grading exponent; ``with_alpha`` shares them."""
+        return {}
+
+    def with_alpha(self, alpha: float) -> ProblemSpec:
+        """This problem at another alpha, sharing the far-field plans; its
+        singular pair and lead tables are its own."""
+        spec = replace(self, alpha=alpha)
+        vars(spec)["_far_plans"] = self._far_plans
+        return spec
+
     def lead(self, mesh: Mesh) -> Lead:
         """Leading block on ``mesh``. A build_mesh(m, delta) grading is
         self-similar, x_j = m^-delta y_j with y_j = j^delta, and the block is
@@ -142,7 +150,8 @@ class ProblemSpec:
         n = mesh.m - 1
         table = self._lead_tables.get(delta)
         if table is None or table.shape[0] < n:
-            table = self._lead_tables[delta] = _grown_table(table, delta, self.alpha, n)
+            plans = self._far_plans.setdefault(delta, {})
+            table = self._lead_tables[delta] = _grown_table(table, delta, self.alpha, n, plans)
         return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
 
 
@@ -216,39 +225,30 @@ def _far_moments(gap, ha, hb, e) -> np.ndarray:
     return out
 
 
-def _block_factors(x: np.ndarray, size: int, blocks) -> list:
-    """Column factors C[t, j] = int phi_j L_t dy / span of the hats j of the
-    column blocks ``blocks`` of ``size`` hats on the nodes x, read-only.
-    Block c carries hats c size .. (c + 1) size - 1 on the nodes from
-    x[c size] to x[(c + 1) size + 1], its span. L_t is the Lagrange basis
-    on the Chebyshev points tau_t of tau = (right end - y) / span, and each
-    element takes the Gauss rule exact for N_Y L_t, of degree _CHEB_K.
-
-    The factors depend on a block's nodes only, not on alpha: they are kept
-    in _COLUMN_FACTORS, keyed on the nodes' bytes, the oldest dropped past
-    _COLUMN_FACTORS_MAX blocks, and only the missing ones are computed."""
-    keys = [x[b * size : (b + 1) * size + 2].tobytes() for b in blocks]
-    found = {key: _COLUMN_FACTORS.get(key) for key in keys}
-    missing = [key for key, col in found.items() if col is None]
+def _block_factors(x: np.ndarray, size: int, blocks: np.ndarray) -> np.ndarray:
+    """Column factors C[b, t, j] = int phi_j L_t dy / span of the hats j of
+    the column blocks ``blocks`` of ``size`` hats on the nodes x, one
+    read-only array. Block c carries hats c size .. (c + 1) size - 1 on the
+    nodes from x[c size] to x[(c + 1) size + 1], its span. L_t is the
+    Lagrange basis on the Chebyshev points tau_t of tau = (right end - y) /
+    span, and each element takes the Gauss rule exact for N_Y L_t, of degree
+    _CHEB_K. The factors depend on a block's nodes only, not on alpha."""
+    out = np.empty((blocks.size, _CHEB_K, size))
     step = max(1, _HAT_CHUNK // size)
-    for k in range(0, len(missing), step):
-        part = missing[k : k + step]
-        nodes = np.frombuffer(b"".join(part)).reshape(len(part), size + 2)
+    for k in range(0, blocks.size, step):
+        part = blocks[k : k + step]
+        nodes = x[part[:, None] * size + np.arange(size + 2)]
         span = (nodes[:, -1] - nodes[:, 0])[:, None, None]
         width = np.diff(nodes, axis=1)[..., None]  # the block's size + 1 elements
         tau = ((nodes[:, -1:] - nodes[:, :-1])[..., None] - width * _HAT_POINTS) / span
         inv = (tau[..., None] - _CHEB_TAU).reshape(-1, _HAT_POINTS.size, _CHEB_K)
         np.divide(_CHEB_LAMBDA, inv, out=inv)  # barycentric form of L_t
         weights = ((width / span)[..., None, :] * _HAT_WEIGHTS).reshape(-1, 2, _HAT_POINTS.size)
-        ends = (weights / inv.sum(axis=-1)[:, None] @ inv).reshape(len(part), size + 1, 2, _CHEB_K)
+        ends = (weights / inv.sum(axis=-1)[:, None] @ inv).reshape(part.size, size + 1, 2, _CHEB_K)
         cols = ends[:, :-1, 0] + ends[:, 1:, 1]  # hat j rises on element j, falls on j + 1
-        for key, col in zip(part, cols.transpose(0, 2, 1)):
-            col = np.ascontiguousarray(col)
-            col.setflags(write=False)
-            found[key] = _COLUMN_FACTORS[key] = col
-    for key in list(_COLUMN_FACTORS)[: max(0, len(_COLUMN_FACTORS) - _COLUMN_FACTORS_MAX)]:
-        _COLUMN_FACTORS.pop(key, None)
-    return [found[key] for key in keys]
+        out[k : k + step] = cols.transpose(0, 2, 1)
+    out.setflags(write=False)
+    return out
 
 
 # 1-D tier rules for the row factors: nodes u and W[X, q] = w_q N_X(u_q)
@@ -351,20 +351,23 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     _CHEB_K Chebyshev points, so a's moments against all the block's hats
     are one product R[a] C of row factors, a's tier rule against the points,
     and column factors, exact Gauss integrals of the Lagrange basis against
-    the hats that do not depend on alpha and are cached on the block's nodes.
-    The hats nearer to a take the element-pair moments above, by the tier of
-    their separation ratio or, past the top tier, by graded panels.
+    the hats that do not depend on alpha. The hats nearer to a take the
+    element-pair moments above, by the tier of their separation ratio or,
+    past the top tier, by graded panels. Nothing is kept after the call.
     """
-    n = mesh.m - 1
-    return _lead_rows(mesh.nodes, alpha, np.zeros((n, n)))
+    n, h = mesh.m - 1, np.diff(mesh.nodes).min()
+    if h * h == 0.0:  # the near band divides by products of neighbouring widths
+        raise DomainError(f"mesh element width {h:.3g} squares to zero (grading exponent {mesh.delta})")
+    return _lead_rows(mesh.nodes, alpha, np.zeros((n, n)), {})
 
 
-def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, r0: int = 0) -> np.ndarray:
+def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, plans: dict, r0: int = 0) -> np.ndarray:
     """Writes rows r0 <= i < r0 + len(out) of the leading block on the nodes
     x, columns 0..x.size - 3 (every hat of x), into ``out``, which holds
     zeros, and returns it. An entry takes the same arithmetic whatever the
     row range, so a block built in row ranges equals one built at once, bit
-    for bit."""
+    for bit. ``plans`` holds the far-field plans of these nodes by (a0, a1,
+    r0, r1); missing ones are added, so another alpha can reuse them."""
     a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
@@ -389,7 +392,9 @@ def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, r0: int = 0) -> np.ndarray
     batch = max(1, _FAR_PAIRS // (n + 1))
     for a0 in range(max(3, r0), last + 1, batch):
         a1 = min(a0 + batch, last + 1)
-        geometry, products, pairs = _far_plan(x[: a1 + 1].tobytes(), a0, a1, r0, r1)
+        if (a0, a1, r0, r1) not in plans:
+            plans[a0, a1, r0, r1] = _far_plan(x[: a1 + 1], a0, a1, r0, r1)
+        geometry, products, pairs = plans[a0, a1, r0, r1]
         rows = _row_factors(*geometry, e)
         rows *= scale
         for k, cols, pick, *targets in products:
@@ -406,11 +411,10 @@ def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, r0: int = 0) -> np.ndarray
     return out
 
 
-@lru_cache(maxsize=64)
-def _far_plan(nodes: bytes, a0: int, a1: int, r0: int, r1: int):
-    """What the far field of row elements a0 <= a < a1 on ``nodes`` (the
-    float64 bytes of x[0..a1]) needs that does not depend on alpha, for
-    hat rows r0..r1 - 1 of the output:
+def _far_plan(x: np.ndarray, a0: int, a1: int, r0: int, r1: int):
+    """What the far field of row elements a0 <= a < a1 on the nodes
+    x[0..a1] needs that does not depend on alpha, for hat rows r0..r1 - 1
+    of the output:
 
     - the row factors' geometry (dist, h_a, span, tier counts), in tier
       order;
@@ -424,8 +428,7 @@ def _far_plan(nodes: bytes, a0: int, a1: int, r0: int, r1: int):
     Row element a feeds hat rows a (X = 1, ``up``) and a - 1 (X = 0,
     ``down``); a target (rows, hats, pick) adds the picked results into
     out[rows, hats], hats a slice or each pair's first hat of its block.
-    Every alpha of a graded table asks for the same plans: they are cached."""
-    x = np.frombuffer(nodes)
+    Every alpha of a graded table asks for the same plans."""
     h = np.diff(x)
     a, c, size, ra, rj = _far_blocks(x, np.arange(a0, a1))
     right = x[(c + 1) * size + 1]
@@ -452,10 +455,9 @@ def _level_products(x, r0, r1, a, c, size, k) -> list:
     """_far_plan's block products of one level: row elements a, rows k of
     the row factors, take the blocks c of ``size`` hats."""
     blocks, inv = np.unique(c, return_inverse=True)
-    cols = _block_factors(x, size, blocks.tolist())
+    cols = _block_factors(x, size, blocks)
     products = []
     if size <= _GATHER_SIZE:  # many small blocks: one product per chunk of pairs
-        cols = np.stack(cols)
         step = max(1, _FAR_PAIRS // (2 * _CHEB_K * size))
         for s in range(0, a.size, step):
             s = slice(s, s + step)
@@ -476,16 +478,17 @@ def _level_products(x, r0, r1, a, c, size, k) -> list:
     return products
 
 
-def _grown_table(table: np.ndarray | None, delta: float, alpha, n: int) -> np.ndarray:
+def _grown_table(table: np.ndarray | None, delta: float, alpha, n: int, plans: dict) -> np.ndarray:
     """Rows 0..n-1 of the leading block on the unscaled graded nodes
     y_j = j^delta, with n + 1 columns so that row n - 1 keeps its
     superdiagonal entry. The rows of ``table`` are copied and only the new
-    ones computed, so the table does not depend on how it was grown."""
+    ones computed, so the table does not depend on how it was grown.
+    ``plans`` serves every table of this delta: delta and n fix the nodes."""
     done = 0 if table is None else table.shape[0]
     out = np.zeros((n, n + 1))
     if done:
         out[:done, : done + 1] = table
-    _lead_rows(np.arange(n + 3.0) ** delta, alpha, out[done:], done)
+    _lead_rows(np.arange(n + 3.0) ** delta, alpha, out[done:], plans, done)
     return out
 
 

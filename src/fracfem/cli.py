@@ -160,8 +160,9 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     """Run the study grid; a failing (alpha, method) cell is reported as an
-    error row while the remaining cells still run."""
-    reports = []
+    error row while the remaining cells still run. The cells share the
+    alpha-free data of one spec through ``ProblemSpec.with_alpha``."""
+    reports, spec = [], None
     for alpha in config.alphas:
         expected = expected_rates(
             alpha,
@@ -178,7 +179,9 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
             expected=expected,
         )
         try:
-            report.rows = _run_cell(config, alpha)
+            spec = (spec.with_alpha(alpha) if spec
+                    else ProblemSpec(alpha=alpha, q=config.potential, f=config.source, bc=config.bc))
+            report.rows = _run_cell(config, spec)
         except FracFemError as exc:
             report.rows = []
             report.error = f"{type(exc).__name__}: {exc}"
@@ -186,8 +189,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     return reports
 
 
-def _run_cell(config: ExperimentConfig, alpha: float) -> list[LevelRow]:
-    spec = ProblemSpec(alpha=alpha, q=config.potential, f=config.source, bc=config.bc)
+def _run_cell(config: ExperimentConfig, spec: ProblemSpec) -> list[LevelRow]:
     if config.needs_reference:
         exact = reference_solution(spec, config.reference_m)
     else:

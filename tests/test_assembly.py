@@ -148,10 +148,11 @@ def test_lead_row_blocks_do_not_change_entries(monkeypatch):
         assert np.array_equal(assemble_lead(mesh, 1.25), whole)
 
 
-def _grown(alpha, delta, levels):
-    """The lead table of a fresh spec after it was asked for build_mesh(2^k,
-    delta) at each k of ``levels`` in turn."""
-    spec = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
+def _grown(alpha, delta, levels, base=None):
+    """The lead table of a fresh spec, or of one derived from ``base`` by
+    with_alpha, after it was asked for build_mesh(2^k, delta) at each k of
+    ``levels`` in turn."""
+    spec = base.with_alpha(alpha) if base else ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
     for k in levels:
         spec.lead(build_mesh(2**k, delta))
     return spec._lead_tables[delta]
@@ -159,8 +160,9 @@ def _grown(alpha, delta, levels):
 
 def test_lead_table_does_not_depend_on_how_it_was_grown(monkeypatch):
     # grown level by level as a study asks (7 -> 15 -> ... -> 511 rows),
-    # built at 511 at once, and asked at 511 and then at 63; the other
-    # alphas and gradings at up to 255 rows
+    # built at 511 at once, asked at 511 and then at 63, and grown level by
+    # level through with_alpha after alpha 1.5 filled the shared far-field
+    # plans; the other alphas and gradings at up to 255 rows
     cases = [(1.25, 5.0, 9), *((alpha, delta, 8) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
     for alpha, delta, top in cases:
         reference = _grown(alpha, delta, [top])
@@ -172,6 +174,12 @@ def test_lead_table_does_not_depend_on_how_it_was_grown(monkeypatch):
             for levels in (range(3, top + 1), [top], [top, 6]):
                 grown = _grown(alpha, delta, levels)
                 assert np.array_equal(grown, reference), (alpha, delta, rows, list(levels))
+            first = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+            for k in range(3, top + 1):
+                first.lead(build_mesh(2**k, delta))
+            assert first._far_plans[delta]
+            grown = _grown(alpha, delta, range(3, top + 1), first)
+            assert np.array_equal(grown, reference), (alpha, delta, rows, "with_alpha")
         monkeypatch.undo()
 
 
@@ -204,6 +212,26 @@ def test_lead_table_is_kept_on_the_spec():
     moved.lead(build_mesh(32, 5.0))
     assert np.array_equal(moved._lead_tables[5.0], _grown(1.75, 5.0, [5]))
     assert not np.array_equal(moved._lead_tables[5.0], table)
+
+
+def test_with_alpha_shares_only_the_far_field_plans():
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    spec.lead(build_mesh(32, 5.0))
+    plans, pair = dict(spec._far_plans[5.0]), spec.singular_pair
+    assert plans
+    moved = spec.with_alpha(1.75)
+    assert moved == dataclasses.replace(spec, alpha=1.75)
+    assert moved._far_plans is spec._far_plans
+    assert "_lead_tables" not in vars(moved) and "singular_pair" not in vars(moved)
+    # the next alpha grows its own table from the same plans, adding none
+    moved.lead(build_mesh(32, 5.0))
+    assert moved._lead_tables[5.0] is not spec._lead_tables[5.0]
+    assert spec._far_plans[5.0].keys() == plans.keys()
+    assert all(spec._far_plans[5.0][key] is plan for key, plan in plans.items())
+    assert moved.singular_pair.u_s != pair.u_s and spec.singular_pair is pair
+    # a spec built afresh or by replace() starts with plans of its own
+    for other in (ProblemSpec(alpha=1.25, q=spec.q, f=spec.f), dataclasses.replace(spec)):
+        assert other._far_plans == {}
 
 
 @given(
@@ -293,7 +321,6 @@ def test_low_rank_far_field_matches_gauss_tiers(monkeypatch, nodes, alpha):
     blocks = assembly._far_blocks(nodes, np.arange(3, mesh.m))[0]
     assert blocks.size > 0
     A = assemble_lead(mesh, alpha)
-    monkeypatch.setattr(assembly, "_far_plan", assembly._far_plan.__wrapped__)  # no cached plan
     monkeypatch.setattr(assembly, "_CHEB_ETA", 0.0)
     tiers = assemble_lead(mesh, alpha)
     far = np.tril(np.ones(A.shape, dtype=bool), -3)
@@ -316,22 +343,19 @@ def test_steep_pairs_take_the_same_bits_in_any_group():
             assert np.array_equal(alone[..., 0], together[..., k]), (e, k)
 
 
-def test_column_factor_cache_is_bounded_and_read_only(monkeypatch):
-    monkeypatch.setattr(assembly, "_far_plan", assembly._far_plan.__wrapped__)  # no cached plan
-    monkeypatch.setattr(assembly, "_COLUMN_FACTORS", {})
-    monkeypatch.setattr(assembly, "_COLUMN_FACTORS_MAX", 40)
+def test_column_factors_are_read_only_and_independent_of_grouping():
+    # blocks of 8 hats take several passes of _HAT_CHUNK hats; each block's
+    # factors must be what they are when asked for alone
     x = build_mesh(256, 3.0).nodes
-    first = assemble_lead(Mesh(x), 1.4)
-    assert len(assembly._COLUMN_FACTORS) == 40
-    for key, cols in assembly._COLUMN_FACTORS.items():
-        assert not cols.flags.writeable
-        # keyed on the nodes that carry the block, and nothing else
-        assert cols.shape == (assembly._CHEB_K, len(key) // 8 - 2)
-    # factors are alpha-free, and a table built from a full or an emptied
-    # cache takes the same bits
-    assert np.array_equal(assemble_lead(Mesh(x), 1.4), first)
-    assembly._COLUMN_FACTORS.clear()
-    assert np.array_equal(assemble_lead(Mesh(x), 1.4), first)
+    for size in (8, 32, 64):
+        blocks = np.arange((x.size - 2) // size)
+        together = assembly._block_factors(x, size, blocks)
+        assert not together.flags.writeable
+        assert together.shape == (blocks.size, assembly._CHEB_K, size)
+        for b in blocks:
+            alone = assembly._block_factors(x, size, blocks[b : b + 1])
+            assert not alone.flags.writeable
+            assert np.array_equal(alone[0], together[b]), (size, b)
 
 
 _ALTERNATING = np.tile([1e-6, 1.0], 15)

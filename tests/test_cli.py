@@ -1,10 +1,13 @@
 """Configuration validation, table emission, determinism, and exit codes."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,14 @@ def test_failing_cell_is_reported_not_raised():
     # the failed alpha contributes a structured error row
     assert lines[1] == "1.5" + "," * (len(CSV_COLUMNS.split(",")) - 1)
     assert "**failed**" in emit_table(reports, "markdown")
+    # so does an alpha whose spec cannot be built; the cells after it print
+    # what they print alone
+    grid = dict(k_min=2, k_max=3, reference_m=64)
+    reports = run_experiment(_tiny(alphas=(2.5, 1.5, 0.5, 1.6), **grid))
+    assert ["DomainError" in (r.error or "") for r in reports] == [True, False, True, False]
+    for report in reports[1::2]:
+        alone = run_experiment(_tiny(alphas=(report.alpha,), **grid))
+        assert emit_table([report]) == emit_table(alone)
 
 
 def test_main_writes_file_and_returns_zero(tmp_path):
@@ -257,6 +268,16 @@ def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
     assert main(["--graded", str(delta), "--levels", "2:3"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: grading exponent must be a finite number >= 1, got {delta}\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_too_steep_grading_is_refused_in_one_line(capsys):
+    # at delta = 200 the first widths of m = 8 square to zero in the lead's
+    # near band; the cell names the width and delta before anything divides
+    assert main(["--graded", "200", "--levels", "3:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("alpha=1.5 failed: DomainError: mesh element width")
+    assert "grading exponent 200" in captured.err and captured.err.count("\n") == 1
 
 
 def test_deeply_nested_expression_exits_with_an_error(capsys):
@@ -433,3 +454,47 @@ def test_cached_stencil_band_leaves_no_trace_in_the_csv(capsys):
         for args, want in zip(studies, fresh):
             assert main(args) == 0
             assert capsys.readouterr().out == want
+
+
+def _graded(delta, alphas=(1.25, 1.5, 1.75)):
+    """A graded standard study of three alphas at levels 3:9."""
+    return ExperimentConfig(alphas=alphas, example="a", q_kind="zero", method="standard",
+                            k_min=3, k_max=9, delta=delta)
+
+
+def test_graded_study_leaves_nothing_behind():
+    # the alpha-free far-field data of a study lives on its specs; after a
+    # delta = 3 study has filled the scalar-keyed rule and band caches, a
+    # delta = 5 study leaves nothing of its own
+    run_experiment(_graded(3.0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_experiment(_graded(5.0))
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024, left
+
+
+def test_graded_studies_in_two_threads_print_serial_bytes():
+    configs = [_graded(5.0, (1.25, 1.75)), _graded(3.0, (1.3, 1.7))]
+    serial = [emit_table(run_experiment(config)) for config in configs]
+    tables = [None] * len(configs)
+
+    def study(index):
+        tables[index] = emit_table(run_experiment(configs[index]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=study, args=(i,)) for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert tables == serial

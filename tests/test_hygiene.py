@@ -125,3 +125,43 @@ def test_runtime_loads_no_scipy():
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _package_modules():
+    import fracfem.cli  # noqa: F401 -- the package does not import it
+
+    return [m for name, m in sorted(sys.modules.items()) if name.startswith("fracfem.")]
+
+
+def test_module_level_caches_are_keyed_on_scalars():
+    # an answer must not depend on what other studies left behind: the only
+    # functools caches at module level take numbers, never arrays
+    cached = {
+        f"{value.__module__}.{value.__qualname__}"
+        for module in _package_modules()
+        for value in vars(module).values()
+        if callable(value) and hasattr(value, "cache_info")
+    }
+    assert cached == {
+        "fracfem.fraccalc.gauss_legendre",
+        "fracfem.fraccalc.gauss_jacobi",
+        "fracfem.assembly._stencil_band",
+    }
+
+
+def test_graded_study_changes_no_module_level_container():
+    from fracfem.cli import ExperimentConfig, run_experiment
+
+    def containers():
+        return {
+            (module.__name__, name): [id(item) for item in value]
+            for module in _package_modules()
+            for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        }
+
+    before = containers()
+    config = ExperimentConfig(alphas=(1.3, 1.6), example="a", q_kind="zero", method="standard",
+                              k_min=3, k_max=7, delta=4.5)
+    assert all(report.error is None for report in run_experiment(config))
+    assert containers() == before
