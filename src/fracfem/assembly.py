@@ -141,9 +141,9 @@ class ProblemSpec:
         """Leading block on ``mesh``. A build_mesh(m, delta) grading is
         self-similar, x_j = m^-delta y_j with y_j = j^delta, and the block is
         homogeneous of degree 1 - alpha in the nodes, so it is
-        m^(delta (alpha - 1)) times the leading block of one table on the
-        nodes y, grown by rows when a finer mesh asks for more. Other meshes
-        take ``Lead.of``."""
+        m^(delta (alpha - 1)) times the leading block of one table, the
+        block on the nodes y of the finest mesh asked for so far; a finer
+        mesh rebuilds it. Other meshes take ``Lead.of``."""
         delta = mesh.delta
         if delta is None or mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
             return Lead.of(mesh, self.alpha)
@@ -151,7 +151,7 @@ class ProblemSpec:
         table = self._lead_tables.get(delta)
         if table is None or table.shape[0] < n:
             plans = self._far_plans.setdefault(delta, {})
-            table = self._lead_tables[delta] = _grown_table(table, delta, self.alpha, n, plans)
+            table = self._lead_tables[delta] = _lead_rows(np.arange(n + 2.0) ** delta, self.alpha, plans)
         return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
 
 
@@ -355,46 +355,46 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     element-pair moments above, by the tier of their separation ratio or,
     past the top tier, by graded panels. Nothing is kept after the call.
     """
-    n, h = mesh.m - 1, np.diff(mesh.nodes).min()
+    h = np.diff(mesh.nodes).min()
     if h * h == 0.0:  # the near band divides by products of neighbouring widths
-        raise DomainError(f"mesh element width {h:.3g} squares to zero (grading exponent {mesh.delta})")
-    return _lead_rows(mesh.nodes, alpha, np.zeros((n, n)), {})
+        graded = "" if mesh.delta is None else f" (grading exponent {mesh.delta})"
+        raise DomainError(f"mesh element width {h:.3g} squares to zero{graded}")
+    return _lead_rows(mesh.nodes, alpha, {})
 
 
-def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, plans: dict, r0: int = 0) -> np.ndarray:
-    """Writes rows r0 <= i < r0 + len(out) of the leading block on the nodes
-    x, columns 0..x.size - 3 (every hat of x), into ``out``, which holds
-    zeros, and returns it. An entry takes the same arithmetic whatever the
-    row range, so a block built in row ranges equals one built at once, bit
-    for bit. ``plans`` holds the far-field plans of these nodes by (a0, a1,
-    r0, r1); missing ones are added, so another alpha can reuse them."""
+def _lead_rows(x: np.ndarray, alpha, plans: dict) -> np.ndarray:
+    """The leading block on the nodes x, one row and column per hat of x.
+    An entry takes the same arithmetic whatever the row batches of the far
+    field, and the same bits on the first nodes of longer x. ``plans``
+    holds the far-field plans of these nodes by (a0, a1, n); missing ones
+    are added, so another alpha can reuse them."""
     a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
-    h, n, r1 = np.diff(x), x.size - 2, r0 + out.shape[0]
+    h, n = np.diff(x), x.size - 2
+    out = np.zeros((n, n))
     scale = beta_fn(2.0 - s, 2.0 - s) / gamma_fn(2.0 - s) ** 2
     for off in (-1, 0, 1, 2):
-        i = np.arange(max(off, r0), min(r1, n + min(off, 0)))
+        i = np.arange(max(off, 0), n + min(off, 0))
         # pairs (e, f) = (0, 0), (0, 1), (1, 0), (1, 1) of the elements of
         # hats i and j = i - off; hat i rises on element i, falls on i + 1
         e, f = i[:, None] + (0, 0, 1, 1), i[:, None] - off + (0, 1, 0, 1)
         hf = h[f]
         drop = _power_drop(x[e] - x[f], hf, p) - _power_drop(x[e + 1] - x[f], hf, p)
         drop /= h[e] * hf
-        out[i - r0, i - off] = -scale * (drop[:, 0] - drop[:, 1] - drop[:, 2] + drop[:, 3])
+        out[i, i - off] = -scale * (drop[:, 0] - drop[:, 1] - drop[:, 2] + drop[:, 3])
     scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
     e = p - 4.0
     # Row element a feeds hat rows a (X = 1) and a - 1 (X = 0) at the hats
     # j <= a - 3 and j <= a - 4; each hat column of a row element comes from
     # one block or one pair of element moments, so every far entry is a sum
     # of two terms and takes the same bits in any order of the adds.
-    last = min(r1, n)  # the last row element
     batch = max(1, _FAR_PAIRS // (n + 1))
-    for a0 in range(max(3, r0), last + 1, batch):
-        a1 = min(a0 + batch, last + 1)
-        if (a0, a1, r0, r1) not in plans:
-            plans[a0, a1, r0, r1] = _far_plan(x[: a1 + 1], a0, a1, r0, r1)
-        geometry, products, pairs = plans[a0, a1, r0, r1]
+    for a0 in range(3, n + 1, batch):  # row elements up to the last, n
+        a1 = min(a0 + batch, n + 1)
+        if (a0, a1, n) not in plans:
+            plans[a0, a1, n] = _far_plan(x[: a1 + 1], a0, a1, n)
+        geometry, products, pairs = plans[a0, a1, n]
         rows = _row_factors(*geometry, e)
         rows *= scale
         for k, cols, pick, *targets in products:
@@ -411,10 +411,10 @@ def _lead_rows(x: np.ndarray, alpha, out: np.ndarray, plans: dict, r0: int = 0) 
     return out
 
 
-def _far_plan(x: np.ndarray, a0: int, a1: int, r0: int, r1: int):
+def _far_plan(x: np.ndarray, a0: int, a1: int, n: int):
     """What the far field of row elements a0 <= a < a1 on the nodes
-    x[0..a1] needs that does not depend on alpha, for hat rows r0..r1 - 1
-    of the output:
+    x[0..a1] needs that does not depend on alpha, for a block of n hat
+    rows:
 
     - the row factors' geometry (dist, h_a, span, tier counts), in tier
       order;
@@ -441,19 +441,20 @@ def _far_plan(x: np.ndarray, a0: int, a1: int, r0: int, r1: int):
     products = []
     cuts = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):  # one level at a time
-        products += _level_products(x, r0, r1, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
+        products += _level_products(x, n, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
     # hat j: Y = 1 on element j, Y = 0 on j + 1; neighbouring hats share an element
     keys = np.concatenate([ra, ra]) * x.size + np.concatenate([rj, rj + 1])
     pairs, inv = np.unique(keys, return_inverse=True)
     b, f = np.divmod(pairs, x.size)
-    up, down = ra < r1, (ra > r0) & (rj < ra - 3)
-    targets = (ra[up] - r0, rj[up], up), (ra[down] - 1 - r0, rj[down], down)
+    up, down = ra < n, rj < ra - 3
+    targets = (ra[up], rj[up], up), (ra[down] - 1, rj[down], down)
     return rows, products, (x[b] - x[f + 1], h[b], h[f], inv, *targets)
 
 
-def _level_products(x, r0, r1, a, c, size, k) -> list:
+def _level_products(x, n, a, c, size, k) -> list:
     """_far_plan's block products of one level: row elements a, rows k of
-    the row factors, take the blocks c of ``size`` hats."""
+    the row factors, take the blocks c of ``size`` hats, feeding row a - 1
+    and, when a < n, row a."""
     blocks, inv = np.unique(c, return_inverse=True)
     cols = _block_factors(x, size, blocks)
     products = []
@@ -461,9 +462,8 @@ def _level_products(x, r0, r1, a, c, size, k) -> list:
         step = max(1, _FAR_PAIRS // (2 * _CHEB_K * size))
         for s in range(0, a.size, step):
             s = slice(s, s + step)
-            up, down = a[s] < r1, a[s] > r0
-            j = c[s] * size  # each pair's first hat
-            targets = (a[s][up, None] - r0, j[up], up), (a[s][down, None] - 1 - r0, j[down], down)
+            up, j = a[s] < n, c[s] * size  # each pair's first hat
+            targets = (a[s][up, None], j[up], up), (a[s][:, None] - 1, j, slice(None))
             products.append((k[s], cols, inv[s], *targets))
         return products
     order = np.argsort(inv, kind="stable")  # the pairs of each block together
@@ -473,23 +473,9 @@ def _level_products(x, r0, r1, a, c, size, k) -> list:
         j = slice(b * size, (b + 1) * size)
         for s in range(lo, hi, step):
             s = order[s : min(s + step, hi)]
-            up, down = a[s] < r1, a[s] > r0
-            products.append((k[s], col, None, (a[s][up] - r0, j, up), (a[s][down] - 1 - r0, j, down)))
+            up = a[s] < n
+            products.append((k[s], col, None, (a[s][up], j, up), (a[s] - 1, j, slice(None))))
     return products
-
-
-def _grown_table(table: np.ndarray | None, delta: float, alpha, n: int, plans: dict) -> np.ndarray:
-    """Rows 0..n-1 of the leading block on the unscaled graded nodes
-    y_j = j^delta, with n + 1 columns so that row n - 1 keeps its
-    superdiagonal entry. The rows of ``table`` are copied and only the new
-    ones computed, so the table does not depend on how it was grown.
-    ``plans`` serves every table of this delta: delta and n fix the nodes."""
-    done = 0 if table is None else table.shape[0]
-    out = np.zeros((n, n + 1))
-    if done:
-        out[:done, : done + 1] = table
-    _lead_rows(np.arange(n + 3.0) ** delta, alpha, out[done:], plans, done)
-    return out
 
 
 def _far_series(p: float, dist: np.ndarray, coeffs) -> np.ndarray:

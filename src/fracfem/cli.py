@@ -9,6 +9,7 @@ configuration produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -141,8 +142,15 @@ class ExperimentConfig:
 
 
 def _config_from_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ArgumentError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ArgumentError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ArgumentError(f"config {path} must hold a JSON object, got {type(raw).__name__}")
     known = {f.name for f in dc_fields(ExperimentConfig)} | {"levels", "q"}
     unknown = set(raw) - known
     if unknown:
@@ -195,7 +203,7 @@ def _run_cell(config: ExperimentConfig, spec: ProblemSpec) -> list[LevelRow]:
     else:
         exact = exact_q0(spec, config.reference_m)
     rows = []
-    for k in range(config.k_min, config.k_max + 1):
+    for k in range(config.k_max, config.k_min - 1, -1):  # finest first: one graded lead table
         m = 2**k
         mesh = build_mesh(m, config.delta)
         if config.method == "standard":
@@ -208,7 +216,7 @@ def _run_cell(config: ExperimentConfig, spec: ProblemSpec) -> list[LevelRow]:
             norms = error_norms(sol, exact)
             err_mu = abs(exact.mu - sol.mu_h)
         rows.append(LevelRow(k, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu))
-    return rows
+    return rows[::-1]
 
 
 def _fmt(value, spec: str = ".10e") -> str:
@@ -345,20 +353,28 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
+def _open_out(path: str | None):
+    """The output file at ``path``, opened for writing, or standard output."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _assemble_config(args)
-        reports = run_experiment(config)
-        text = emit_table(reports, config.fmt)
+        # the output opens before the study runs, so a path that cannot be
+        # written is refused before any work is done
+        with _open_out(config.out) as sink:
+            reports = run_experiment(config)
+            sink.write(emit_table(reports, config.fmt))
     except FracFemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     failed = [r for r in reports if r.error is not None]
     for report in failed:
         print(f"alpha={report.alpha:g} failed: {report.error}", file=sys.stderr)

@@ -113,12 +113,25 @@ def _system_lead(alpha, mesh):
     return assemble_system(spec, mesh, "standard").lead.dense
 
 
-@pytest.mark.parametrize("alpha", [1.25, 1.75])
-def test_lead_matches_decimal_oracle_strongly_graded(alpha):
+@pytest.mark.parametrize(
+    "alpha, delta",
+    [(1.25, 5.0), (1.75, 5.0), (1.25, 12.0), (1.75, 12.0)],
+    ids=["1.25", "1.75", "1.25-delta12", "1.75-delta12"],
+)
+def test_lead_matches_decimal_oracle_strongly_graded(monkeypatch, alpha, delta):
     # delta = 5 puts the jump coefficients near 1/h_min ~ 1e9, so summed
     # over the nine products of slope jumps the closed form cancels through
-    # about 9 digits
-    mesh = build_mesh(64, delta=5.0)
+    # about 9 digits. At delta = 12 far pairs next to the first elements
+    # are past the top tier, and the table takes graded panels too
+    steep = []
+    edges = assembly._graded_edges
+
+    def counting(g):
+        steep.append(g.size)
+        return edges(g)
+
+    monkeypatch.setattr(assembly, "_graded_edges", counting)
+    mesh = build_mesh(64, delta=delta)
     n = mesh.m - 1
     rng = np.random.default_rng(11)
     scatter = [tuple(sorted(rng.integers(0, n, 2), reverse=True)) for _ in range(30)]
@@ -131,7 +144,10 @@ def test_lead_matches_decimal_oracle_strongly_graded(alpha):
     assert len(entries) >= 200
     exact = {(i, j): stiffness_entry_decimal(mesh.nodes, alpha, i + 1, j + 1) for i, j in entries}
     # the direct block, and the scaled table block that assemble_system takes
-    for A in (assemble_lead(mesh, alpha), _system_lead(alpha, mesh)):
+    for build in (assemble_lead, lambda mesh, alpha: _system_lead(alpha, mesh)):
+        steep.clear()
+        A = build(mesh, alpha)
+        assert bool(steep) == (delta == 12.0)
         row_max = np.max(np.abs(A), axis=1)
         for i, j in entries:
             assert abs(A[i, j] - exact[i, j]) <= 1e-8 * row_max[i], (i, j)
@@ -148,7 +164,7 @@ def test_lead_row_blocks_do_not_change_entries(monkeypatch):
         assert np.array_equal(assemble_lead(mesh, 1.25), whole)
 
 
-def _grown(alpha, delta, levels, base=None):
+def _table(alpha, delta, levels, base=None):
     """The lead table of a fresh spec, or of one derived from ``base`` by
     with_alpha, after it was asked for build_mesh(2^k, delta) at each k of
     ``levels`` in turn."""
@@ -158,29 +174,49 @@ def _grown(alpha, delta, levels, base=None):
     return spec._lead_tables[delta]
 
 
-def test_lead_table_does_not_depend_on_how_it_was_grown(monkeypatch):
-    # grown level by level as a study asks (7 -> 15 -> ... -> 511 rows),
-    # built at 511 at once, asked at 511 and then at 63, and grown level by
-    # level through with_alpha after alpha 1.5 filled the shared far-field
-    # plans; the other alphas and gradings at up to 255 rows
+def test_lead_table_does_not_depend_on_request_order(monkeypatch):
+    # asked for level by level from the coarsest (7 -> 15 -> ... -> 511
+    # rows, rebuilt at each), at 511 at once, at 511 and then at 63, and
+    # through with_alpha after alpha 1.5 filled the shared far-field plans
+    # finest first; the other alphas and gradings at up to 255 rows
     cases = [(1.25, 5.0, 9), *((alpha, delta, 8) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
     for alpha, delta, top in cases:
-        reference = _grown(alpha, delta, [top])
-        assert reference.shape == (2**top - 1, 2**top)
+        reference = _table(alpha, delta, [top])
+        assert reference.shape == (2**top - 1, 2**top - 1)
         assert np.max(np.abs(np.triu(reference, k=2))) == 0.0
         for rows in (None, 1, 7):
             if rows is not None:  # far-field row blocks of 1 and 7 element rows at the top
                 monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * (2**top + 1))
             for levels in (range(3, top + 1), [top], [top, 6]):
-                grown = _grown(alpha, delta, levels)
-                assert np.array_equal(grown, reference), (alpha, delta, rows, list(levels))
+                table = _table(alpha, delta, levels)
+                assert np.array_equal(table, reference), (alpha, delta, rows, list(levels))
             first = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
-            for k in range(3, top + 1):
+            for k in range(top, 2, -1):
                 first.lead(build_mesh(2**k, delta))
-            assert first._far_plans[delta]
-            grown = _grown(alpha, delta, range(3, top + 1), first)
-            assert np.array_equal(grown, reference), (alpha, delta, rows, "with_alpha")
+            plans = dict(first._far_plans[delta])
+            assert plans
+            table = _table(alpha, delta, range(top, 2, -1), first)
+            assert np.array_equal(table, reference), (alpha, delta, rows, "with_alpha")
+            assert first._far_plans[delta].keys() == plans.keys()
         monkeypatch.undo()
+
+
+def test_lead_table_is_one_block_built_once(monkeypatch):
+    # a finer mesh rebuilds the table whole; a coarser one takes a block of it
+    calls = []
+    build = assembly._lead_rows
+
+    def counting(x, alpha, plans):
+        calls.append(x.size - 2)
+        return build(x, alpha, plans)
+
+    monkeypatch.setattr(assembly, "_lead_rows", counting)
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    for m in (64, 16, 32, 64, 128, 8):
+        spec.lead(build_mesh(m, 5.0))
+    assert calls == [63, 127]
+    assert spec._lead_tables[5.0].shape == (127, 127)
+    assert np.array_equal(spec._lead_tables[5.0], _table(1.25, 5.0, [7]))
 
 
 def test_lead_table_is_kept_on_the_spec():
@@ -189,7 +225,7 @@ def test_lead_table_is_kept_on_the_spec():
     key = hash(spec)
     fine = assemble_system(spec, build_mesh(32, 5.0), "standard")
     table = spec._lead_tables[5.0]
-    assert table.shape == (31, 32)
+    assert table.shape == (31, 31)
     # a coarser level takes a scaled block of the same table
     coarse = assemble_system(spec, build_mesh(16, 5.0), "standard")
     assert spec._lead_tables[5.0] is table
@@ -210,7 +246,7 @@ def test_lead_table_is_kept_on_the_spec():
         assert np.array_equal(other._lead_tables[5.0], table)
     moved = dataclasses.replace(spec, alpha=1.75)
     moved.lead(build_mesh(32, 5.0))
-    assert np.array_equal(moved._lead_tables[5.0], _grown(1.75, 5.0, [5]))
+    assert np.array_equal(moved._lead_tables[5.0], _table(1.75, 5.0, [5]))
     assert not np.array_equal(moved._lead_tables[5.0], table)
 
 
@@ -223,7 +259,7 @@ def test_with_alpha_shares_only_the_far_field_plans():
     assert moved == dataclasses.replace(spec, alpha=1.75)
     assert moved._far_plans is spec._far_plans
     assert "_lead_tables" not in vars(moved) and "singular_pair" not in vars(moved)
-    # the next alpha grows its own table from the same plans, adding none
+    # the next alpha builds its own table from the same plans, adding none
     moved.lead(build_mesh(32, 5.0))
     assert moved._lead_tables[5.0] is not spec._lead_tables[5.0]
     assert spec._far_plans[5.0].keys() == plans.keys()
@@ -241,7 +277,7 @@ def test_with_alpha_shares_only_the_far_field_plans():
 )
 @settings(max_examples=60, deadline=None)
 def test_scaled_table_block_matches_direct_lead(alpha, delta, m):
-    # the table is first grown past m, so the block is a leading slice of it
+    # the table is first built past m, so the block is a leading slice of it
     spec = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
     spec.lead(build_mesh(2 * m, delta))
     mesh = build_mesh(m, delta)
@@ -303,6 +339,15 @@ def test_lead_far_field_on_irregular_meshes(nodes):
     for i, j in zip(*np.tril_indices(mesh.m - 1, -3)):
         exact = stiffness_entry_decimal(mesh.nodes, 1.3, i + 1, j + 1)
         assert abs(A[i, j] - exact) <= 1e-12 * row_max[i], (i, j)
+
+
+def test_refused_width_names_delta_only_on_graded_meshes():
+    # raw nodes record no grading exponent, so the refusal names none
+    mesh = Mesh(np.r_[0.0, 1e-200, np.linspace(0.1, 1, 5)])
+    with pytest.raises(DomainError, match=r"^mesh element width 1e-200 squares to zero$"):
+        assemble_lead(mesh, 1.5)
+    with pytest.raises(DomainError, match=r"squares to zero \(grading exponent 160.0\)$"):
+        assemble_lead(build_mesh(64, 160.0), 1.5)
 
 
 @pytest.mark.parametrize("alpha", [1.001, 1.5, 1.999])

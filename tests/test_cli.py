@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracfem import assembly
+from fracfem import assembly, cli
 from fracfem.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -259,6 +259,28 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_unreadable_config_and_unwritable_output_end_in_one_line(tmp_path, capsys, monkeypatch):
+    # a missing, malformed or non-object config, and an output path in a
+    # missing directory, exit 2 with one error line, before any study runs
+    studies = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
+    malformed, scalar = tmp_path / "malformed.json", tmp_path / "scalar.json"
+    malformed.write_text('{"alphas": ')
+    scalar.write_text("5")
+    cases = [
+        (["--config", str(tmp_path / "missing.json")], "cannot read config"),
+        (["--config", str(malformed)], "is not valid JSON"),
+        (["--config", str(scalar)], "must hold a JSON object, got int"),
+        (["--out", str(tmp_path / "missing" / "study.csv")], "cannot write"),
+    ]
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err, argv
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert studies == []
+
+
 @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
 def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
     with pytest.raises(ArgumentError, match=str(delta)):
@@ -272,11 +294,13 @@ def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_too_steep_grading_is_refused_in_one_line(capsys):
-    # at delta = 200 the first widths of m = 8 square to zero in the lead's
-    # near band; the cell names the width and delta before anything divides
+    # at delta = 200 the first widths of m = 8 and 16 square to zero in the
+    # lead's near band; the finest level runs first, so the cell names its
+    # width and delta before anything divides
     assert main(["--graded", "200", "--levels", "3:4"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("alpha=1.5 failed: DomainError: mesh element width")
+    width = np.diff(build_mesh(16, 200.0).nodes).min()
+    assert captured.err.startswith(f"alpha=1.5 failed: DomainError: mesh element width {width:.3g} ")
     assert "grading exponent 200" in captured.err and captured.err.count("\n") == 1
 
 
@@ -460,6 +484,23 @@ def _graded(delta, alphas=(1.25, 1.5, 1.75)):
     """A graded standard study of three alphas at levels 3:9."""
     return ExperimentConfig(alphas=alphas, example="a", q_kind="zero", method="standard",
                             k_min=3, k_max=9, delta=delta)
+
+
+def test_graded_study_builds_one_lead_table_per_alpha(monkeypatch):
+    # the levels of a cell run finest first, so each alpha's spec builds its
+    # table once, on the 513 nodes of level 9, and takes the coarser
+    # levels as blocks of it
+    calls = []
+    build = assembly._lead_rows
+
+    def counting(x, alpha, plans):
+        calls.append((alpha, x.size))
+        return build(x, alpha, plans)
+
+    monkeypatch.setattr(assembly, "_lead_rows", counting)
+    reports = run_experiment(_graded(5.0))
+    assert all(r.error is None and [row.k for row in r.rows] == list(range(3, 10)) for r in reports)
+    assert calls == [(alpha, 2**9 + 1) for alpha in (1.25, 1.5, 1.75)]
 
 
 def test_graded_study_leaves_nothing_behind():
