@@ -151,6 +151,8 @@ class ProblemSpec:
         table = self._lead_tables.get(delta)
         if table is None or table.shape[0] < n:
             plans = self._far_plans.setdefault(delta, {})
+            if table is not None:  # a finer table batches its rows otherwise
+                plans.clear()
             table = self._lead_tables[delta] = _lead_rows(np.arange(n + 2.0) ** delta, self.alpha, plans)
         return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
 
@@ -366,14 +368,40 @@ def _lead_rows(x: np.ndarray, alpha, plans: dict) -> np.ndarray:
     """The leading block on the nodes x, one row and column per hat of x.
     An entry takes the same arithmetic whatever the row batches of the far
     field, and the same bits on the first nodes of longer x. ``plans``
-    holds the far-field plans of these nodes by (a0, a1, n); missing ones
-    are added, so another alpha can reuse them."""
+    holds the far-field plans of these nodes by (a0, a1); missing ones are
+    added, so another alpha can reuse them."""
     a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
     h, n = np.diff(x), x.size - 2
-    out = np.zeros((n, n))
+    # Row element a feeds hat rows a (X = 1) and a - 1 (X = 0) at the hats
+    # j <= a - 3. Row n, past the last hat, takes the last element's X = 1
+    # terms, and the near band, written last, replaces the X = 0 term at
+    # (a - 1, a - 3). Each hat column of a row element comes from one block
+    # or one pair of element moments, so every far entry is a sum of two
+    # terms and takes the same bits in any order of the adds.
+    out = np.zeros((n + 1, n))
     scale = beta_fn(2.0 - s, 2.0 - s) / gamma_fn(2.0 - s) ** 2
+    far = scale * (-p * (p - 1.0) * (p - 2.0) * (p - 3.0))
+    e = p - 4.0
+    batch = max(1, _FAR_PAIRS // (n + 1))
+    for a0 in range(3, n + 1, batch):  # row elements up to the last, n
+        a1 = min(a0 + batch, n + 1)
+        if (a0, a1) not in plans:
+            plans[a0, a1] = _far_plan(x[: a1 + 1], a0, a1)
+        geometry, products, (gap, ha, hb, inv, i, j) = plans[a0, a1]
+        rows = _row_factors(*geometry, e)
+        rows *= far
+        for k, cols, pick, r, hats in products:
+            v = rows[k] @ cols[pick]
+            if not isinstance(hats, slice):  # each pair's first hat
+                hats = hats + np.arange(cols.shape[-1])
+            out[r, hats] += v[:, 1]
+            out[r - 1, hats] += v[:, 0]
+        mom = _far_moments(gap, ha, hb, e)[..., inv]
+        v = far * (mom[:, 1, : inv.size // 2] + mom[:, 0, inv.size // 2 :])
+        out[i, j] += v[1]
+        out[i - 1, j] += v[0]
     for off in (-1, 0, 1, 2):
         i = np.arange(max(off, 0), n + min(off, 0))
         # pairs (e, f) = (0, 0), (0, 1), (1, 0), (1, 1) of the elements of
@@ -383,52 +411,24 @@ def _lead_rows(x: np.ndarray, alpha, plans: dict) -> np.ndarray:
         drop = _power_drop(x[e] - x[f], hf, p) - _power_drop(x[e + 1] - x[f], hf, p)
         drop /= h[e] * hf
         out[i, i - off] = -scale * (drop[:, 0] - drop[:, 1] - drop[:, 2] + drop[:, 3])
-    scale *= -p * (p - 1.0) * (p - 2.0) * (p - 3.0)
-    e = p - 4.0
-    # Row element a feeds hat rows a (X = 1) and a - 1 (X = 0) at the hats
-    # j <= a - 3 and j <= a - 4; each hat column of a row element comes from
-    # one block or one pair of element moments, so every far entry is a sum
-    # of two terms and takes the same bits in any order of the adds.
-    batch = max(1, _FAR_PAIRS // (n + 1))
-    for a0 in range(3, n + 1, batch):  # row elements up to the last, n
-        a1 = min(a0 + batch, n + 1)
-        if (a0, a1, n) not in plans:
-            plans[a0, a1, n] = _far_plan(x[: a1 + 1], a0, a1, n)
-        geometry, products, pairs = plans[a0, a1, n]
-        rows = _row_factors(*geometry, e)
-        rows *= scale
-        for k, cols, pick, *targets in products:
-            v = rows[k] @ (cols if pick is None else cols[pick])
-            for side, (i, j, sel) in zip((1, 0), targets):
-                if not isinstance(j, slice):  # each pair's first hat
-                    j = j[:, None] + np.arange(cols.shape[-1])
-                out[i, j] += v[sel, side]
-        gap, ha, hb, inv, *targets = pairs
-        mom = _far_moments(gap, ha, hb, e)[..., inv]
-        v = scale * (mom[:, 1, : inv.size // 2] + mom[:, 0, inv.size // 2 :])
-        for side, (i, j, sel) in zip((1, 0), targets):
-            out[i, j] += v[side, sel]
-    return out
+    return out[:n]
 
 
-def _far_plan(x: np.ndarray, a0: int, a1: int, n: int):
+def _far_plan(x: np.ndarray, a0: int, a1: int):
     """What the far field of row elements a0 <= a < a1 on the nodes
-    x[0..a1] needs that does not depend on alpha, for a block of n hat
-    rows:
+    x[0..a1] needs that does not depend on alpha:
 
     - the row factors' geometry (dist, h_a, span, tier counts), in tier
       order;
-    - the block products (k, cols, pick, up, down): rows k of the row
-      factors times the column factors, cols of one block or cols[pick]
-      of a block per pair;
+    - the block products (k, cols, pick, a, hats): rows k of the row
+      factors times the column factors cols[pick], added into the rows a
+      and a - 1 at the hats, a slice or each pair's first hat of its block;
     - the element pairs (gap, h_a, h_b) of the hats left over, with inv
       taking their moments to each hat's Y = 1 and then Y = 0 half, and
-      the hats' up and down.
+      each hat's row element and column.
 
-    Row element a feeds hat rows a (X = 1, ``up``) and a - 1 (X = 0,
-    ``down``); a target (rows, hats, pick) adds the picked results into
-    out[rows, hats], hats a slice or each pair's first hat of its block.
-    Every alpha of a graded table asks for the same plans."""
+    Every alpha, and every table whose nodes begin with x, asks for the
+    same plans."""
     h = np.diff(x)
     a, c, size, ra, rj = _far_blocks(x, np.arange(a0, a1))
     right = x[(c + 1) * size + 1]
@@ -441,20 +441,17 @@ def _far_plan(x: np.ndarray, a0: int, a1: int, n: int):
     products = []
     cuts = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):  # one level at a time
-        products += _level_products(x, n, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
+        products += _level_products(x, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
     # hat j: Y = 1 on element j, Y = 0 on j + 1; neighbouring hats share an element
     keys = np.concatenate([ra, ra]) * x.size + np.concatenate([rj, rj + 1])
     pairs, inv = np.unique(keys, return_inverse=True)
     b, f = np.divmod(pairs, x.size)
-    up, down = ra < n, rj < ra - 3
-    targets = (ra[up], rj[up], up), (ra[down] - 1, rj[down], down)
-    return rows, products, (x[b] - x[f + 1], h[b], h[f], inv, *targets)
+    return rows, products, (x[b] - x[f + 1], h[b], h[f], inv, ra, rj)
 
 
-def _level_products(x, n, a, c, size, k) -> list:
+def _level_products(x, a, c, size, k) -> list:
     """_far_plan's block products of one level: row elements a, rows k of
-    the row factors, take the blocks c of ``size`` hats, feeding row a - 1
-    and, when a < n, row a."""
+    the row factors, take the blocks c of ``size`` hats."""
     blocks, inv = np.unique(c, return_inverse=True)
     cols = _block_factors(x, size, blocks)
     products = []
@@ -462,19 +459,16 @@ def _level_products(x, n, a, c, size, k) -> list:
         step = max(1, _FAR_PAIRS // (2 * _CHEB_K * size))
         for s in range(0, a.size, step):
             s = slice(s, s + step)
-            up, j = a[s] < n, c[s] * size  # each pair's first hat
-            targets = (a[s][up, None], j[up], up), (a[s][:, None] - 1, j, slice(None))
-            products.append((k[s], cols, inv[s], *targets))
+            products.append((k[s], cols, inv[s], a[s, None], c[s, None] * size))
         return products
     order = np.argsort(inv, kind="stable")  # the pairs of each block together
     counts = np.bincount(inv)
     step = max(1, _FAR_PAIRS // (4 * size))
-    for b, col, lo, hi in zip(blocks.tolist(), cols, np.cumsum(counts) - counts, np.cumsum(counts)):
-        j = slice(b * size, (b + 1) * size)
-        for s in range(lo, hi, step):
+    for pick, (b, hi) in enumerate(zip(blocks.tolist(), np.cumsum(counts))):
+        hats = slice(b * size, (b + 1) * size)
+        for s in range(hi - counts[pick], hi, step):
             s = order[s : min(s + step, hi)]
-            up = a[s] < n
-            products.append((k[s], col, None, (a[s][up], j, up), (a[s] - 1, j, slice(None))))
+            products.append((k[s], cols, pick, a[s], hats))
     return products
 
 

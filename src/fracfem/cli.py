@@ -38,9 +38,8 @@ CSV_COLUMNS = (
 )
 
 _METHODS = ("standard", "recon", "recon_mixed")
-
-# Sobolev index of the catalog sources, used for predicted rates only.
-_SOURCE_SMOOTHNESS = {"a": 1.0, "b": 0.5, "c": 0.25}
+# largest dense lead block of a graded study, 1 GiB: k_max = 13 takes 512 MiB
+_GRADED_BLOCK_BYTES = 1 << 30
 
 # config fields a JSON file could fill with a value of the wrong type; None
 # leaves a hint, an expression or the output path unset
@@ -97,6 +96,12 @@ class ExperimentConfig:
             raise ArgumentError(
                 f"reference mesh size must be a power of two >= 16, got {self.reference_m}"
             )
+        block = 8 * (2**self.k_max - 1) ** 2  # bytes of one dense graded lead block
+        if self.delta > 1.0 and block > _GRADED_BLOCK_BYTES:
+            raise ArgumentError(
+                f"k_max={self.k_max} with grading exponent {self.delta} needs a {block >> 20} MiB "
+                f"lead block, over the {_GRADED_BLOCK_BYTES >> 20} MiB limit"
+            )
         if self.needs_reference and 2**self.k_max > self.reference_m // 8:
             raise ArgumentError(
                 f"k_max={self.k_max} is too fine for the reference mesh "
@@ -125,8 +130,7 @@ class ExperimentConfig:
 
     @property
     def source_smoothness(self) -> float:
-        if self.example in _SOURCE_SMOOTHNESS:
-            return _SOURCE_SMOOTHNESS[self.example]
+        """Sobolev index of the source, used for predicted rates only."""
         ps = self.source.powersum
         if ps is not None and ps.terms:
             candidates = [
@@ -308,14 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Convergence studies for fractional two-point boundary value problems.",
     )
     parser.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    parser.add_argument("--alpha", help="comma-separated fractional orders, e.g. 1.25,1.5,1.75")
-    parser.add_argument("--example", choices=["a", "b", "c", "custom"], help="source choice")
+    parser.add_argument("--alpha", dest="alphas",
+                        help="comma-separated fractional orders, e.g. 1.25,1.5,1.75")
+    parser.add_argument("--example", help="source: a, b, c, or custom")
     parser.add_argument("--q", help="potential: zero, x_times_1mx, or custom")
-    parser.add_argument("--method", choices=list(_METHODS), help="discretization")
+    parser.add_argument("--method", help="discretization: standard, recon, or recon_mixed")
     parser.add_argument("--levels", help="mesh levels k_min:k_max (m = 2^k)")
     parser.add_argument("--graded", type=float, dest="delta", help="grading exponent delta >= 1")
     parser.add_argument("--reference-m", type=int, dest="reference_m", help="reference mesh size")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "markdown"], help="output format")
+    parser.add_argument("--format", dest="fmt", help="output format: csv or markdown")
     parser.add_argument("--out", help="output path (defaults to stdout)")
     parser.add_argument("--f-expr", dest="f_expr", help="custom source expression")
     parser.add_argument("--f-hint", dest="f_hint", type=float, help="custom source singularity exponent at 0")
@@ -325,15 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        raw.update(_config_from_json(args.config))
+    """The config file's keys, overridden by every option given, then
+    ``levels``, ``q`` and ``alphas`` normalised once."""
+    raw = _config_from_json(args.config) if args.config else {}
+    raw.update((name, value) for name, value in vars(args).items()
+               if value is not None and name != "config")
     if "levels" in raw:
         raw["k_min"], raw["k_max"] = _parse_levels(str(raw.pop("levels")))
     if "q" in raw:
         raw["q_kind"] = raw.pop("q")
-    if args.alpha is not None:
-        raw["alphas"] = args.alpha
     if "alphas" in raw:
         value = raw["alphas"]
         items = [tok for tok in value.split(",") if tok] if isinstance(value, str) else value
@@ -341,15 +346,6 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             raw["alphas"] = tuple(float(a) for a in items)
         except (TypeError, ValueError):
             raise ArgumentError(f"alphas must be numbers, got {value!r}") from None
-    if args.levels is not None:
-        raw["k_min"], raw["k_max"] = _parse_levels(args.levels)
-    if args.q is not None:
-        raw["q_kind"] = args.q
-    for name in ("example", "method", "delta", "reference_m", "fmt", "out",
-                 "f_expr", "f_hint", "q_expr", "q_hint"):
-        value = getattr(args, name)
-        if value is not None:
-            raw[name] = value
     return ExperimentConfig(**raw)
 
 

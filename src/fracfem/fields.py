@@ -276,6 +276,8 @@ def parse_field(expr: str, hint: float | None) -> ScalarField:
         raise ArgumentError(
             "custom fields need an explicit singularity hint (0 when smooth at x = 0)"
         )
+    if not np.isfinite(hint):
+        raise ArgumentError(f"singularity hint must be a finite number, got {hint}")
     tk = _Tokens(expr)
     try:
         ps = _parse_expr(tk)

@@ -270,6 +270,18 @@ def test_with_alpha_shares_only_the_far_field_plans():
         assert other._far_plans == {}
 
 
+def test_far_field_plans_do_not_depend_on_request_order():
+    # a finer table drops the plans of the coarser one, so a spec asked
+    # coarse to fine keeps only the plans of its finest table
+    keys = []
+    for levels in (range(3, 10), range(9, 2, -1)):
+        spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+        for k in levels:
+            spec.lead(build_mesh(2**k, 5.0))
+        keys.append(sorted(spec._far_plans[5.0]))
+    assert keys[0] == keys[1] == [(3, 512)]
+
+
 @given(
     st.floats(min_value=1.001, max_value=1.999),
     st.floats(min_value=1.1, max_value=6.0),

@@ -1,5 +1,6 @@
 """Configuration validation, table emission, determinism, and exit codes."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -82,6 +83,8 @@ def test_config_derived_properties():
     mixed = _tiny(method="recon_mixed", alphas=(1.75,), example="c")
     assert mixed.bc == "mixed"
     assert mixed.source_smoothness == 0.25
+    # the step at 1/2 of example b, from its power sum
+    assert _tiny(example="b").source_smoothness == 0.5
     with_q = _tiny(q_kind="x_times_1mx", k_min=2, k_max=3, reference_m=64)
     assert with_q.needs_reference
 
@@ -253,10 +256,61 @@ def test_main_error_exit_codes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and named in captured.err
         assert captured.err.count("\n") == 1 and captured.out == ""
-    assert main(["--alpha", "1.5,abc"]) == 2
+    # so do option values that ExperimentConfig refuses
+    for argv, named in ((["--alpha", "1.5,abc"], "1.5,abc"), (["--example", "d"], "'d'"),
+                        (["--method", "petrov"], "'petrov'"), (["--format", "tsv"], "'tsv'")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err, argv
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_options_override_the_config_file(tmp_path):
+    path = tmp_path / "config.json"
+    options = ["--levels", "5:6", "--q", "zero", "--alpha", "1.6"]
+    for raw in ({"k_min": 3, "k_max": 4, "q_kind": "x_times_1mx", "alphas": [1.25, 1.75]},
+                {"levels": "3:4", "q": "x_times_1mx", "q_kind": "zero", "alphas": "1.25,1.75"}):
+        path.write_text(json.dumps({**raw, "reference_m": 512}))
+        for argv, expected in (([], (3, 4, "x_times_1mx", (1.25, 1.75))), (options, (5, 6, "zero", (1.6,)))):
+            config = cli._assemble_config(cli._build_parser().parse_args(["--config", str(path), *argv]))
+            assert (config.k_min, config.k_max, config.q_kind, config.alphas) == expected, (raw, argv)
+
+
+def test_every_option_names_a_config_field():
+    # _assemble_config forwards every option given under its dest
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"levels", "q", "config"}
+    dests = {action.dest for action in cli._build_parser()._actions} - {"help"}
+    assert "alphas" in dests and dests <= known
+
+
+@pytest.mark.parametrize("hint", ["nan", "inf"])
+def test_non_finite_hints_are_refused_in_one_line(hint, capsys, monkeypatch):
+    studies = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
+    for argv in (["--example", "b", "--q", "custom", "--q-expr", "chi(0,0.5)", f"--q-hint={hint}",
+                  "--method", "recon", "--levels", "3:4", "--reference-m", "128"],
+                 ["--example", "custom", "--f-expr", "x*(1-x)", f"--f-hint={hint}"]):
+        assert main(["--alpha", "1.5", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: singularity hint must be a finite number, got {hint}\n"
+        assert captured.out == ""
+    assert studies == []
+
+
+def test_graded_levels_past_the_block_limit_are_refused(capsys, monkeypatch):
+    # only configs are built: a graded k_max = 13 holds a 512 MiB lead
+    # block and passes, 14 would need 2 GiB; uniform meshes keep a stencil
+    studies = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
+    assert _tiny(method="standard", delta=5.0, k_max=13).k_max == 13
+    assert _tiny(method="standard", k_max=14).k_max == 14
+    message = "k_max=14 with grading exponent 5.0 needs a 2047 MiB lead block, over the 1024 MiB limit"
+    with pytest.raises(ArgumentError, match=message):
+        _tiny(method="standard", delta=5.0, k_max=14)
+    assert main(["--graded", "5", "--levels", "3:14"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "1.5,abc" in captured.err
-    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert studies == []
 
 
 def test_unreadable_config_and_unwritable_output_end_in_one_line(tmp_path, capsys, monkeypatch):
