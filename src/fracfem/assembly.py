@@ -691,7 +691,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     q_lead = spec.q.hint or 0.0
     q_us = None
     if q_ps is not None and q_ps.is_zero_anchored:  # q = 0 included
-        q_us = q_ps.multiply_zero_anchored(u_s)
+        q_us = q_ps * u_s
         q_us_at_one = float(rl_integral_powersum_at(a, q_us, 1.0))
     else:
         # one u_s term t^e at a time: t^(q_lead + e) times q's smooth part,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
+from functools import cached_property
 
 from .analysis import (
     REFERENCE_M,
@@ -102,6 +103,7 @@ class ExperimentConfig:
                 f"k_max={self.k_max} with grading exponent {self.delta} needs a {block >> 20} MiB "
                 f"lead block, over the {_GRADED_BLOCK_BYTES >> 20} MiB limit"
             )
+        self.source, self.potential  # parse custom fields once, before any output opens
         if self.needs_reference and 2**self.k_max > self.reference_m // 8:
             raise ArgumentError(
                 f"k_max={self.k_max} is too fine for the reference mesh "
@@ -112,13 +114,13 @@ class ExperimentConfig:
     def bc(self) -> str:
         return MIXED if self.method == "recon_mixed" else DIRICHLET
 
-    @property
+    @cached_property
     def source(self) -> ScalarField:
         if self.example == "custom":
             return parse_field(self.f_expr, self.f_hint)
         return SOURCES[self.example]()
 
-    @property
+    @cached_property
     def potential(self) -> ScalarField:
         if self.q_kind == "custom":
             return parse_field(self.q_expr, self.q_hint)

@@ -13,7 +13,7 @@ class ArgumentError(FracFemError, ValueError):
     """Structurally invalid argument (sizes, indices, ranges)."""
 
 
-class UnsupportedFormError(FracFemError):
+class UnsupportedFormError(ArgumentError):
     """Input not representable in the canonical form an operation needs."""
 
 

@@ -171,51 +171,8 @@ def _parse_expr(tk: _Tokens) -> PowerSum:
 def _parse_term(tk: _Tokens) -> PowerSum:
     product = _parse_factor(tk)
     while tk.try_char("*"):
-        product = _multiply(product, _parse_factor(tk))
+        product = product * _parse_factor(tk)
     return product
-
-
-def _multiply(a: PowerSum, b: PowerSum) -> PowerSum:
-    if _constant_of(b) is not None:
-        return a.scaled(_constant_of(b))
-    if _constant_of(a) is not None:
-        return b.scaled(_constant_of(a))
-    if a.is_zero_anchored and b.is_zero_anchored:
-        return a.multiply_zero_anchored(b)
-    for poly, other in ((a, b), (b, a)):
-        coeffs = _poly_coeffs(poly)
-        if coeffs is not None:
-            return other.multiply_polynomial(coeffs)
-    raise ArgumentError(
-        "product is not representable as a sum of shifted powers; "
-        "only polynomial factors may multiply shifted terms"
-    )
-
-
-def _constant_of(ps: PowerSum) -> float | None:
-    if len(ps.terms) == 0:
-        return 0.0
-    if len(ps.terms) == 1 and ps.terms[0].anchor == 0.0 and ps.terms[0].exponent == 0.0:
-        return ps.terms[0].coeff
-    return None
-
-
-def _poly_coeffs(ps: PowerSum) -> list[float] | None:
-    """Low-to-high coefficients when every term is c * x^k with integer k >= 0."""
-    coeffs: dict[int, float] = {}
-    for t in ps.terms:
-        if t.anchor != 0.0:
-            return None
-        if t.exponent < 0.0 or t.exponent != round(t.exponent):
-            return None
-        k = int(round(t.exponent))
-        coeffs[k] = coeffs.get(k, 0.0) + t.coeff
-    if not coeffs:
-        return [0.0]
-    out = [0.0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return out
 
 
 def _parse_factor(tk: _Tokens) -> PowerSum:
@@ -231,7 +188,7 @@ def _parse_factor(tk: _Tokens) -> PowerSum:
         if exponent == round(exponent) and exponent >= 0:
             out = PowerSum.from_terms([(1.0, 0.0, 0.0)])
             for _ in range(int(round(exponent))):
-                out = _multiply(out, base)
+                out = out * base
             return out
         raise ArgumentError("fractional powers apply to 'x' only")
     return base
@@ -280,7 +237,7 @@ def parse_field(expr: str, hint: float | None) -> ScalarField:
         raise ArgumentError(f"singularity hint must be a finite number, got {hint}")
     tk = _Tokens(expr)
     try:
-        ps = _parse_expr(tk)
+        ps = _parse_expr(tk).merged()  # terms that cancel leave the zero field
     except RecursionError:
         raise ArgumentError(f"expression nests too deeply, {expr.count('(')} parentheses") from None
     if tk.peek() is not None:

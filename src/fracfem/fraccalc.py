@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -130,30 +130,29 @@ class PowerSum:
             acc[key] = acc.get(key, 0.0) + t.coeff
         return PowerSum(tuple(PowerTerm(c, a, p) for (a, p), c in sorted(acc.items()) if c != 0.0))
 
-    def multiply_zero_anchored(self, other: "PowerSum") -> "PowerSum":
-        """Product of two sums whose terms are all anchored at x = 0."""
-        if not (self.is_zero_anchored and other.is_zero_anchored):
-            raise UnsupportedFormError(
-                "product of shifted power sums needs both factors anchored at 0"
-            )
+    def __mul__(self, other: "PowerSum") -> "PowerSum":
+        """Product term by term. Two terms at one anchor multiply; otherwise
+        the term at the smaller anchor a needs an integer exponent k >= 0 and
+        expands about the other's anchor b as ((x - b) + (b - a))^k, which
+        holds wherever the other term is nonzero."""
         terms = []
         for s in self.terms:
             for o in other.terms:
-                terms.append(PowerTerm(s.coeff * o.coeff, 0.0, s.exponent + o.exponent))
-        return PowerSum(tuple(terms)).merged()
-
-    def multiply_polynomial(self, coeffs: Sequence[float]) -> "PowerSum":
-        """Multiply by a polynomial given low-to-high; anchors are preserved
-        by expanding x^k around each term's own anchor."""
-        terms = []
-        for t in self.terms:
-            for k, c in enumerate(coeffs):
-                if c == 0.0:
+                if s.anchor == o.anchor:
+                    terms.append(PowerTerm(s.coeff * o.coeff, s.anchor, s.exponent + o.exponent))
                     continue
-                # x^k = ((x - a) + a)^k expanded binomially about the anchor.
-                for j in range(k + 1):
-                    coeff = t.coeff * c * math.comb(k, j) * t.anchor ** (k - j)
-                    terms.append(PowerTerm(coeff, t.anchor, t.exponent + j))
+                lo, hi = (s, o) if s.anchor < o.anchor else (o, s)
+                if not (lo.exponent >= 0.0 and float(lo.exponent).is_integer()):
+                    raise UnsupportedFormError(
+                        f"product is not a sum of shifted powers: (x - {lo.anchor:g})^{lo.exponent:g} "
+                        f"times a term anchored at {hi.anchor:g} needs an integer exponent >= 0"
+                    )
+                k = int(lo.exponent)
+                terms.extend(
+                    PowerTerm(hi.coeff * lo.coeff * math.comb(k, j) * (hi.anchor - lo.anchor) ** (k - j),
+                              hi.anchor, hi.exponent + j)
+                    for j in range(k + 1)
+                )
         return PowerSum(tuple(terms)).merged()
 
     def min_exponent_at_zero(self) -> float | None:

@@ -358,6 +358,28 @@ def test_too_steep_grading_is_refused_in_one_line(capsys):
     assert "grading exponent 200" in captured.err and captured.err.count("\n") == 1
 
 
+def test_bad_custom_source_leaves_the_output_file_alone(tmp_path, capsys):
+    # the source is parsed with the config, before the output file opens
+    out = tmp_path / "found.csv"
+    out.write_text("keep\n")
+    argv = [
+        "--example", "custom", "--f-expr", "x*(", "--f-hint", "0", "--q", "x_times_1mx",
+        "--levels", "3:4", "--reference-m", "128", "--out", str(out),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert out.read_text() == "keep\n"
+
+
+def test_potential_expression_that_cancels_is_the_zero_potential(capsys):
+    argv = ["--example", "a", "--method", "recon", "--levels", "5:10"]
+    assert main(argv + ["--q", "zero"]) == 0
+    zero = capsys.readouterr().out
+    assert main(argv + ["--q", "custom", "--q-expr", "0*x", "--q-hint", "0"]) == 0
+    assert capsys.readouterr().out == zero
+
+
 def test_deeply_nested_expression_exits_with_an_error(capsys):
     argv = [
         "--alpha", "1.5", "--method", "recon", "--q", "custom",

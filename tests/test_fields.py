@@ -74,6 +74,11 @@ def test_zero_field():
         ("-x + 2", lambda x: 2.0 - x),
         ("x*x*x", lambda x: x**3),
         ("(x-0.5)*chi(0.5,1)", lambda x: np.maximum(x - 0.5, 0.0)),
+        # integer powers at the smaller anchor expand about the larger one
+        ("chi(0.5,1)^2", lambda x: 1.0 * (x >= 0.5)),
+        ("chi(0.25,1)*chi(0.5,1)", lambda x: 1.0 * (x >= 0.5)),
+        ("chi(0.25,0.75)*(x-0.5)^2", lambda x: ((0.25 <= x) & (x < 0.75)) * (x - 0.5) ** 2),
+        ("chi(0.25,0.75)*chi(0.5,1)*(x-0.5)", lambda x: ((0.5 <= x) & (x < 0.75)) * (x - 0.5)),
     ],
 )
 def test_grammar_matches_reference(expr, probe):
@@ -99,9 +104,15 @@ def test_deep_nesting_is_a_typed_error():
 
 
 def test_grammar_rejects_unrepresentable_products():
-    # two shifted factors have no shifted-power product form
+    # chi(0.25,1)*chi(0.5,1) is chi(0.5,1), but x^0.5 at the smaller anchor
+    # has no expansion about 0.5
     with pytest.raises(ArgumentError):
         parse_field("chi(0.25,1)*chi(0.5,1)*x^0.5", 0.0)
+
+
+@pytest.mark.parametrize("expr", ["0", "0*x", "2*(x-x)", "x-x"])
+def test_cancelling_terms_give_the_zero_field(expr):
+    assert parse_field(expr, 0.0).is_zero
 
 
 def test_hint_is_mandatory_and_checked():

@@ -167,17 +167,38 @@ def test_powersum_scaling_and_merge(terms, c):
     np.testing.assert_allclose(ps.merged()(xs), ps(xs), rtol=1e-12, atol=1e-12)
 
 
-@given(
-    st.lists(coeffs_st, min_size=1, max_size=4),
-    st.lists(st.tuples(coeffs_st, exponents_st), min_size=1, max_size=3),
+_product_terms_st = st.lists(
+    st.tuples(
+        coeffs_st.filter(bool),  # a zero coefficient on a negative power warns in evaluation
+        st.sampled_from([0.0, 0.25, 0.5]),
+        st.one_of(
+            st.integers(0, 3).map(float),
+            st.floats(min_value=-0.45, max_value=2.95).filter(lambda e: not e.is_integer()),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
 )
-@settings(max_examples=150, deadline=None)
-def test_powersum_polynomial_product(poly, monos):
-    ps = PowerSum.from_terms([(c, 0.0, e) for c, e in monos])
-    prod = ps.multiply_polynomial(poly)
-    xs = _sample_points()[1:]  # x = 0 can hit 0^0 conventions on both sides
-    direct = ps(xs) * sum(c * xs**k for k, c in enumerate(poly))
-    np.testing.assert_allclose(prod(xs), direct, rtol=1e-10, atol=1e-10)
+
+
+@given(_product_terms_st, _product_terms_st)
+@settings(max_examples=300, deadline=None)
+def test_powersum_product_matches_pointwise_or_refuses(left, right):
+    a, b = PowerSum.from_terms(left), PowerSum.from_terms(right)
+    # a term at the smaller of two anchors must be a polynomial in x - anchor
+    refused = any(
+        s.anchor != o.anchor and not min((s, o), key=lambda t: t.anchor).exponent.is_integer()
+        for s in a.terms
+        for o in b.terms
+    )
+    if refused:
+        with pytest.raises(UnsupportedFormError):
+            a * b
+        return
+    xs = _sample_points()
+    xs = xs[np.min(np.abs(xs[:, None] - [0.0, 0.25, 0.5]), axis=1) > 0.01]
+    np.testing.assert_allclose((a * b)(xs), a(xs) * b(xs), rtol=1e-10, atol=1e-10)
+    assert all(t.coeff != 0.0 for t in (a * b).terms)
 
 
 @given(
@@ -204,18 +225,6 @@ def test_powersum_evaluation_matches_masked_form_bit_for_bit(terms, extra):
         assert np.array_equal(ps(xs), eval_terms_masked(ps.terms, xs), equal_nan=True)
         for x in xs[:3]:
             assert np.array_equal(ps(float(x)), eval_terms_masked(ps.terms, [x])[0], equal_nan=True)
-
-
-def test_zero_anchored_product_matches_pointwise():
-    a = PowerSum.from_terms([(1.0, 0.0, 0.5), (-2.0, 0.0, 1.0)])
-    b = PowerSum.from_terms([(3.0, 0.0, 0.25), (1.0, 0.0, 2.0)])
-    xs = _sample_points()[1:]
-    np.testing.assert_allclose(
-        a.multiply_zero_anchored(b)(xs), a(xs) * b(xs), rtol=1e-12
-    )
-    shifted = PowerSum.from_terms([(1.0, 0.5, 1.0)])
-    with pytest.raises(UnsupportedFormError):
-        a.multiply_zero_anchored(shifted)
 
 
 def test_powersum_anchored_integral_matches_quadrature():
