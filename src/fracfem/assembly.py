@@ -130,12 +130,33 @@ class ProblemSpec:
         """Alpha-free far-field plans by grading exponent; ``with_alpha`` shares them."""
         return {}
 
+    @cached_property
+    def _level_terms(self) -> dict:
+        """Read-only mass bands and source load of each build_mesh(m, delta)
+        level by (m, delta), which fixes its nodes; ``with_alpha`` shares them."""
+        return {}
+
     def with_alpha(self, alpha: float) -> ProblemSpec:
-        """This problem at another alpha, sharing the far-field plans; its
-        singular pair and lead tables are its own."""
+        """This problem at another alpha, sharing the far-field plans and the
+        level terms; its singular pair and lead tables are its own."""
         spec = replace(self, alpha=alpha)
         vars(spec)["_far_plans"] = self._far_plans
+        vars(spec)["_level_terms"] = self._level_terms
         return spec
+
+    def level_terms(self, mesh: Mesh) -> tuple:
+        """(diagonal, off-diagonal, load): the mass bands of (q phi_j, phi_i)
+        and the load (f, phi_i) on ``mesh``, which do not depend on alpha.
+        Kept for a build_mesh level; computed afresh for other nodes."""
+        key = (mesh.m, mesh.delta)
+        terms = self._level_terms.get(key)
+        if terms is None:
+            terms = (*mass_bands(mesh, self.q), load_vector(mesh, self.f))
+            if mesh.delta is not None:
+                for array in terms:
+                    array.setflags(write=False)
+                self._level_terms[key] = terms
+        return terms
 
     def lead(self, mesh: Mesh) -> Lead:
         """Leading block on ``mesh``. A build_mesh(m, delta) grading is
@@ -589,7 +610,7 @@ def mass_bands(mesh: Mesh, q: ScalarField):
         return np.array([left * n_l, left * n_r, wqv * n_r * n_r])
 
     ll, lr, rr = _element_sums(mesh.nodes, _MASS_POINTS, weighted, _anchors(q))
-    return rr[:n] + ll[1:], lr[1:n]
+    return rr[:n] + ll[1:], lr[1:n].copy()  # copied, so a kept band does not pin all three sums
 
 
 def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
@@ -829,12 +850,11 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
             "use the reconstruction method for the mixed problem"
         )
     lead = spec.lead(mesh)
-    diag, off = mass_bands(mesh, spec.q)
+    diag, off, f_load = spec.level_terms(mesh)
     if method == "standard":
-        load = load_vector(mesh, spec.f)
-        return AssembledSystem(mesh, lead, diag, off, load, None, None, None)
+        return AssembledSystem(mesh, lead, diag, off, f_load, None, None, None)
     pair = spec.singular_pair
     r_vec = load_vector(mesh, pair.q_profile, _anchors(spec.q))  # Q jumps where q does
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
-    load = load_vector(mesh, spec.f) + pair.f_frac_at_one * r_vec
+    load = f_load + pair.f_frac_at_one * r_vec
     return AssembledSystem(mesh, lead, diag, off, load, r_vec, s_vec, pair)

@@ -175,8 +175,11 @@ def _parse_levels(text: str) -> tuple[int, int]:
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     """Run the study grid; a failing (alpha, method) cell is reported as an
     error row while the remaining cells still run. The cells share the
-    alpha-free data of one spec through ``ProblemSpec.with_alpha``."""
+    level meshes, finest first, and the alpha-free data of one spec through
+    ``ProblemSpec.with_alpha``."""
     reports, spec = [], None
+    levels = [(k, build_mesh(2**k, config.delta))
+              for k in range(config.k_max, config.k_min - 1, -1)]
     for alpha in config.alphas:
         expected = expected_rates(
             alpha,
@@ -195,7 +198,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
         try:
             spec = (spec.with_alpha(alpha) if spec
                     else ProblemSpec(alpha=alpha, q=config.potential, f=config.source, bc=config.bc))
-            report.rows = _run_cell(config, spec)
+            report.rows = _run_cell(config, spec, levels)
         except FracFemError as exc:
             report.rows = []
             report.error = f"{type(exc).__name__}: {exc}"
@@ -203,15 +206,15 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     return reports
 
 
-def _run_cell(config: ExperimentConfig, spec: ProblemSpec) -> list[LevelRow]:
+def _run_cell(config: ExperimentConfig, spec: ProblemSpec, levels: list) -> list[LevelRow]:
+    """Rows of one alpha over the (k, mesh) levels, which run finest first,
+    so a graded study builds one lead table."""
     if config.needs_reference:
         exact = reference_solution(spec, config.reference_m)
     else:
         exact = exact_q0(spec, config.reference_m)
     rows = []
-    for k in range(config.k_max, config.k_min - 1, -1):  # finest first: one graded lead table
-        m = 2**k
-        mesh = build_mesh(m, config.delta)
+    for k, mesh in levels:
         if config.method == "standard":
             system = assemble_system(spec, mesh, "standard")
             sol = solve_standard(system)
@@ -221,7 +224,7 @@ def _run_cell(config: ExperimentConfig, spec: ProblemSpec) -> list[LevelRow]:
             sol = solve_reconstruction(spec, mesh)
             norms = error_norms(sol, exact)
             err_mu = abs(exact.mu - sol.mu_h)
-        rows.append(LevelRow(k, 1.0 / m, norms.l2, norms.energy, norms.linf, err_mu))
+        rows.append(LevelRow(k, 1.0 / mesh.m, norms.l2, norms.energy, norms.linf, err_mu))
     return rows[::-1]
 
 

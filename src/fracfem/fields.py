@@ -146,12 +146,18 @@ class _Tokens:
             or (self.text[self.pos] in "+-" and self.text[self.pos - 1] in "eE")
         ):
             self.pos += 1
+        literal = self.text[start : self.pos]
         try:
-            return float(self.text[start : self.pos])
+            value = float(literal)
         except ValueError:
             raise ArgumentError(
                 f"expected a number at position {start} in {self.text!r}"
             ) from None
+        if not np.isfinite(value):
+            raise ArgumentError(
+                f"number {literal!r} at position {start} in {self.text!r} overflows a float"
+            )
+        return value
 
 
 def _parse_expr(tk: _Tokens) -> PowerSum:

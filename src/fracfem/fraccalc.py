@@ -70,8 +70,9 @@ class PowerTerm:
 
 def _eval_terms(terms, x):
     """Sum of the terms at x; a term is coeff at its anchor for exponent 0,
-    0 for a positive exponent and an infinity of the coefficient's sign for
-    a negative one. Only negative exponents need a mask."""
+    0 for a positive exponent and, for a negative one, an infinity of the
+    coefficient's sign, or 0 for a zero coefficient. Only negative exponents
+    need a mask."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for t in terms:
@@ -86,7 +87,8 @@ def _eval_terms(terms, x):
         else:
             inside = dx > 0.0
             out[inside] += t.coeff * dx[inside] ** t.exponent
-            out[dx == 0.0] += np.sign(t.coeff) * np.inf
+            if t.coeff:
+                out[dx == 0.0] += np.sign(t.coeff) * np.inf
     return out
 
 

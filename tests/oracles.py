@@ -454,16 +454,19 @@ def full_matrix(system):
 def eval_terms_masked(terms, x):
     """Sum of power terms, each added only where its base is positive, plus
     its value at the anchor: coeff for exponent 0, an infinity of the
-    coefficient's sign for a negative exponent, nothing for a positive one."""
+    coefficient's sign for a negative exponent and a nonzero coefficient,
+    nothing otherwise."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     for t in terms:
         dx = x - t.anchor
         inside = dx > 0.0
         out[inside] += t.coeff * dx[inside] ** t.exponent
-        if t.exponent <= 0.0:
-            edge = dx == 0.0
-            out[edge] += t.coeff if t.exponent == 0.0 else np.sign(t.coeff) * np.inf
+        edge = dx == 0.0
+        if t.exponent == 0.0:
+            out[edge] += t.coeff
+        elif t.exponent < 0.0 and t.coeff != 0.0:
+            out[edge] += np.sign(t.coeff) * np.inf
     return out
 
 

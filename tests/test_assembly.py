@@ -250,24 +250,47 @@ def test_lead_table_is_kept_on_the_spec():
     assert not np.array_equal(moved._lead_tables[5.0], table)
 
 
-def test_with_alpha_shares_only_the_far_field_plans():
-    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+def test_with_alpha_shares_only_the_alpha_free_data():
+    spec = ProblemSpec(alpha=1.25, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
     spec.lead(build_mesh(32, 5.0))
+    terms = spec.level_terms(build_mesh(32, 5.0))
     plans, pair = dict(spec._far_plans[5.0]), spec.singular_pair
     assert plans
     moved = spec.with_alpha(1.75)
     assert moved == dataclasses.replace(spec, alpha=1.75)
-    assert moved._far_plans is spec._far_plans
+    assert moved._far_plans is spec._far_plans and moved._level_terms is spec._level_terms
     assert "_lead_tables" not in vars(moved) and "singular_pair" not in vars(moved)
-    # the next alpha builds its own table from the same plans, adding none
+    # the next alpha builds its own table from the same plans, adding none,
+    # and takes the level's mass bands and source load as they are
     moved.lead(build_mesh(32, 5.0))
     assert moved._lead_tables[5.0] is not spec._lead_tables[5.0]
     assert spec._far_plans[5.0].keys() == plans.keys()
     assert all(spec._far_plans[5.0][key] is plan for key, plan in plans.items())
+    assert all(got is kept for got, kept in zip(moved.level_terms(build_mesh(32, 5.0)), terms))
+    assert list(spec._level_terms) == [(32, 5.0)]
     assert moved.singular_pair.u_s != pair.u_s and spec.singular_pair is pair
-    # a spec built afresh or by replace() starts with plans of its own
+    # a spec built afresh or by replace() starts with stores of its own
     for other in (ProblemSpec(alpha=1.25, q=spec.q, f=spec.f), dataclasses.replace(spec)):
-        assert other._far_plans == {}
+        assert other._far_plans == {} and other._level_terms == {}
+
+
+def test_level_terms_are_kept_read_only_for_build_mesh_levels_only():
+    q = parse_field("chi(0,0.5)", 0.0)
+    spec = ProblemSpec(alpha=1.5, q=q, f=source_step())
+    for mesh in (build_mesh(16), build_mesh(16, 2.0)):
+        terms = spec.level_terms(mesh)
+        want = (*mass_bands(mesh, q), load_vector(mesh, spec.f))
+        assert all(np.array_equal(got, w) and not got.flags.writeable for got, w in zip(terms, want))
+        with pytest.raises(ValueError):
+            terms[2][0] = 0.0
+    # the same nodes without a recorded grading are computed afresh, kept
+    # nowhere, by the level terms and by a whole system alike
+    raw = Mesh(build_mesh(16).nodes.copy())
+    fresh = ProblemSpec(alpha=1.5, q=q, f=source_step())
+    terms = fresh.level_terms(raw)
+    assert all(np.array_equal(got, w) for got, w in zip(terms, spec.level_terms(build_mesh(16))))
+    assemble_system(fresh, raw, "reconstruction")
+    assert fresh._level_terms == {} and list(spec._level_terms) == [(16, 1.0), (16, 2.0)]
 
 
 def test_far_field_plans_do_not_depend_on_request_order():

@@ -391,6 +391,16 @@ def test_deeply_nested_expression_exits_with_an_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("expr, literal, at", [("x^1e400", "1e400", 2), ("1e400*x", "1e400", 0),
+                                               ("x*(1-x)+-1e999", "-1e999", 8)])
+def test_overflowing_literal_is_refused_in_one_line(expr, literal, at, capsys):
+    argv = ["--example", "custom", "--f-expr", expr, "--f-hint", "0", "--levels", "3:4", "--method", "recon"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: number {literal!r} at position {at} in {expr!r} overflows a float\n"
+    assert captured.out == ""
+
+
 def test_singular_pair_built_once_per_cell(monkeypatch):
     # the reference solve and every level of a cell share one spec, so the
     # pair is built once per alpha, not once per mesh
@@ -579,20 +589,58 @@ def test_graded_study_builds_one_lead_table_per_alpha(monkeypatch):
     assert calls == [(alpha, 2**9 + 1) for alpha in (1.25, 1.5, 1.75)]
 
 
+def _chi_recon(method="recon", alphas=(1.6, 1.7, 1.8)):
+    """A uniform chi(0,0.5) reconstruction study of three alphas at levels 3:5."""
+    return _tiny(alphas=alphas, example="b", method=method, q_kind="custom", q_expr="chi(0,0.5)",
+                 q_hint=0.0, k_min=3, k_max=5, reference_m=256)
+
+
+def test_uniform_study_builds_level_terms_once(monkeypatch):
+    # the mass bands and the source load do not depend on alpha, so a study
+    # of three alphas builds them once on each level and once on the
+    # reference mesh, and its level meshes once
+    config, calls = _chi_recon(alphas=(1.3137, 1.5, 1.7071)), []
+    bands, load, mesh_of = assembly.mass_bands, assembly.load_vector, cli.build_mesh
+
+    def counting_bands(mesh, q):
+        calls.append(("mass", mesh.m))
+        return bands(mesh, q)
+
+    def counting_load(mesh, field, breaks=()):
+        if field is config.source:
+            calls.append(("f", mesh.m))
+        return load(mesh, field, breaks)
+
+    def counting_mesh(m, delta=1.0):
+        calls.append(("mesh", m))
+        return mesh_of(m, delta)
+
+    monkeypatch.setattr(assembly, "mass_bands", counting_bands)
+    monkeypatch.setattr(assembly, "load_vector", counting_load)
+    monkeypatch.setattr(cli, "build_mesh", counting_mesh)
+    reports = run_experiment(config)
+    assert all(r.error is None and len(r.rows) == 3 for r in reports)
+    assert sorted(calls) == sorted([(kind, m) for kind in ("f", "mass") for m in (8, 16, 32, 256)]
+                                   + [("mesh", m) for m in (8, 16, 32)])
+
+
 def test_graded_study_leaves_nothing_behind():
-    # the alpha-free far-field data of a study lives on its specs; after a
-    # delta = 3 study has filled the scalar-keyed rule and band caches, a
-    # delta = 5 study leaves nothing of its own
-    run_experiment(_graded(3.0))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        run_experiment(_graded(5.0))
+    # the alpha-free data of a study lives on its specs; after a delta = 3
+    # study has filled the scalar-keyed rule and band caches, a delta = 5
+    # study leaves nothing of its own, and after a first run of a uniform
+    # reconstruction study, Dirichlet or mixed, a second run leaves nothing
+    for warm, study in ((_graded(3.0), _graded(5.0)), (_chi_recon(), _chi_recon()),
+                        (_chi_recon("recon_mixed"), _chi_recon("recon_mixed"))):
+        run_experiment(warm)
         gc.collect()
-        left, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert left < 64 * 1024, left
+        tracemalloc.start()
+        try:
+            run_experiment(study)
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024, (study.method, left)
 
 
 def test_graded_studies_in_two_threads_print_serial_bytes():

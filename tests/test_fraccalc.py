@@ -216,8 +216,8 @@ def test_powersum_product_matches_pointwise_or_refuses(left, right):
 @settings(max_examples=200, deadline=None)
 def test_powersum_evaluation_matches_masked_form_bit_for_bit(terms, extra):
     # exponents in (-1, 3], sampled exactly at every anchor, at both ends of
-    # [0, 1] and in between; a zero coefficient or opposite infinities at a
-    # shared anchor give NaN in both forms
+    # [0, 1] and in between; opposite infinities at a shared anchor give NaN
+    # in both forms
     terms = terms + [(1.5, terms[0][1], 0.0), (-0.5, terms[0][1], 2.0)]
     ps = PowerSum.from_terms(terms)
     xs = np.concatenate(([t[1] for t in terms], _sample_points(), extra))
@@ -225,6 +225,18 @@ def test_powersum_evaluation_matches_masked_form_bit_for_bit(terms, extra):
         assert np.array_equal(ps(xs), eval_terms_masked(ps.terms, xs), equal_nan=True)
         for x in xs[:3]:
             assert np.array_equal(ps(float(x)), eval_terms_masked(ps.terms, [x])[0], equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_negative_power_is_infinite_only_at_its_anchor():
+    # a zero coefficient adds nothing anywhere, its anchor included; a
+    # nonzero one adds an infinity of its sign at the anchor only
+    xs = np.array([0.0, 0.25, 0.5, 1.0])
+    zero = PowerSum.from_terms([(0.0, 0.0, -0.25)])
+    assert np.array_equal(zero(xs), np.zeros(4)) and zero(0.0) == 0.0 and zero(0.5) == 0.0
+    ps = PowerSum.from_terms([(-2.0, 0.25, -0.5), (0.0, 0.5, -0.75)])
+    assert np.array_equal(ps(xs), [0.0, -np.inf, -2.0 * 0.25**-0.5, -2.0 * 0.75**-0.5])
+    assert ps(0.25) == -np.inf and ps(0.5) == -4.0
 
 
 def test_powersum_anchored_integral_matches_quadrature():

@@ -160,8 +160,14 @@ def test_graded_study_changes_no_module_level_container():
             if isinstance(value, (dict, list, set)) and not name.startswith("__")
         }
 
+    # a graded standard study and uniform chi(0,0.5) reconstruction studies,
+    # Dirichlet and mixed, keep their alpha-free data on their specs
     before = containers()
-    config = ExperimentConfig(alphas=(1.3, 1.6), example="a", q_kind="zero", method="standard",
-                              k_min=3, k_max=7, delta=4.5)
-    assert all(report.error is None for report in run_experiment(config))
-    assert containers() == before
+    chi = dict(example="b", q_kind="custom", q_expr="chi(0,0.5)", q_hint=0.0, k_min=3, k_max=5,
+               reference_m=256)
+    for config in (ExperimentConfig(alphas=(1.3, 1.6), example="a", q_kind="zero", method="standard",
+                                    k_min=3, k_max=7, delta=4.5),
+                   ExperimentConfig(alphas=(1.3, 1.6), method="recon", **chi),
+                   ExperimentConfig(alphas=(1.6, 1.8), method="recon_mixed", **chi)):
+        assert all(report.error is None for report in run_experiment(config))
+        assert containers() == before
