@@ -51,8 +51,7 @@ from .fraccalc import (
 )
 from .mesh import Mesh, PwLinear, build_mesh
 from .solver import (
-    ReconSolution,
-    StandardSolution,
+    Solution,
     solve_reconstruction,
     solve_standard,
     system_matvec,

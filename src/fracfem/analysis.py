@@ -20,7 +20,7 @@ from .assembly import DIRICHLET, Lead, ProblemSpec
 from .errors import ArgumentError, UnsupportedSourceError
 from .fraccalc import PowerSum, legendre_panel, rl_integral_powersum
 from .mesh import Mesh, PwLinear, build_mesh
-from .solver import ReconSolution, StandardSolution, solve_reconstruction
+from .solver import Solution, solve_reconstruction
 
 REFERENCE_M = 4096
 
@@ -40,9 +40,9 @@ class ExactSolution:
     lead: Lead = field(repr=False, compare=False)
 
 
-def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
+def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
     """Closed-form solution for q = 0 and a power-sum source, sampled by the
-    error norms on a uniform mesh of ``fine_m`` elements."""
+    error norms on ``mesh``, by default build_mesh(REFERENCE_M)."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
     ps = spec.f.powersum
@@ -54,21 +54,22 @@ def exact_q0(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
     mu = float(frac(1.0))
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, spec.singular_exponent)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
-    mesh = build_mesh(fine_m)
+    mesh = build_mesh(REFERENCE_M) if mesh is None else mesh
     return ExactSolution(u, u_r, mu, mesh, Lead.of(mesh, spec.alpha))
 
 
-def reference_solution(spec: ProblemSpec, fine_m: int = REFERENCE_M) -> ExactSolution:
-    """Reconstruction solve on a fine uniform mesh, packaged as a reference.
+def reference_solution(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
+    """Reconstruction solve on a fine mesh, by default build_mesh(REFERENCE_M),
+    packaged as a reference.
 
     The study meshes it serves should stay at least 8 times coarser. The
     solve's leading block also serves the energy norm.
     """
-    if fine_m < 16:
-        raise ArgumentError(f"reference mesh is too coarse, m={fine_m}")
-    mesh = build_mesh(fine_m)
+    mesh = build_mesh(REFERENCE_M) if mesh is None else mesh
+    if mesh.m < 16:
+        raise ArgumentError(f"reference mesh is too coarse, m={mesh.m}")
     sol = solve_reconstruction(spec, mesh)
-    return ExactSolution(sol, sol.u_r_h, sol.mu_h, mesh, sol.lead)
+    return ExactSolution(sol, sol.fe, sol.mu_h, mesh, sol.lead)
 
 
 @dataclass(frozen=True)
@@ -78,28 +79,27 @@ class ErrorNorms:
     linf: float
 
 
-def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) -> ErrorNorms:
-    """L2, energy, and sup errors: of the full solution u for the standard
-    method, of the regular part u_r for the reconstruction method.
+def error_norms(approx: Solution, exact: ExactSolution) -> ErrorNorms:
+    """L2, energy, and sup errors of ``approx.fe``: against the full solution
+    u for the standard method, which has no mu_h, and against the regular
+    part u_r for the reconstruction method.
 
     L2 and the sup are taken over the union refinement of the approximation
     mesh and the exact solution's fine mesh, from one array of differences
-    at the union nodes. When both fields are piecewise linear (a regular
-    part against a fine-mesh reference) their difference is linear on every
+    at the union nodes. When the exact field is piecewise linear too (a
+    regular part against a fine-mesh reference) their difference is linear on every
     union cell, so both follow exactly from those differences; otherwise
     Gauss points in every cell sample it as well. The energy norm is the
     quadratic form of the leading block on the fine mesh interpolant of the
     error, whose node values are the same differences at the fine nodes,
     so it reflects the |.|_(alpha/2) seminorm.
     """
-    if isinstance(approx, ReconSolution):
-        approx_fn, exact_fn = approx.u_r_h, exact.u_r
-    else:
-        approx_fn, exact_fn = approx, exact.u
+    approx_fn = approx.fe
+    exact_fn = exact.u if approx.mu_h is None else exact.u_r
 
-    fine = exact.mesh.nodes
-    at = np.searchsorted(fine, approx.mesh.nodes)
-    if np.array_equal(fine[np.minimum(at, fine.size - 1)], approx.mesh.nodes):
+    fine, nodes = exact.mesh.nodes, approx_fn.mesh.nodes
+    at = np.searchsorted(fine, nodes)
+    if np.array_equal(fine[np.minimum(at, fine.size - 1)], nodes):
         # nested meshes: the union is the fine mesh, and a fine-mesh
         # interpolant takes its nodal values there (np.interp returns them)
         union = fine
@@ -107,11 +107,11 @@ def error_norms(approx: StandardSolution | ReconSolution, exact: ExactSolution) 
         node_gap = (exact_fn.nodal_values if on_fine else exact_fn(fine)) - approx_fn(fine)
         d = node_gap[1:-1]
     else:
-        union = np.union1d(approx.mesh.nodes, fine)
+        union = np.union1d(nodes, fine)
         node_gap = exact_fn(union) - approx_fn(union)
         d = node_gap[np.searchsorted(union, fine[1:-1])]
     linf = float(np.max(np.abs(node_gap)))
-    if isinstance(approx_fn, PwLinear) and isinstance(exact_fn, PwLinear):
+    if isinstance(exact_fn, PwLinear):
         lo, hi = node_gap[:-1], node_gap[1:]
         l2 = float(np.sqrt(np.sum(np.diff(union) * (lo * lo + lo * hi + hi * hi)) / 3.0))
     else:

@@ -684,13 +684,13 @@ def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
 class SingularPair:
     """Splitting data u = u_r + mu * u_s for the reconstruction method.
 
-    q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x); the regular part sees the
-    modified source f(x) + (I^alpha f)(1) Q(x).
+    q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x), c1(x) = -2/Gamma(3-alpha)
+    x^(2-alpha); the regular part sees the modified source
+    f(x) + (I^alpha f)(1) Q(x).
     """
 
     u_s: PowerSum
     c0: float
-    c1: PowerSum
     q_profile: ScalarField
     f_frac_at_one: float
 
@@ -748,7 +748,7 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
     q_hint = min(2.0 - a, q_lead + p_sing)
     q_profile = ScalarField(fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q")
-    return SingularPair(u_s, c0, c1, q_profile, f_at_one)
+    return SingularPair(u_s, c0, q_profile, f_at_one)
 
 
 @dataclass(frozen=True)

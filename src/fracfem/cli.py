@@ -29,8 +29,8 @@ from .analysis import (
 from .assembly import DIRICHLET, MIXED, ProblemSpec, assemble_system
 from .errors import ArgumentError, FracFemError
 from .fields import POTENTIALS, SOURCES, ScalarField, parse_field
-from .mesh import build_mesh
-from .solver import solve_reconstruction, solve_standard
+from .mesh import Mesh, build_mesh
+from .solver import GMRES_RESTART, solve_reconstruction, solve_standard
 
 CSV_COLUMNS = (
     "alpha,k,h,err_l2,err_energy,err_linf,err_mu,"
@@ -39,8 +39,10 @@ CSV_COLUMNS = (
 )
 
 _METHODS = ("standard", "recon", "recon_mixed")
-# largest dense lead block of a graded study, 1 GiB: k_max = 13 takes 512 MiB
-_GRADED_BLOCK_BYTES = 1 << 30
+# largest array a study may allocate, 1 GiB: the dense lead block of a graded
+# study (k_max = 13 takes 512 MiB) and the GMRES basis of its finest mesh,
+# level or reference (m = 2^21 takes 816 MiB)
+_ARRAY_BYTES = 1 << 30
 
 # config fields a JSON file could fill with a value of the wrong type; None
 # leaves a hint, an expression or the output path unset
@@ -98,11 +100,18 @@ class ExperimentConfig:
                 f"reference mesh size must be a power of two >= 16, got {self.reference_m}"
             )
         block = 8 * (2**self.k_max - 1) ** 2  # bytes of one dense graded lead block
-        if self.delta > 1.0 and block > _GRADED_BLOCK_BYTES:
+        if self.delta > 1.0 and block > _ARRAY_BYTES:
             raise ArgumentError(
                 f"k_max={self.k_max} with grading exponent {self.delta} needs a {block >> 20} MiB "
-                f"lead block, over the {_GRADED_BLOCK_BYTES >> 20} MiB limit"
+                f"lead block, over the {_ARRAY_BYTES >> 20} MiB limit"
             )
+        for name, m in (("k_max", 2**self.k_max), ("reference_m", self.reference_m)):
+            basis = 8 * (GMRES_RESTART + 1) * (m - 1)  # bytes of the GMRES basis on m elements
+            if basis > _ARRAY_BYTES:
+                raise ArgumentError(
+                    f"{name}={getattr(self, name)} needs a {basis >> 20} MiB GMRES basis on "
+                    f"m={m}, over the {_ARRAY_BYTES >> 20} MiB limit"
+                )
         self.source, self.potential  # parse custom fields once, before any output opens
         if self.needs_reference and 2**self.k_max > self.reference_m // 8:
             raise ArgumentError(
@@ -175,11 +184,12 @@ def _parse_levels(text: str) -> tuple[int, int]:
 def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     """Run the study grid; a failing (alpha, method) cell is reported as an
     error row while the remaining cells still run. The cells share the
-    level meshes, finest first, and the alpha-free data of one spec through
-    ``ProblemSpec.with_alpha``."""
+    level meshes, finest first, the fine mesh of the exact solutions, and
+    the alpha-free data of one spec through ``ProblemSpec.with_alpha``."""
     reports, spec = [], None
     levels = [(k, build_mesh(2**k, config.delta))
               for k in range(config.k_max, config.k_min - 1, -1)]
+    fine = build_mesh(config.reference_m)
     for alpha in config.alphas:
         expected = expected_rates(
             alpha,
@@ -198,7 +208,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
         try:
             spec = (spec.with_alpha(alpha) if spec
                     else ProblemSpec(alpha=alpha, q=config.potential, f=config.source, bc=config.bc))
-            report.rows = _run_cell(config, spec, levels)
+            report.rows = _run_cell(config, spec, levels, fine)
         except FracFemError as exc:
             report.rows = []
             report.error = f"{type(exc).__name__}: {exc}"
@@ -206,24 +216,19 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
     return reports
 
 
-def _run_cell(config: ExperimentConfig, spec: ProblemSpec, levels: list) -> list[LevelRow]:
+def _run_cell(config: ExperimentConfig, spec: ProblemSpec, levels: list, fine: Mesh) -> list[LevelRow]:
     """Rows of one alpha over the (k, mesh) levels, which run finest first,
-    so a graded study builds one lead table."""
-    if config.needs_reference:
-        exact = reference_solution(spec, config.reference_m)
-    else:
-        exact = exact_q0(spec, config.reference_m)
+    so a graded study builds one lead table, measured against the exact
+    solution on the ``fine`` mesh."""
+    exact = (reference_solution if config.needs_reference else exact_q0)(spec, fine)
     rows = []
     for k, mesh in levels:
         if config.method == "standard":
-            system = assemble_system(spec, mesh, "standard")
-            sol = solve_standard(system)
-            norms = error_norms(sol, exact)
-            err_mu = None
+            sol = solve_standard(assemble_system(spec, mesh, "standard"))
         else:
             sol = solve_reconstruction(spec, mesh)
-            norms = error_norms(sol, exact)
-            err_mu = abs(exact.mu - sol.mu_h)
+        norms = error_norms(sol, exact)
+        err_mu = None if sol.mu_h is None else abs(exact.mu - sol.mu_h)
         rows.append(LevelRow(k, 1.0 / mesh.m, norms.l2, norms.energy, norms.linf, err_mu))
     return rows[::-1]
 

@@ -67,10 +67,6 @@ class Mesh:
         the nodes are read-only, so the answer is kept."""
         return np.array_equal(self.nodes, np.arange(self.m + 1) / self.m)
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
 
 @dataclass(frozen=True)
 class PwLinear:

@@ -23,7 +23,7 @@ from .mesh import Mesh, PwLinear
 # backward-error tolerance: |Ax - b| measured against |A||x| + |b|
 RESIDUAL_TOL = 1e-12
 
-_GMRES_RESTART = 50
+GMRES_RESTART = 50
 _GMRES_MAX_INNER = 2000
 # one GMRES sweep: 2-norm target relative to its residual, bounded inner budget
 _GMRES_SWEEP_RTOL = 1e-12
@@ -34,36 +34,22 @@ _DENSE_N = 127
 
 
 @dataclass(frozen=True)
-class StandardSolution:
-    """Galerkin solution u_h of the standard method."""
+class Solution:
+    """Galerkin solution of either method: ``fe`` is u_h for the standard
+    method and u_r_h for the reconstruction method, whose solution is
+    u_h = u_r_h + mu_h * u_s; ``mu_h`` and ``pair`` are None for the
+    standard method. ``lead`` is the leading block of the solved system."""
 
-    u_h: PwLinear
+    fe: PwLinear
     residual: float
+    lead: Lead
+    mu_h: float | None = None
+    pair: SingularPair | None = None
 
     def __call__(self, x):
-        return self.u_h(x)
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.u_h.mesh
-
-
-@dataclass(frozen=True)
-class ReconSolution:
-    """Reconstruction solution u_h = u_r_h + mu_h * u_s."""
-
-    u_r_h: PwLinear
-    mu_h: float
-    pair: SingularPair
-    residual: float
-    lead: Lead  # leading block of the solved system
-
-    def __call__(self, x):
-        return self.u_r_h(x) + self.mu_h * self.pair.u_s(x)
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.u_r_h.mesh
+        if self.mu_h is None:
+            return self.fe(x)
+        return self.fe(x) + self.mu_h * self.pair.u_s(x)
 
 
 def system_matvec(system: AssembledSystem, x: np.ndarray) -> np.ndarray:
@@ -196,7 +182,7 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
         target = _GMRES_SWEEP_RTOL * math.sqrt(float(gap @ gap))
         budget = min(_GMRES_SWEEP_INNER, _GMRES_MAX_INNER - iterations)
         while budget > 0:
-            step, k, est = _gmres_cycle(matvec, precond, gap, target, min(_GMRES_RESTART, budget))
+            step, k, est = _gmres_cycle(matvec, precond, gap, target, min(GMRES_RESTART, budget))
             coeffs, iterations, budget = coeffs + step, iterations + k, budget - k
             gap = system.load - matvec(coeffs)
             if est <= target:
@@ -209,14 +195,20 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
             raise IterativeFailure("GMRES did not converge", iterations, res)
 
 
-def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float):
-    if system.pair is None:
-        return StandardSolution(PwLinear(system.mesh, coeffs), res)
-    mu_h = reconstruction_scalar(system, coeffs)
-    return ReconSolution(PwLinear(system.mesh, coeffs), mu_h, system.pair, res, system.lead)
+def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float) -> Solution:
+    """The solved system as a Solution. With a singular pair,
+    mu_h = c0 [ (I^alpha f)(1) - s . coeffs ]: by linearity s . coeffs equals
+    (I^alpha q u_r_h)(1), evaluated by endpoint_weight_vector's per-element
+    rule; the splitting constant c0 comes from the adaptive rule of
+    build_singular_pair instead."""
+    fe, pair = PwLinear(system.mesh, coeffs), system.pair
+    if pair is None:
+        return Solution(fe, res, system.lead)
+    mu_h = pair.c0 * (pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))
+    return Solution(fe, res, system.lead, mu_h, pair)
 
 
-def solve_standard(system: AssembledSystem) -> StandardSolution:
+def solve_standard(system: AssembledSystem) -> Solution:
     """Solve the standard Galerkin system by the one path, GMRES, to
     RESIDUAL_TOL in the inf-norm backward error.
 
@@ -229,18 +221,7 @@ def solve_standard(system: AssembledSystem) -> StandardSolution:
     return _solution(system, *_gmres_solve(system))
 
 
-def reconstruction_scalar(system: AssembledSystem, coeffs: np.ndarray) -> float:
-    """mu_h = c0 [ (I^alpha f)(1) - s . coeffs ].
-
-    By linearity s . coeffs equals (I^alpha q u_r_h)(1), evaluated by
-    endpoint_weight_vector's per-element rule; the splitting constant c0
-    comes from the adaptive rule of build_singular_pair instead.
-    """
-    pair = system.pair
-    return pair.c0 * (pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))
-
-
-def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> ReconSolution:
+def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> Solution:
     """Assemble and solve the reconstruction system as solve_standard does,
     with the same raises, then recover mu_h."""
     system = assemble_system(spec, mesh, "reconstruction")

@@ -49,7 +49,6 @@ from fracfem.errors import ArgumentError, DomainError
 from fracfem.fraccalc import PowerSum, PowerTerm, beta_fn, legendre_panel
 from fracfem.fraccalc import gamma_fn as gamma_math
 from fracfem.mesh import PwLinear
-from fracfem.solver import ReconSolution
 
 _LIMIT = 200
 
@@ -407,14 +406,12 @@ def error_norms_union(approx, exact):
     meshes that are not nested, with every rounding: the fields at the
     union of both meshes, the energy from the union values at the fine
     nodes. error_norms takes nested meshes without forming the union."""
-    if isinstance(approx, ReconSolution):
-        approx_fn, exact_fn = approx.u_r_h, exact.u_r
-    else:
-        approx_fn, exact_fn = approx, exact.u
-    union = np.union1d(approx.mesh.nodes, exact.mesh.nodes)
+    approx_fn = approx.fe
+    exact_fn = exact.u if approx.mu_h is None else exact.u_r
+    union = np.union1d(approx_fn.mesh.nodes, exact.mesh.nodes)
     node_gap = exact_fn(union) - approx_fn(union)
     linf = float(np.max(np.abs(node_gap)))
-    if isinstance(approx_fn, PwLinear) and isinstance(exact_fn, PwLinear):
+    if isinstance(exact_fn, PwLinear):
         lo, hi = node_gap[:-1], node_gap[1:]
         l2 = float(np.sqrt(np.sum(np.diff(union) * (lo * lo + lo * hi + hi * hi)) / 3.0))
     else:
@@ -502,7 +499,7 @@ def lead_stencil_full_series(m, alpha):
 def powersum_load_per_term(mesh, ps):
     """Load vector (ps, phi_i) of a left-anchored power sum, one hat leg and
     one term at a time, a term skipped on a leg where it is zero throughout."""
-    nodes, widths, n = mesh.nodes, mesh.widths, mesh.m - 1
+    nodes, widths, n = mesh.nodes, np.diff(mesh.nodes), mesh.m - 1
     out = np.zeros(n)
     legs = (
         (nodes[0:n], nodes[1 : n + 1], 1.0 / widths[:n], -nodes[0:n] / widths[:n]),

@@ -313,7 +313,7 @@ def test_criterion_6(capsys):
     direct = np.linalg.solve(full_matrix(system), system.load)
     iterative = solve_reconstruction(spec, mesh)
     scale = float(np.max(np.abs(direct)))
-    gap = float(np.max(np.abs(iterative.u_r_h.coeffs - direct)))
+    gap = float(np.max(np.abs(iterative.fe.coeffs - direct)))
     checks.append((gap <= 1e-8 * scale, f"dense solve vs GMRES {gap:.1e}"))
 
     # emitted tables are byte deterministic

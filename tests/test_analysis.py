@@ -21,7 +21,7 @@ from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedSourceError
 from fracfem.fields import SOURCES, ScalarField, source_bump, source_step, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
-from fracfem.solver import ReconSolution, StandardSolution, solve_reconstruction, solve_standard
+from fracfem.solver import Solution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
 
 from .oracles import error_norms_gauss, error_norms_union, green_q0, green_solution_quad
@@ -55,7 +55,7 @@ def test_closed_form_matches_green_kernel_quadrature(alpha, x, example):
     # across the whole range of alpha and for every catalog source
     f = SOURCES[example]()
     where = {"b": dict(breaks=(0.5,)), "c": dict(left_exponent=-0.25)}.get(example, {})
-    got = exact_q0(ProblemSpec(alpha, zero_field(), f), 16).u(x)
+    got = exact_q0(ProblemSpec(alpha, zero_field(), f), build_mesh(16)).u(x)
     assert got == pytest.approx(green_solution_quad(alpha, f.fn, x, **where), rel=1e-9)
 
 
@@ -109,7 +109,7 @@ def test_error_norms_vanish_on_identical_fields():
     mesh = build_mesh(64)
     coeffs = np.sin(np.pi * mesh.nodes[1:-1])
     pw = PwLinear(mesh, coeffs)
-    approx = StandardSolution(pw, 0.0)
+    approx = Solution(pw, 0.0, None)
     exact = ExactSolution(pw, pw, 0.0, mesh, Lead.of(mesh, 1.5))
     norms = error_norms(approx, exact)
     assert norms.l2 == 0.0 and norms.energy == 0.0 and norms.linf == 0.0
@@ -117,7 +117,7 @@ def test_error_norms_vanish_on_identical_fields():
 
 def test_error_norms_shrink_under_refinement():
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
-    exact = exact_q0(spec, fine_m=512)
+    exact = exact_q0(spec, build_mesh(512))
     errs = []
     for m in (16, 32):
         system = assemble_system(spec, build_mesh(m), "standard")
@@ -151,7 +151,7 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
     lead = Lead.of(fine, alpha)
-    approx = ReconSolution(u_r_h, 0.0, None, 0.0, None)
+    approx = Solution(u_r_h, 0.0, None, mu_h=0.0)
     exact = ExactSolution(None, u_r, 0.0, fine, lead)
     got = error_norms(approx, exact)
     l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
@@ -180,12 +180,12 @@ def test_nested_error_norms_take_the_union_bits(kind, m, refine, nested, alpha, 
     lead = Lead.of(fine, alpha)
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
-    recon = ReconSolution(u_r_h, 0.0, None, 0.0, None)
+    recon = Solution(u_r_h, 0.0, None, mu_h=0.0)
     exact = ExactSolution(None, u_r, 0.0, fine, lead)
     assert error_norms(recon, exact) == error_norms_union(recon, exact)
-    closed = exact_q0(ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()), 16)
+    closed = exact_q0(ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()), build_mesh(16))
     closed = ExactSolution(closed.u, closed.u_r, closed.mu, fine, lead)
-    standard = StandardSolution(u_r_h, 0.0)
+    standard = Solution(u_r_h, 0.0, None)
     assert error_norms(standard, closed) == error_norms_union(standard, closed)
 
 
@@ -203,7 +203,7 @@ def test_mu_h_is_exact_without_potential(alpha, m, delta, mixed, example):
         alpha = 1.5 + 0.5 * (alpha - 1.0)  # mixed conditions need alpha in (3/2, 2)
     spec = ProblemSpec(alpha, zero_field(), SOURCES[example](), "mixed" if mixed else "dirichlet")
     sol = solve_reconstruction(spec, build_mesh(m, delta))
-    assert sol.mu_h == exact_q0(spec, 16).mu
+    assert sol.mu_h == exact_q0(spec, build_mesh(16)).mu
 
 
 def test_rates_on_synthetic_sequence():
@@ -233,20 +233,20 @@ def test_expected_rates_hand_values():
 
 def test_reference_solution_is_cached_and_validated():
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
-    first = reference_solution(spec, fine_m=64)
-    second = reference_solution(spec, fine_m=64)
+    first = reference_solution(spec, build_mesh(64))
+    second = reference_solution(spec, build_mesh(64))
     assert first.mu == second.mu
     assert np.array_equal(first.u_r.coeffs, second.u_r.coeffs)
     assert first.mesh.m == 64
     with pytest.raises(ArgumentError):
-        reference_solution(spec, fine_m=8)
+        reference_solution(spec, build_mesh(8))
 
 
 def test_reference_cache_tells_unlabeled_fields_apart():
     one = ScalarField(fn=lambda x: np.ones_like(x), hint=0.0)
     five = ScalarField(fn=lambda x: np.full_like(x, 5.0), hint=0.0)
-    mu_one = reference_solution(ProblemSpec(alpha=1.5, q=one, f=one), fine_m=64).mu
-    mu_five = reference_solution(ProblemSpec(alpha=1.5, q=one, f=five), fine_m=64).mu
+    mu_one = reference_solution(ProblemSpec(alpha=1.5, q=one, f=one), build_mesh(64)).mu
+    mu_five = reference_solution(ProblemSpec(alpha=1.5, q=one, f=five), build_mesh(64)).mu
     # the strength is linear in the source
     assert mu_five == pytest.approx(5.0 * mu_one, rel=1e-10)
 

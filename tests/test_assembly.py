@@ -175,11 +175,13 @@ def _table(alpha, delta, levels, base=None):
 
 
 def test_lead_table_does_not_depend_on_request_order(monkeypatch):
-    # asked for level by level from the coarsest (7 -> 15 -> ... -> 511
-    # rows, rebuilt at each), at 511 at once, at 511 and then at 63, and
+    # asked for level by level from the coarsest (7 -> 15 -> 31 -> 63 -> 127
+    # rows, rebuilt at each), at 127 at once, at 127 and then at 63, and
     # through with_alpha after alpha 1.5 filled the shared far-field plans
-    # finest first; the other alphas and gradings at up to 255 rows
-    cases = [(1.25, 5.0, 9), *((alpha, delta, 8) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
+    # finest first; the other alphas and gradings at up to 63 rows. 127 rows
+    # take low-rank blocks of 8 to 64 hats, so both the gathered products
+    # (up to _GATHER_SIZE hats) and the one-per-block ones; 63 rows take 8 to 32
+    cases = [(1.25, 5.0, 7), *((alpha, delta, 6) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
     for alpha, delta, top in cases:
         reference = _table(alpha, delta, [top])
         assert reference.shape == (2**top - 1, 2**top - 1)
@@ -881,8 +883,9 @@ def test_mixed_profile_and_modified_source():
     pair = build_singular_pair(spec)
     assert spec.singular_exponent == pytest.approx(-0.25)
     x = np.array([0.3, 0.7])
-    # Q = c0 c1 - c0 q u_s, checked pointwise
-    expect_q = pair.c0 * (pair.c1(x) - spec.q(x) * pair.u_s(x))
+    # Q = c0 c1 - c0 q u_s, c1 = -2/Gamma(3 - alpha) x^(2 - alpha), checked pointwise
+    c1 = -2.0 / gamma_special(3.0 - spec.alpha) * x ** (2.0 - spec.alpha)
+    expect_q = pair.c0 * (c1 - spec.q(x) * pair.u_s(x))
     np.testing.assert_allclose(pair.q_profile(x), expect_q, rtol=1e-13)
 
 

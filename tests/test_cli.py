@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracfem import assembly, cli
+from fracfem import analysis, assembly, cli
 from fracfem.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -71,6 +71,25 @@ def test_config_rejects_bad_grids():
     # study meshes must stay well below a potential-driven reference
     with pytest.raises(ArgumentError):
         _tiny(q_kind="x_times_1mx", k_max=9, reference_m=512)
+
+
+def test_config_refuses_a_gmres_basis_over_the_array_limit(capsys, monkeypatch):
+    # only configs are built: the GMRES basis on the finest mesh, level or
+    # reference, holds 51 rows of m - 1 floats, 816 MiB at m = 2^21 and
+    # 1631 MiB at 2^22, over the 1 GiB limit
+    studies = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
+    assert ExperimentConfig(k_max=21).k_max == 21
+    assert ExperimentConfig(reference_m=2**21).reference_m == 2**21
+    for overrides, name in ((dict(k_max=22), "k_max=22"), (dict(reference_m=2**22), "reference_m=4194304")):
+        message = f"{name} needs a 1631 MiB GMRES basis on m=4194304, over the 1024 MiB limit"
+        with pytest.raises(ArgumentError, match=message):
+            ExperimentConfig(**overrides)
+    assert main(["--levels", "5:25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: k_max=25 needs a 13055 MiB GMRES basis on m=33554432, "
+                            "over the 1024 MiB limit\n") and captured.out == ""
+    assert studies == []
 
 
 def test_config_derived_properties():
@@ -621,7 +640,25 @@ def test_uniform_study_builds_level_terms_once(monkeypatch):
     reports = run_experiment(config)
     assert all(r.error is None and len(r.rows) == 3 for r in reports)
     assert sorted(calls) == sorted([(kind, m) for kind in ("f", "mass") for m in (8, 16, 32, 256)]
-                                   + [("mesh", m) for m in (8, 16, 32)])
+                                   + [("mesh", m) for m in (8, 16, 32, 256)])
+
+
+@pytest.mark.parametrize("method", ["standard", "recon"])
+def test_study_builds_each_mesh_once(monkeypatch, method):
+    # the exact solutions of all alphas, closed-form (q = 0) or reference
+    # solves (chi(0,0.5)), share one fine mesh built next to the levels
+    config = _tiny(alphas=(1.3, 1.5, 1.7), method="standard") if method == "standard" else _chi_recon()
+    calls, build = [], cli.build_mesh
+
+    def counting(m, delta=1.0):
+        calls.append(m)
+        return build(m, delta)
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "build_mesh", counting)
+    reports = run_experiment(config)
+    assert all(r.error is None for r in reports) and len(reports) == 3
+    assert sorted(calls) == [2**k for k in range(config.k_min, config.k_max + 1)] + [config.reference_m]
 
 
 def test_graded_study_leaves_nothing_behind():

@@ -23,7 +23,6 @@ from fracfem.fields import (
 from fracfem.mesh import build_mesh
 from fracfem.solver import (
     RESIDUAL_TOL,
-    reconstruction_scalar,
     solve_reconstruction,
     solve_standard,
     system_matvec,
@@ -47,10 +46,11 @@ def test_standard_solve_matches_dense_lu():
     system = assemble_system(spec, build_mesh(64), "standard")
     sol = solve_standard(system)
     expect = np.linalg.solve(full_matrix(system), system.load)
-    np.testing.assert_allclose(sol.u_h.coeffs, expect, rtol=1e-10)
+    np.testing.assert_allclose(sol.fe.coeffs, expect, rtol=1e-10)
     assert sol.residual <= RESIDUAL_TOL
+    assert sol.mu_h is None and sol.pair is None and sol.lead is system.lead
     # nodal evaluation returns the computed coefficients
-    np.testing.assert_allclose(sol(system.mesh.nodes[1:-1]), sol.u_h.coeffs, rtol=1e-14)
+    np.testing.assert_allclose(sol(system.mesh.nodes[1:-1]), sol.fe.coeffs, rtol=1e-14)
 
 
 def test_standard_solver_rejects_reconstruction_system():
@@ -66,11 +66,13 @@ def test_reconstruction_matches_dense_lu():
     sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
-    np.testing.assert_allclose(sol.u_r_h.coeffs, expect, rtol=1e-10)
-    mu_expect = system.pair.c0 * (
-        system.pair.f_frac_at_one - float(np.dot(system.s_vec, expect))
-    )
-    assert sol.mu_h == pytest.approx(mu_expect, rel=1e-10)
+    np.testing.assert_allclose(sol.fe.coeffs, expect, rtol=1e-10)
+    assert sol.mu_h == pytest.approx(_mu_h(system, expect), rel=1e-10)
+
+
+def _mu_h(system, coeffs):
+    """mu_h = c0 [ (I^alpha f)(1) - s . coeffs ] of a reconstruction system."""
+    return system.pair.c0 * (system.pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))
 
 
 def test_fft_path_matches_dense():
@@ -102,8 +104,8 @@ def test_fft_path_matches_dense_above_dense_limit(alpha, bc):
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
-    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
-    assert sol.mu_h == pytest.approx(reconstruction_scalar(system, expect), rel=1e-11)
+    assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
+    assert sol.mu_h == pytest.approx(_mu_h(system, expect), rel=1e-11)
     assert sol.residual <= RESIDUAL_TOL
 
 
@@ -114,8 +116,8 @@ def test_gmres_agrees_with_lu():
     expect = np.linalg.solve(full_matrix(system), system.load)
     iterative = solve_reconstruction(spec, mesh)
     scale = float(np.max(np.abs(expect)))
-    assert np.max(np.abs(iterative.u_r_h.coeffs - expect)) <= 1e-8 * scale
-    mu = reconstruction_scalar(system, expect)
+    assert np.max(np.abs(iterative.fe.coeffs - expect)) <= 1e-8 * scale
+    mu = _mu_h(system, expect)
     assert iterative.mu_h == pytest.approx(mu, abs=1e-8 * abs(mu))
 
 
@@ -216,7 +218,7 @@ def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
 def test_one_true_residual_per_cycle(monkeypatch):
     # restarts of 3 in sweeps of 3 force 4 cycles of 12 iterations in all;
     # each iteration and each cycle's residual make one matvec apiece
-    monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 3)
+    monkeypatch.setattr(solver_mod, "GMRES_RESTART", 3)
     monkeypatch.setattr(solver_mod, "_GMRES_SWEEP_INNER", 3)
     spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(512), "reconstruction")
@@ -231,7 +233,7 @@ def test_one_true_residual_per_cycle(monkeypatch):
 )
 def test_gmres_converges_through_restarts(monkeypatch, alpha, delta, m):
     # cycles of 3 iterations restart many times within the default sweep
-    monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 3)
+    monkeypatch.setattr(solver_mod, "GMRES_RESTART", 3)
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
     mesh = build_mesh(m, delta)
     sol = solve_reconstruction(spec, mesh)
@@ -239,11 +241,11 @@ def test_gmres_converges_through_restarts(monkeypatch, alpha, delta, m):
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
-    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
+    assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
 
 
 def test_gmres_iteration_budget(monkeypatch):
-    monkeypatch.setattr(solver_mod, "_GMRES_RESTART", 2)
+    monkeypatch.setattr(solver_mod, "GMRES_RESTART", 2)
     monkeypatch.setattr(solver_mod, "_GMRES_MAX_INNER", 4)
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(128), "standard")
@@ -273,7 +275,7 @@ def test_gmres_on_graded_meshes(alpha, delta, m):
         system = assemble_system(spec, mesh, "reconstruction")
         expect = np.linalg.solve(full_matrix(system), system.load)
         scale = float(np.max(np.abs(expect)))
-        assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
+        assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
 
 
 @given(
@@ -294,8 +296,8 @@ def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
-    assert np.max(np.abs(sol.u_r_h.coeffs - expect)) <= 1e-9 * scale
-    assert sol.mu_h == pytest.approx(reconstruction_scalar(system, expect), rel=1e-10)
+    assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
+    assert sol.mu_h == pytest.approx(_mu_h(system, expect), rel=1e-10)
 
 
 @given(
@@ -319,9 +321,9 @@ def test_solution_is_linear_in_the_source(alpha, mixed, delta, m, scale):
         solve_reconstruction(ProblemSpec(alpha=alpha, q=q, f=src, bc=bc), mesh)
         for src in (f, g, both)
     )
-    combined = u_f.u_r_h.coeffs + scale * u_g.u_r_h.coeffs
-    size = float(np.max(np.abs(u_f.u_r_h.coeffs) + abs(scale) * np.abs(u_g.u_r_h.coeffs)))
-    assert np.max(np.abs(u_fg.u_r_h.coeffs - combined)) <= 1e-11 * size
+    combined = u_f.fe.coeffs + scale * u_g.fe.coeffs
+    size = float(np.max(np.abs(u_f.fe.coeffs) + abs(scale) * np.abs(u_g.fe.coeffs)))
+    assert np.max(np.abs(u_fg.fe.coeffs - combined)) <= 1e-11 * size
     mu_size = abs(u_f.mu_h) + abs(scale * u_g.mu_h)
     assert abs(u_fg.mu_h - (u_f.mu_h + scale * u_g.mu_h)) <= 1e-11 * mu_size
 
@@ -336,7 +338,7 @@ def test_strength_scale_is_mesh_independent_without_potential():
         values.append(sol.mu_h)
         x = np.array([0.3, 0.8])
         np.testing.assert_allclose(
-            sol(x), sol.u_r_h(x) + sol.mu_h * sol.pair.u_s(x), rtol=1e-14
+            sol(x), sol.fe(x) + sol.mu_h * sol.pair.u_s(x), rtol=1e-14
         )
     assert values[0] == values[1]
 
@@ -395,7 +397,7 @@ def test_steep_far_field_stays_finite(alpha):
     system = assemble_system(spec, build_mesh(256, 64.0), "standard")
     assert np.all(np.isfinite(system.lead.dense))
     solution = solve_standard(system)
-    assert np.all(np.isfinite(solution.u_h.coeffs))
+    assert np.all(np.isfinite(solution.fe.coeffs))
     assert solution.residual <= RESIDUAL_TOL
 
 
