@@ -33,10 +33,8 @@ from .errors import (
     DomainError,
     FracFemError,
     IterativeFailure,
-    QuadratureFailure,
     SingularSystemError,
     UnsupportedFormError,
-    UnsupportedSourceError,
 )
 from .fields import ScalarField, parse_field
 from .fraccalc import (
@@ -47,7 +45,6 @@ from .fraccalc import (
     gamma_fn,
     rl_integral_powersum,
     rl_integral_powersum_at,
-    weighted_endpoint_integral,
 )
 from .mesh import Mesh, PwLinear, build_mesh
 from .solver import (

@@ -3,9 +3,9 @@
 For q = 0 the solution has the closed form
     u = -I_0^alpha f + (I_0^alpha f)(1) x^(alpha-1)       (Dirichlet)
     u = -I_0^alpha f + (I_0^alpha f)(1) x^(alpha-2)       (mixed, alpha > 3/2)
-so any source with a power-sum form yields an exact solution by the power
-rule. With a potential, errors are measured against a reconstruction solve
-on a fine uniform mesh.
+so the power rule gives an exact solution for every source, since each is
+a power sum. With a potential, errors are measured against a
+reconstruction solve on a fine uniform mesh.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import DIRICHLET, Lead, ProblemSpec
-from .errors import ArgumentError, UnsupportedSourceError
+from .errors import ArgumentError
 from .fraccalc import PowerSum, legendre_panel, rl_integral_powersum
 from .mesh import Mesh, PwLinear, build_mesh
 from .solver import Solution, solve_reconstruction
@@ -41,16 +41,11 @@ class ExactSolution:
 
 
 def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
-    """Closed-form solution for q = 0 and a power-sum source, sampled by the
-    error norms on ``mesh``, by default build_mesh(REFERENCE_M)."""
+    """Closed-form solution for q = 0, sampled by the error norms on
+    ``mesh``, by default build_mesh(REFERENCE_M)."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
-    ps = spec.f.powersum
-    if ps is None:
-        raise UnsupportedSourceError(
-            f"source {spec.f.label!r} has no closed-form fractional integral"
-        )
-    frac = rl_integral_powersum(spec.alpha, ps)
+    frac = rl_integral_powersum(spec.alpha, spec.f.powersum)
     mu = float(frac(1.0))
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, spec.singular_exponent)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)

@@ -21,16 +21,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSplittingError, DomainError
+from .errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
 from .fields import ScalarField
 from .fraccalc import (
     PowerSum,
+    anchored_moment,
     beta_fn,
     frac_order,
     gamma_fn,
     legendre_panel,
     rl_integral_powersum_at,
-    weighted_endpoint_integral,
     weighted_rule,
 )
 from .mesh import Mesh
@@ -88,7 +88,8 @@ class ProblemSpec:
     """Two-point problem -D_0^alpha u + q u = f with homogeneous conditions.
 
     ``bc == "dirichlet"`` imposes u(0) = u(1) = 0; ``bc == "mixed"`` imposes
-    D_0^(alpha-1) u(0) = u(1) = 0 and needs alpha > 3/2.
+    D_0^(alpha-1) u(0) = u(1) = 0 and needs alpha > 3/2. Both fields carry
+    a power sum (``check_fields``).
     """
 
     alpha: float
@@ -104,7 +105,19 @@ class ProblemSpec:
             raise DomainError(
                 f"mixed boundary conditions need alpha in (3/2, 2), got {self.alpha}"
             )
-        sample = self.q(np.linspace(1e-3, 1.0 - 1e-3, 1000))
+        self.check_fields(self.q, self.f)
+
+    @staticmethod
+    def check_fields(q: ScalarField, f: ScalarField) -> None:
+        """Refuse a field without a power sum, and a potential with a term
+        of negative exponent or a sampled size over 1e8."""
+        for name, field in (("q", q), ("f", f)):
+            if field.powersum is None:
+                raise UnsupportedFormError(f"field {name} ({field.label!r}) carries no power sum")
+        for t in q.powersum.terms:
+            if t.exponent < 0.0 and t.coeff:
+                raise DomainError(f"potential q must be bounded on [0, 1], but has a term x^{t.exponent:g}")
+        sample = q(np.linspace(1e-3, 1.0 - 1e-3, 1000))
         if not np.all(np.isfinite(sample)) or np.max(np.abs(sample)) > 1e8:
             raise DomainError("potential q must be bounded on [0, 1]")
 
@@ -560,9 +573,7 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
 
 def _anchors(field: ScalarField) -> tuple:
     """Points in (0, 1) where the field's power-sum terms start or stop, so
-    where it may jump or kink; none for a field without a power sum."""
-    if field.powersum is None:
-        return ()
+    where it may jump or kink."""
     return tuple(sorted({t.anchor for t in field.powersum.terms if 0.0 < t.anchor < 1.0}))
 
 
@@ -698,8 +709,12 @@ class SingularPair:
 def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     """Construct the singular profile, the splitting constant, Q and (I^alpha f)(1).
 
-    Raises DegenerateSplittingError when 1 + (I^alpha q u_s)(1) vanishes
-    numerically; no alternative profile is selected automatically.
+    (I^alpha f)(1) is the power rule. (I^alpha q u_s)(1) takes q's terms
+    anchored at 0 times u_s by the power rule, and each term c (x - b)_+^k
+    with 0 < b < 1 by one fixed composite rule (anchored_moment); a term
+    anchored at 1 adds nothing. Raises DegenerateSplittingError when
+    1 + (I^alpha q u_s)(1) vanishes numerically; no alternative profile is
+    selected automatically.
     """
     a = spec.alpha
     p_sing = spec.singular_exponent
@@ -709,33 +724,16 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     q_fn = spec.q.fn
     u_s_fn = u_s.__call__
     q_ps = spec.q.powersum
-    q_lead = spec.q.hint or 0.0
-    q_us = None
-    if q_ps is not None and q_ps.is_zero_anchored:  # q = 0 included
-        q_us = q_ps * u_s
-        q_us_at_one = float(rl_integral_powersum_at(a, q_us, 1.0))
-    else:
-        # one u_s term t^e at a time: t^(q_lead + e) times q's smooth part,
-        # which is smooth between q's anchors; q u_s as a whole is not
-        anchors = _anchors(spec.q)
-        q_smooth = (lambda x: q_fn(x) / x**q_lead) if q_lead else q_fn
-        q_us_at_one = sum(
-            t.coeff
-            * weighted_endpoint_integral(q_smooth, a, q_lead + t.exponent, anchors, factored=True)
-            for t in u_s.terms
-        )
-    denom = 1.0 + q_us_at_one
+    q_us = PowerSum(tuple(t for t in q_ps.terms if t.anchor == 0.0)) * u_s
+    shifted = sum(t.coeff * anchored_moment(u_s_fn, a, t.anchor, t.exponent)
+                  for t in q_ps.terms if 0.0 < t.anchor < 1.0)
+    denom = 1.0 + (float(rl_integral_powersum_at(a, q_us, 1.0)) + shifted / gamma_fn(a))
     if abs(denom) < DEGENERATE_TOL:
         raise DegenerateSplittingError(
             "splitting constant is undefined for this potential", denom
         )
     c0 = 1.0 / denom
-
-    f_ps = spec.f.powersum
-    if f_ps is not None:
-        f_at_one = float(rl_integral_powersum_at(a, f_ps, 1.0))
-    else:
-        f_at_one = weighted_endpoint_integral(spec.f.fn, a, spec.f.hint or 0.0)
+    f_at_one = float(rl_integral_powersum_at(a, spec.f.powersum, 1.0))
 
     c1_fn = c1.__call__
 
@@ -743,10 +741,9 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         x = np.asarray(x, dtype=float)
         return c0 * c1_fn(x) - c0 * q_fn(x) * u_s_fn(x)
 
-    q_profile_ps = None
-    if q_us is not None:
-        q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0)
-    q_hint = min(2.0 - a, q_lead + p_sing)
+    # q u_s is a power sum only when every term of q is anchored at 0
+    q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0) if q_ps.is_zero_anchored else None
+    q_hint = min(2.0 - a, (spec.q.hint or 0.0) + p_sing)
     q_profile = ScalarField(fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q")
     return SingularPair(u_s, c0, q_profile, f_at_one)
 

@@ -112,7 +112,8 @@ class ExperimentConfig:
                     f"{name}={getattr(self, name)} needs a {basis >> 20} MiB GMRES basis on "
                     f"m={m}, over the {_ARRAY_BYTES >> 20} MiB limit"
                 )
-        self.source, self.potential  # parse custom fields once, before any output opens
+        # parse custom fields once, and refuse them, before any output opens
+        ProblemSpec.check_fields(self.potential, self.source)
         if self.needs_reference and 2**self.k_max > self.reference_m // 8:
             raise ArgumentError(
                 f"k_max={self.k_max} is too fine for the reference mesh "
@@ -137,13 +138,13 @@ class ExperimentConfig:
 
     @property
     def needs_reference(self) -> bool:
-        return not (self.potential.is_zero and self.source.powersum is not None)
+        return not self.potential.is_zero
 
     @property
     def source_smoothness(self) -> float:
         """Sobolev index of the source, used for predicted rates only."""
         ps = self.source.powersum
-        if ps is not None and ps.terms:
+        if ps.terms:
             candidates = [
                 t.exponent + 0.5
                 for t in ps.terms

@@ -17,18 +17,6 @@ class UnsupportedFormError(ArgumentError):
     """Input not representable in the canonical form an operation needs."""
 
 
-class UnsupportedSourceError(FracFemError):
-    """Closed-form solution requested for a source that has none."""
-
-
-class QuadratureFailure(FracFemError):
-    """Adaptive quadrature stopped before reaching the requested tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last refinement residual {residual:.3e})")
-        self.residual = residual
-
-
 class DegenerateSplittingError(FracFemError):
     """Splitting denominator 1 + (I^alpha q u_s)(1) is numerically zero."""
 

@@ -1,8 +1,9 @@
 """Scalar fractional-calculus kernel.
 
 Gamma/Beta helpers, sums of shifted power functions and their
-Riemann-Liouville integrals, Gauss rules, and the adaptive quadrature for
-integrals with an endpoint weight (1 - t)^(alpha - 1).
+Riemann-Liouville integrals, and Gauss rules with endpoint weights, which
+also integrate a term anchored inside (0, 1) against the weight
+(1 - t)^(alpha - 1).
 """
 
 from __future__ import annotations
@@ -10,22 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DomainError,
-    QuadratureFailure,
-    UnsupportedFormError,
-)
+from .errors import ArgumentError, DomainError, UnsupportedFormError
 
-# bisection of the endpoint-weighted integral: Gauss points per panel, the
-# relative agreement that ends it, and the depth at which it gives up
-_ADAPTIVE_POINTS = 16
-_ADAPTIVE_TOL = 1e-12
-_ADAPTIVE_MAX_DEPTH = 26
+# Gauss points per panel of anchored_moment
+_MOMENT_POINTS = 16
 
 
 def frac_order(alpha) -> float:
@@ -189,8 +182,8 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-# about four rules per alpha in a reconstruction study: a sweep of 36 alphas
-# keeps about 150 and evicts none; a longer sweep stays bounded
+# three rules per alpha in a reconstruction study with q = chi(0,0.5): the 36
+# alphas of a sweep keep 108 and evict none; a longer sweep stays bounded
 @lru_cache(maxsize=256)
 def gauss_jacobi(n: int, a: float, b: float):
     """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, by Golub-Welsch:
@@ -249,62 +242,25 @@ def weighted_rule(n: int, lo, hi, right_exp=0.0, left_exp=0.0, breaks=(), ends=N
     return t, w
 
 
-def _panel_value(g, a_exp, b_exp, lo, hi):
-    """One-panel estimate of int_lo^hi (1-t)^a_exp t^b_exp g(t) dt."""
-    t, w = weighted_rule(_ADAPTIVE_POINTS, lo, hi, a_exp, b_exp, ends=(0.0, 1.0))
-    return float(np.dot(w, g(t)))
+def anchored_moment(g, alpha: float, anchor: float, k: float) -> float:
+    """int_anchor^1 (1-t)^(alpha-1) (t-anchor)^k g(t) dt, anchor in (0, 1),
+    for g smooth on (0, 1] but for a power of t at 0.
 
-
-def _adaptive(g, a_exp, b_exp, lo, hi, depth=0, whole=None, root=None):
-    """Bisect [lo, hi] until two half panels agree with the whole panel, to
-    _ADAPTIVE_TOL of their sum or of ``root``, the estimate of the piece the
-    bisection started from: toward a power of t at 0 that no exponent
-    absorbs, a panel's relative error does not shrink with its width.
-
-    ``whole`` is the panel's own estimate, which the parent already computed
-    as one of its halves; only the root call evaluates it here.
+    Panels of _MOMENT_POINTS points double from the anchor while their left
+    edge is below 1/4; the rest, [e, 1], is halved unless e >= 1/2. So no
+    panel is wider than its distance from 0, and each panel's distance from
+    a weight it does not absorb is at least a third of its width: the first
+    panel absorbs (t-anchor)^k, the last (1-t)^(alpha-1).
     """
-    if whole is None:
-        whole = root = _panel_value(g, a_exp, b_exp, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _panel_value(g, a_exp, b_exp, lo, mid)
-    right = _panel_value(g, a_exp, b_exp, mid, hi)
-    split = left + right
-    err = abs(split - whole)
-    if err <= _ADAPTIVE_TOL * max(abs(split), abs(root), 1e-30):
-        return split
-    if depth >= _ADAPTIVE_MAX_DEPTH:
-        raise QuadratureFailure(
-            "adaptive endpoint-weighted quadrature hit the depth cap", err
-        )
-    return _adaptive(g, a_exp, b_exp, lo, mid, depth + 1, left, root) + _adaptive(
-        g, a_exp, b_exp, mid, hi, depth + 1, right, root
-    )
-
-
-def weighted_endpoint_integral(
-    g: Callable,
-    alpha,
-    left_exponent: float = 0.0,
-    breaks: Iterable[float] = (),
-    *,
-    factored: bool = False,
-) -> float:
-    """Evaluate (I_0^alpha g)(1) = (1/Gamma(alpha)) int_0^1 (1-t)^(alpha-1) g(t) dt.
-
-    Adaptive bisection with Jacobi panels at the ends, run separately between
-    the ``breaks`` in (0, 1): points where g jumps or kinks, since bisection
-    from [0, 1] reaches a non-dyadic one only past its depth cap. With a
-    nonzero ``left_exponent`` b, g is taken to behave like t^b near 0, and
-    the Jacobi weights see its smooth part g(t) / t^b; with ``factored``, g
-    is that smooth part itself and the integrand is t^b g(t), so no panel
-    divides by t^b to multiply it back. ``alpha`` lies in (1, 2).
-    """
-    a = frac_order(alpha)
-    if left_exponent <= -1.0:
-        raise DomainError(f"left weight exponent must exceed -1, got {left_exponent}")
-    smooth = g if factored or left_exponent == 0.0 else (lambda t: g(t) / t**left_exponent)
-    edges = [0.0, *sorted({float(x) for x in breaks if 0.0 < x < 1.0}), 1.0]
-    pieces = zip(edges, edges[1:])
-    value = sum(_adaptive(smooth, a - 1.0, left_exponent, lo, hi) for lo, hi in pieces)
-    return value / gamma_fn(a)
+    if not 0.0 < anchor < 1.0:
+        raise DomainError(f"anchor must lie in (0, 1), got {anchor}")
+    edges = [anchor]
+    while edges[-1] < 0.25:
+        edges.append(2.0 * edges[-1])
+    if edges[-1] < 0.5:
+        edges.append(0.5 * (1.0 + edges[-1]))
+    total = 0.0
+    for lo, hi in zip(edges, [*edges[1:], 1.0]):
+        t, w = weighted_rule(_MOMENT_POINTS, lo, hi, alpha - 1.0, k, ends=(anchor, 1.0))
+        total += float(w @ g(t))
+    return total

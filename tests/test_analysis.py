@@ -18,7 +18,8 @@ from fracfem.analysis import (
     reference_solution,
 )
 from fracfem.assembly import Lead, ProblemSpec
-from fracfem.errors import ArgumentError, UnsupportedSourceError
+from fracfem.errors import ArgumentError, UnsupportedFormError
+from fracfem.fraccalc import PowerSum
 from fracfem.fields import SOURCES, ScalarField, source_bump, source_step, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 from fracfem.solver import Solution, solve_reconstruction, solve_standard
@@ -83,9 +84,10 @@ def test_closed_form_mixed_condition():
 def test_closed_form_requires_power_sum_and_zero_potential():
     with pytest.raises(ArgumentError):
         exact_q0(ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump()))
+    # a source without a power sum is refused before any solution exists
     smooth = ScalarField(fn=lambda x: np.sin(np.pi * np.asarray(x)))
-    with pytest.raises(UnsupportedSourceError):
-        exact_q0(ProblemSpec(alpha=1.5, q=zero_field(), f=smooth))
+    with pytest.raises(UnsupportedFormError):
+        ProblemSpec(alpha=1.5, q=zero_field(), f=smooth)
 
 
 def test_green_kernel_reproduces_solution():
@@ -243,8 +245,9 @@ def test_reference_solution_is_cached_and_validated():
 
 
 def test_reference_cache_tells_unlabeled_fields_apart():
-    one = ScalarField(fn=lambda x: np.ones_like(x), hint=0.0)
-    five = ScalarField(fn=lambda x: np.full_like(x, 5.0), hint=0.0)
+    one_ps, five_ps = PowerSum.monomial(1.0, 0.0), PowerSum.monomial(5.0, 0.0)
+    one = ScalarField(fn=one_ps.__call__, powersum=one_ps)
+    five = ScalarField(fn=five_ps.__call__, powersum=five_ps)
     mu_one = reference_solution(ProblemSpec(alpha=1.5, q=one, f=one), build_mesh(64)).mu
     mu_five = reference_solution(ProblemSpec(alpha=1.5, q=one, f=five), build_mesh(64)).mu
     # the strength is linear in the source

@@ -23,7 +23,7 @@ from fracfem.assembly import (
     mass_bands,
     powersum_load,
 )
-from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError
+from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
 from fracfem.fields import (
     ScalarField,
     parse_field,
@@ -798,15 +798,16 @@ def test_quadrature_load_cut_at_breaks(mesh):
         assert out[j - 1] == pytest.approx(want, rel=1e-10)
 
 
-def test_anchors_on_nodes_change_no_bit():
+def test_anchors_on_nodes_change_no_bit(monkeypatch):
     # jumps at nodes need no cut; the rules must stay the uncut ones
     mesh = build_mesh(8, delta=2.0)  # 0.25 and 0.5625 are nodes
     q = parse_field("chi(0.25,0.5625)*(1+x)", 0.0)
-    blind = ScalarField(fn=q.fn)  # the same function without its anchors
-    for got, want in zip(mass_bands(mesh, q), mass_bands(mesh, blind)):
+    cut = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
+    monkeypatch.setattr(assembly, "_anchors", lambda field: ())  # the same field, its anchors unseen
+    blind = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
+    for got, want in zip(cut, blind):
         assert np.array_equal(got, want)
-    s, s_blind = (endpoint_weight_vector(mesh, field, 1.4) for field in (q, blind))
-    assert np.array_equal(s, s_blind)
+    monkeypatch.undo()
     field = ScalarField(fn=lambda x: x**-0.25 * q.fn(x), hint=-0.25)
     assert np.array_equal(load_vector(mesh, field, (0.25, 0.5625)), load_vector(mesh, field))
 
@@ -821,10 +822,21 @@ def test_problem_spec_validation():
         ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump(), bc="mixed")
     with pytest.raises(ArgumentError):
         ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump(), bc="periodic")
-    # an unbounded potential is rejected up front
-    blowup = ScalarField(fn=lambda x: np.asarray(x, dtype=float) ** -4.0)
+    # a potential too large to be taken as bounded is rejected up front
     with pytest.raises(DomainError):
-        ProblemSpec(alpha=1.5, q=blowup, f=source_bump())
+        ProblemSpec(alpha=1.5, q=parse_field("2e8*x", 0.0), f=source_bump())
+    # a negative power with a zero coefficient is no blow-up
+    zero_power = fraccalc.PowerSum.from_terms([(0.0, 0.0, -0.5), (1.0, 0.0, 1.0)])
+    q = ScalarField(fn=zero_power.__call__, powersum=zero_power)
+    assert ProblemSpec(alpha=1.5, q=q, f=source_bump()).singular_pair.c0 > 0.0
+
+
+@pytest.mark.parametrize("expr,hint", [("x^-0.5", -0.5), ("x^-0.9", -0.9), ("x^-0.1-chi(0.5,1)", -0.1)])
+def test_unbounded_potential_is_refused_by_its_exponent(expr, hint):
+    # x^-0.5 stays below 1e8 at every point of a sample that starts at 1e-3,
+    # but its mass bands would take plain Gauss rules on an unbounded integrand
+    with pytest.raises(DomainError, match=r"x\^-0\.\d"):
+        ProblemSpec(alpha=1.5, q=parse_field(expr, hint), f=source_bump())
 
 
 def test_singular_exponent_by_condition():
@@ -865,17 +877,14 @@ def test_splitting_constant_with_potential_frozen():
 
 
 def test_splitting_constant_quadrature_and_closed_form_agree():
-    # same constant through the power-sum route and the adaptive route
-    alpha = 1.6
-    q_closed = source_bump()
-    q_callable = ScalarField(fn=q_closed.fn, hint=None)
-    c_closed = build_singular_pair(
-        ProblemSpec(alpha=alpha, q=q_closed, f=source_bump())
-    ).c0
-    c_quad = build_singular_pair(
-        ProblemSpec(alpha=alpha, q=q_callable, f=source_bump())
-    ).c0
-    assert c_closed == pytest.approx(c_quad, rel=1e-10)
+    # the constant needs power sums: a field that carries only a callable is
+    # refused, with its name and label, before anything is built
+    bump = source_bump()
+    callable_only = ScalarField(fn=bump.fn, label="bump by hand")
+    with pytest.raises(UnsupportedFormError, match=r"field q \('bump by hand'\)"):
+        ProblemSpec(alpha=1.6, q=callable_only, f=bump)
+    with pytest.raises(UnsupportedFormError, match=r"field f \('bump by hand'\)"):
+        ProblemSpec(alpha=1.6, q=bump, f=callable_only)
 
 
 def test_mixed_profile_and_modified_source():
@@ -894,8 +903,9 @@ def test_mixed_profile_and_modified_source():
     [(1.1, "dirichlet"), (1.5, "dirichlet"), (1.99, "dirichlet"), (1.55, "mixed"), (1.95, "mixed")],
 )
 def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
-    # chi(0,1/2) has an anchor at 1/2, so the constant takes the adaptive
-    # route; closed form: int_0^(1/2) (1-t)^(a-1) t^e dt = B(e+1, a) I_(1/2)(e+1, a)
+    # chi(0,1/2) = 1 - (x - 1/2)_+^0: the power rule for the first term, the
+    # anchored rule for the second; closed form:
+    # int_0^(1/2) (1-t)^(a-1) t^e dt = B(e+1, a) I_(1/2)(e+1, a)
     spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump(), bc=bc)
     p = spec.singular_exponent
 
@@ -908,11 +918,10 @@ def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
 
 @pytest.mark.parametrize("alpha", [1.05, 1.3, 1.7, 1.9])
 def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
-    # bisection from [0, 1] never lands on 0.3 or 0.7; the potential's
-    # anchors become panel edges, and the constant matches a quadrature
-    # split at the same points, taken one u_s term at a time as in
-    # test_splitting_constant_term_by_term (q u_s as one field is off by up
-    # to 9e-12 in the oracle itself)
+    # 0.3 and 0.7 are no dyadic points; each anchor starts its own rule,
+    # and the constant matches a quadrature split at the same points, taken
+    # one u_s term at a time as in test_splitting_constant_term_by_term (q u_s
+    # as one field is off by up to 9e-12 in the oracle itself)
     spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0.3,0.7)", 0.0), f=source_bump())
     integral = sum(
         t.coeff * frac_integral_quad(
@@ -924,15 +933,10 @@ def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-def test_splitting_constant_term_by_term(monkeypatch, alpha):
-    # chi(0,0.5) has no zero-anchored power sum; each u_s term is integrated
-    # on its own, 12 panels in all, where q u_s as a whole needed 26-46
-    panels = []
-    value = fraccalc._panel_value
-    monkeypatch.setattr(fraccalc, "_panel_value", lambda *a: panels.append(a) or value(*a))
+def test_splitting_constant_term_by_term(alpha):
+    # chi(0,0.5) has no zero-anchored power sum, so q u_s is no power sum
     spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
     c0 = spec.singular_pair.c0
-    assert len(panels) <= 12
     # the oracle too goes term by term, t^2 without a weight: quad of q u_s
     # as one field with the weight t^(alpha-1) is off by up to 9e-12 here
     integral = sum(

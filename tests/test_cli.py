@@ -31,8 +31,11 @@ DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 # SHA-256 of the CSVs of the chi(0,0.5) reconstruction study and the graded
 # standard study in test_csv_bytes_do_not_depend_on_the_blas_thread_count;
 # the graded one was taken with the low-rank far field of the lead, whose
-# err_* entries differ from the element-pair tiers' by at most 2.9e-9 relative
-CHI_RECON_SHA256 = "a7f086d4fb253a92b369c7e3fc28c8c4b38e2215164564dc860ccf43b9f54d57"
+# err_* entries differ from the element-pair tiers' by at most 2.9e-9 relative;
+# the chi one was retaken when the splitting constant's term at 1/2 left the
+# adaptive bisection for one fixed rule, which moved two err_mu entries by at
+# most 1.6e-11 relative
+CHI_RECON_SHA256 = "1fccde09df5a0aef6ce35d30fe13e057c7725901fe706b1840e11352e46d51e5"
 GRADED_STANDARD_SHA256 = "ce898d5ba2c687cad899f34dcce586336328c4c5a3ff39df6413df349711fa99"
 
 
@@ -495,8 +498,9 @@ def test_potential_with_non_dyadic_jumps_converges(capsys):
 
 
 def test_potential_with_a_weak_power_at_zero_runs(capsys):
-    # x^0.3 with hint 0: no exponent absorbs the power, and the splitting
-    # constant's bisection toward 0 has to stop on the estimate of its piece
+    # x^0.3 with hint 0: no Gauss rule absorbs the power, but the splitting
+    # constant takes x^0.3 u_s by the power rule, and each chi edge by a
+    # fixed rule anchored there
     argv = [
         "--alpha", "1.4", "--example", "b", "--q", "custom", "--q-expr", "x^0.3-chi(0.25,0.75)",
         "--q-hint", "0", "--method", "recon", "--levels", "3:7", "--reference-m", "2048",
@@ -506,6 +510,40 @@ def test_potential_with_a_weak_power_at_zero_runs(capsys):
     rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
     assert [r["k"] for r in rows] == ["3", "4", "5", "6", "7"]
     assert all(float(r["rate_mu"]) >= 1.7 for r in rows[2:]), rows
+
+
+@pytest.mark.parametrize("expr, method, alphas", [
+    ("chi(0,0.5)*x^2", "recon", "1.3,1.7"),
+    ("chi(0,0.5)*x^2", "recon_mixed", "1.6,1.7"),
+    ("chi(0.25,0.75)*(x-0.5)^2", "recon", "1.3,1.7"),
+    ("chi(0.25,0.75)*(x-0.5)^2", "recon_mixed", "1.6,1.7"),
+    ("x^0.3+chi(0.5,1)", "recon_mixed", "1.6,1.7"),
+])
+def test_potentials_anchored_inside_run(expr, method, alphas, capsys):
+    # each term of q anchored inside (0, 1) takes one fixed rule for the
+    # splitting constant; an adaptive bisection once ended every cell of these
+    # in a QuadratureFailure at its depth cap
+    argv = [
+        "--alpha", alphas, "--example", "b" if method == "recon" else "c", "--q", "custom",
+        "--q-expr", expr, "--q-hint", "0", "--method", method, "--levels", "3:7", "--reference-m", "2048",
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+    finest = [r for r in rows if r["k"] in ("5", "6", "7")]
+    assert len(finest) == 6 and all(float(r["rate_mu"]) >= 1.7 for r in finest), finest
+
+
+@pytest.mark.parametrize("expr, exponent", [("x^-0.5", "-0.5"), ("x^-0.9", "-0.9")])
+def test_unbounded_potential_is_refused_in_one_line(expr, exponent, capsys):
+    # the potential's power sum says it is unbounded at 0, though a sample
+    # from 1e-3 on stays below 1e8
+    argv = ["--alpha", "1.5", "--example", "a", "--q", "custom", "--q-expr", expr, "--q-hint", exponent,
+            "--method", "recon", "--levels", "3:4", "--reference-m", "128"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: potential q must be bounded on [0, 1], but has a term x^{exponent}\n"
+    assert captured.out == ""
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta as beta_special
+from scipy.special import betainc
 
 from fracfem.errors import ArgumentError, DomainError, UnsupportedFormError
 from fracfem.fraccalc import (
     PowerSum,
     PowerTerm,
+    anchored_moment,
     beta_fn,
     frac_order,
     gamma_fn,
@@ -19,7 +22,6 @@ from fracfem.fraccalc import (
     legendre_panel,
     rl_integral_powersum,
     rl_integral_powersum_at,
-    weighted_endpoint_integral,
     weighted_rule,
 )
 
@@ -259,18 +261,11 @@ def test_power_term_validation():
 # --- endpoint-weighted quadrature ---------------------------------------------
 
 
-def test_weighted_endpoint_integral_frozen_value():
-    # quad of (1-t)^0.5 e^t over [0,1], divided by Gamma(1.5)
-    got = weighted_endpoint_integral(np.exp, 1.5)
-    assert got == pytest.approx(1.1623190852077259, rel=1e-12)
-
-
 def test_weighted_integral_with_left_singular_factor():
-    # g(t) = t^(-1/4) (1 + t), alpha = 1.25
+    # g(t) = t^(-1/4) (1 + t), alpha = 1.25: one panel absorbs both weights
     alpha = 1.25
-    got = weighted_endpoint_integral(
-        lambda t: t**-0.25 * (1.0 + t), alpha, left_exponent=-0.25
-    )
+    t, w = weighted_rule(16, 0.0, 1.0, alpha - 1.0, -0.25)
+    got = float(w @ (1.0 + t)) / gamma_fn(alpha)
     oracle = frac_integral_quad(
         lambda t: t**-0.25 * (1.0 + t), alpha, 1.0, left_exponent=-0.25
     )
@@ -321,14 +316,6 @@ def test_weighted_rule_cut_panels_absorb_only_at_the_true_ends():
     assert float(w @ np.exp(t)) == pytest.approx(want, rel=1e-12)
 
 
-def test_weighted_integral_stops_near_an_unabsorbed_weak_power():
-    # t^0.3 with no left exponent: a panel [0, h] keeps the same relative
-    # error at every h, so only the estimate of the whole piece can stop
-    # the bisection toward 0
-    got = weighted_endpoint_integral(lambda t: t**0.3, 1.5)
-    assert got == pytest.approx(gamma_fn(1.3) / gamma_fn(2.8), rel=1e-12)
-
-
 @pytest.mark.parametrize("n", [8, 16, 20, 24, 32, 48])
 @pytest.mark.parametrize("a", [0.0, 0.02, 0.5, 0.98])
 def test_gauss_jacobi_moments_are_exact(n, a):
@@ -363,7 +350,7 @@ def test_gauss_jacobi_cache_is_bounded():
     def sweep(alphas, shifts):
         for alpha in alphas:
             for b in (alpha - s for s in shifts):
-                weighted_endpoint_integral(lambda t: np.exp(t) * t**b, alpha, b)
+                weighted_rule(16, 0.0, 1.0, alpha - 1.0, b)
 
     gauss_jacobi.cache_clear()
     sweep(np.linspace(1.55, 1.95, 36), (1.0, 2.0))
@@ -374,45 +361,57 @@ def test_gauss_jacobi_cache_is_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("b", [-0.5, 0.6, 2.0])
-def test_factored_integrand_matches_the_whole(b):
-    # handing over the smooth part g gives the integral of t^b g(t), with the
-    # breaks that a potential's anchors bring
-    def step(t):
-        return np.where(t <= 0.5, np.exp(t), 0.0)
-
-    for alpha in (1.3, 1.7):
-        whole = weighted_endpoint_integral(lambda t: step(t) * t**b, alpha, b, [0.5])
-        factored = weighted_endpoint_integral(step, alpha, b, [0.5], factored=True)
-        assert factored == pytest.approx(whole, rel=1e-13)
-
-
 def test_quadrature_rule_validation():
     with pytest.raises(ArgumentError):
         gauss_jacobi(0, 0.5, 0.0)
+    # a weight exponent of -1 or less is not integrable
     with pytest.raises(DomainError):
-        weighted_endpoint_integral(np.exp, 1.5, left_exponent=-1.0)
+        weighted_rule(16, 0.0, 1.0, 0.5, -1.0)
+    for anchor in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            anchored_moment(np.exp, 1.5, anchor, 0.0)
 
 
 @given(
     alpha=st.floats(min_value=1.001, max_value=1.999),
-    left_exp=st.one_of(st.just(0.0), st.floats(min_value=-0.95, max_value=1.0, exclude_max=True)),
-    lead=st.floats(min_value=0.5, max_value=2.0),
-    # (coeff, anchor, integer exponent): steps, kinks and parabolas past the anchor
-    shifted=st.lists(
-        st.tuples(
-            st.floats(min_value=0.1, max_value=1.0),
-            st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(min_value=0.01, max_value=0.99)),
-            st.sampled_from([0.0, 1.0, 2.0]),
-        ),
-        max_size=4,
-    ),
+    anchor=st.one_of(st.sampled_from([1e-3, 0.25, 0.5, 0.999]), st.floats(min_value=1e-3, max_value=0.999)),
+    k=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(min_value=-0.95, max_value=3.0)),
+    coeffs=st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=1, max_size=4),
 )
 @settings(max_examples=80, deadline=None)
-def test_weighted_integral_matches_power_rule_with_breaks(alpha, left_exp, lead, shifted):
-    # g = lead t^b + t^(b+1) + sum c (t - a)_+^e behaves like t^b near 0 and
-    # is smooth between the anchors; with no anchors the root panel absorbs
-    # both end weights, otherwise the pieces cover the other three panel kinds
-    ps = PowerSum.from_terms([(lead, 0.0, left_exp), (1.0, 0.0, left_exp + 1.0), *shifted])
-    got = weighted_endpoint_integral(ps, alpha, left_exp, breaks=[a for _, a, _ in shifted])
-    assert got == pytest.approx(rl_integral_powersum_at(alpha, ps, 1.0), rel=1e-10)
+def test_weighted_integral_matches_power_rule_with_breaks(alpha, anchor, k, coeffs):
+    # anchored_moment breaks [a, 1] at a 2^i; against a polynomial g with
+    # positive coefficients, (t - a)^k g(t) is a power sum anchored at a, so
+    # the power rule gives the integral, and any real k > -1 is absorbed
+    g = PowerSum.from_terms([(c, 0.0, float(j)) for j, c in enumerate(coeffs)])
+    product = PowerSum.from_terms([(1.0, anchor, k)]) * g
+    want = rl_integral_powersum_at(alpha, product, 1.0) * gamma_fn(alpha)
+    assert anchored_moment(g, alpha, anchor, k) == pytest.approx(want, rel=1e-12)
+
+
+def _shifted_beta(alpha, anchor, k, e):
+    """int_a^1 (1-t)^(alpha-1) (t-a)^k t^e dt with (t - a) = (1 - a) - (1 - t)
+    expanded, each piece an incomplete beta function."""
+    return sum(
+        math.comb(k, j) * (1.0 - anchor) ** (k - j) * (-1.0) ** j
+        * beta_special(e + 1.0, alpha + j) * betainc(alpha + j, e + 1.0, 1.0 - anchor)
+        for j in range(k + 1)
+    )
+
+
+@given(
+    alpha=st.one_of(
+        st.floats(min_value=1.001, max_value=1.02),
+        st.floats(min_value=1.49, max_value=1.51),
+        st.floats(min_value=1.98, max_value=1.999),
+    ),
+    anchor=st.one_of(st.sampled_from([1e-3, 0.999]), st.floats(min_value=1e-3, max_value=0.999)),
+    k=st.integers(min_value=0, max_value=3),
+    # the terms of u_s: x^(alpha-1) (Dirichlet), x^(alpha-2) (mixed) and x^2
+    exponent=st.sampled_from(["alpha-1", "alpha-2", "2"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_interior_term_matches_incomplete_beta(alpha, anchor, k, exponent):
+    e = {"alpha-1": alpha - 1.0, "alpha-2": alpha - 2.0, "2": 2.0}[exponent]
+    got = anchored_moment(PowerSum.monomial(1.0, e), alpha, anchor, float(k))
+    assert got == pytest.approx(_shifted_beta(alpha, anchor, k, e), rel=1e-12)

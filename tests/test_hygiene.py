@@ -77,6 +77,30 @@ def test_every_export_is_read_inside_the_package():
     assert exported and [name for name in exported if name not in read] == []
 
 
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions a module raises, as ``raise X`` or ``raise X(...)``."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    return raised
+
+
+def test_checker_finds_raised_names():
+    source = "raise A('x')\nraise B\ntry:\n    pass\nexcept C:\n    raise\nC('not raised')\n"
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_error_type_is_raised_in_the_package():
+    # an error type that nothing raises is dead API: callers would catch it for nothing
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    defined = [n.name for n in errors.body if isinstance(n, ast.ClassDef) and n.name != "FracFemError"]
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert defined and [name for name in defined if name not in raised] == []
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_extended_precision(path):
     # answers must not depend on the platform's long double

@@ -310,7 +310,7 @@ def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
 @settings(max_examples=40, deadline=None)
 def test_solution_is_linear_in_the_source(alpha, mixed, delta, m, scale):
     # u(f + c g) = u(f) + c u(g), regular part and strength alike, with a
-    # potential that takes the adaptive splitting constant
+    # potential whose splitting constant takes the rule anchored at 1/2
     bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
     q = parse_field("chi(0,0.5)", 0.0)
     f, g = source_bump(), source_inverse_quartic()
