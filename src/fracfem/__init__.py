@@ -36,7 +36,7 @@ from .errors import (
     SingularSystemError,
     UnsupportedFormError,
 )
-from .fields import ScalarField, parse_field
+from .fields import parse_field
 from .fraccalc import (
     PowerSum,
     PowerTerm,

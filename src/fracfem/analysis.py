@@ -45,7 +45,7 @@ def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
     ``mesh``, by default build_mesh(REFERENCE_M)."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
-    frac = rl_integral_powersum(spec.alpha, spec.f.powersum)
+    frac = rl_integral_powersum(spec.alpha, spec.f)
     mu = float(frac(1.0))
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, spec.singular_exponent)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)

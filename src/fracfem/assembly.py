@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
-from .fields import ScalarField
 from .fraccalc import (
     PowerSum,
     anchored_moment,
@@ -88,13 +87,13 @@ class ProblemSpec:
     """Two-point problem -D_0^alpha u + q u = f with homogeneous conditions.
 
     ``bc == "dirichlet"`` imposes u(0) = u(1) = 0; ``bc == "mixed"`` imposes
-    D_0^(alpha-1) u(0) = u(1) = 0 and needs alpha > 3/2. Both fields carry
-    a power sum (``check_fields``).
+    D_0^(alpha-1) u(0) = u(1) = 0 and needs alpha > 3/2. Both fields are
+    power sums (``check_fields``).
     """
 
     alpha: float
-    q: ScalarField
-    f: ScalarField
+    q: PowerSum
+    f: PowerSum
     bc: str = DIRICHLET
 
     def __post_init__(self):
@@ -108,13 +107,13 @@ class ProblemSpec:
         self.check_fields(self.q, self.f)
 
     @staticmethod
-    def check_fields(q: ScalarField, f: ScalarField) -> None:
-        """Refuse a field without a power sum, and a potential with a term
-        of negative exponent or a sampled size over 1e8."""
+    def check_fields(q: PowerSum, f: PowerSum) -> None:
+        """Refuse a field that is not a power sum, and a potential with a
+        term of negative exponent or a sampled size over 1e8."""
         for name, field in (("q", q), ("f", f)):
-            if field.powersum is None:
-                raise UnsupportedFormError(f"field {name} ({field.label!r}) carries no power sum")
-        for t in q.powersum.terms:
+            if not isinstance(field, PowerSum):
+                raise UnsupportedFormError(f"field {name} must be a PowerSum, got {type(field).__name__}")
+        for t in q.terms:
             if t.exponent < 0.0 and t.coeff:
                 raise DomainError(f"potential q must be bounded on [0, 1], but has a term x^{t.exponent:g}")
         sample = q(np.linspace(1e-3, 1.0 - 1e-3, 1000))
@@ -571,10 +570,10 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     return -scale * acc
 
 
-def _anchors(field: ScalarField) -> tuple:
-    """Points in (0, 1) where the field's power-sum terms start or stop, so
-    where it may jump or kink."""
-    return tuple(sorted({t.anchor for t in field.powersum.terms if 0.0 < t.anchor < 1.0}))
+def _anchors(field: PowerSum) -> tuple:
+    """Points in (0, 1) where the field's terms start or stop, so where it
+    may jump or kink."""
+    return tuple(sorted({t.anchor for t in field.terms if 0.0 < t.anchor < 1.0}))
 
 
 def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), left_exp=0.0, right_exp=0.0):
@@ -608,7 +607,7 @@ def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), left_exp=
     return sums
 
 
-def mass_bands(mesh: Mesh, q: ScalarField):
+def mass_bands(mesh: Mesh, q: PowerSum):
     """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal);
     elements are cut at the anchors of q."""
     n = mesh.m - 1
@@ -624,8 +623,8 @@ def mass_bands(mesh: Mesh, q: ScalarField):
     return rr[:n] + ll[1:], lr[1:n].copy()  # copied, so a kept band does not pin all three sums
 
 
-def powersum_load(mesh: Mesh, ps: PowerSum) -> np.ndarray:
-    """Exact load vector (ps, phi_i) for a power sum. Row 0 of the stacks is
+def load_vector(mesh: Mesh, ps: PowerSum) -> np.ndarray:
+    """Exact load vector (ps, phi_i) of a power sum. Row 0 of the stacks is
     hat j's rising leg on [x_{j-1}, x_j], row 1 its falling leg on
     [x_j, x_{j+1}]; one pass per term serves both, summed leg by leg."""
     x, n = mesh.nodes, mesh.m - 1
@@ -662,19 +661,7 @@ def quadrature_load(mesh: Mesh, fn, points: int, breaks=(), left_exp=0.0, right_
     return rising[:-1] + falling[1:]
 
 
-def load_vector(mesh: Mesh, field: ScalarField, breaks=()) -> np.ndarray:
-    """Load vector (field, phi_i), exact when the field has a power-sum form;
-    otherwise by quadrature, with elements cut at ``breaks``, the points in
-    (0, 1) where the field jumps or kinks, and the first element absorbing
-    the field's singularity hint."""
-    if field.is_zero:
-        return np.zeros(mesh.m - 1)
-    if field.powersum is not None:
-        return powersum_load(mesh, field.powersum)
-    return quadrature_load(mesh, field, _LOAD_POINTS, breaks, left_exp=field.hint or 0.0)
-
-
-def endpoint_weight_vector(mesh: Mesh, q: ScalarField, alpha) -> np.ndarray:
+def endpoint_weight_vector(mesh: Mesh, q: PowerSum, alpha) -> np.ndarray:
     """Vector s with s_j = (I_0^alpha q phi_j)(1).
 
     This is the same endpoint-weighted functional that defines the splitting
@@ -696,13 +683,13 @@ class SingularPair:
     """Splitting data u = u_r + mu * u_s for the reconstruction method.
 
     q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x), c1(x) = -2/Gamma(3-alpha)
-    x^(2-alpha); the regular part sees the modified source
-    f(x) + (I^alpha f)(1) Q(x).
+    x^(2-alpha), as a power sum when q is zero-anchored and None otherwise;
+    the regular part sees the modified source f(x) + (I^alpha f)(1) Q(x).
     """
 
     u_s: PowerSum
     c0: float
-    q_profile: ScalarField
+    q_profile: PowerSum | None
     f_frac_at_one: float
 
 
@@ -717,35 +704,39 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     selected automatically.
     """
     a = spec.alpha
-    p_sing = spec.singular_exponent
-    u_s = PowerSum.from_terms([(1.0, 0.0, p_sing), (-1.0, 0.0, 2.0)])
-    c1 = PowerSum.monomial(-2.0 / gamma_fn(3.0 - a), 2.0 - a)
-
-    q_fn = spec.q.fn
-    u_s_fn = u_s.__call__
-    q_ps = spec.q.powersum
-    q_us = PowerSum(tuple(t for t in q_ps.terms if t.anchor == 0.0)) * u_s
-    shifted = sum(t.coeff * anchored_moment(u_s_fn, a, t.anchor, t.exponent)
-                  for t in q_ps.terms if 0.0 < t.anchor < 1.0)
+    u_s = PowerSum.from_terms([(1.0, 0.0, spec.singular_exponent), (-1.0, 0.0, 2.0)])
+    q = spec.q
+    q_us = PowerSum(tuple(t for t in q.terms if t.anchor == 0.0)) * u_s
+    shifted = sum(t.coeff * anchored_moment(u_s, a, t.anchor, t.exponent)
+                  for t in q.terms if 0.0 < t.anchor < 1.0)
     denom = 1.0 + (float(rl_integral_powersum_at(a, q_us, 1.0)) + shifted / gamma_fn(a))
     if abs(denom) < DEGENERATE_TOL:
         raise DegenerateSplittingError(
             "splitting constant is undefined for this potential", denom
         )
     c0 = 1.0 / denom
-    f_at_one = float(rl_integral_powersum_at(a, spec.f.powersum, 1.0))
-
-    c1_fn = c1.__call__
-
-    def q_profile_fn(x):
-        x = np.asarray(x, dtype=float)
-        return c0 * c1_fn(x) - c0 * q_fn(x) * u_s_fn(x)
-
+    f_at_one = float(rl_integral_powersum_at(a, spec.f, 1.0))
     # q u_s is a power sum only when every term of q is anchored at 0
-    q_profile_ps = c1.scaled(c0) + q_us.scaled(-c0) if q_ps.is_zero_anchored else None
-    q_hint = min(2.0 - a, (spec.q.hint or 0.0) + p_sing)
-    q_profile = ScalarField(fn=q_profile_fn, hint=q_hint, powersum=q_profile_ps, label="Q")
+    q_profile = _c1(a).scaled(c0) + q_us.scaled(-c0) if q.is_zero_anchored else None
     return SingularPair(u_s, c0, q_profile, f_at_one)
+
+
+def _c1(alpha: float) -> PowerSum:
+    """c1(x) = -2/Gamma(3-alpha) x^(2-alpha), the source term of Q."""
+    return PowerSum.monomial(-2.0 / gamma_fn(3.0 - alpha), 2.0 - alpha)
+
+
+def _profile_load(spec: ProblemSpec, mesh: Mesh, pair: SingularPair) -> np.ndarray:
+    """Load of Q: exact when Q is a power sum. Otherwise by quadrature, with
+    elements cut where q jumps or kinks, and the first element absorbing
+    Q's leading power x^min(2 - alpha, e + p) at 0, where x^e is q's
+    leading term at 0 and x^p the singular profile."""
+    if pair.q_profile is not None:
+        return load_vector(mesh, pair.q_profile)
+    a, q, u_s, c0 = spec.alpha, spec.q, pair.u_s, pair.c0
+    c1, e = _c1(a), q.min_exponent_at_zero()
+    left = 2.0 - a if e is None else min(2.0 - a, e + spec.singular_exponent)
+    return quadrature_load(mesh, lambda x: c0 * c1(x) - c0 * q(x) * u_s(x), _LOAD_POINTS, _anchors(q), left)
 
 
 @dataclass(frozen=True)
@@ -851,7 +842,7 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
     if method == "standard":
         return AssembledSystem(mesh, lead, diag, off, f_load, None, None, None)
     pair = spec.singular_pair
-    r_vec = load_vector(mesh, pair.q_profile, _anchors(spec.q))  # Q jumps where q does
+    r_vec = _profile_load(spec, mesh, pair)
     s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
     load = f_load + pair.f_frac_at_one * r_vec
     return AssembledSystem(mesh, lead, diag, off, load, r_vec, s_vec, pair)

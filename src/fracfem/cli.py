@@ -27,8 +27,9 @@ from .analysis import (
     reference_solution,
 )
 from .assembly import DIRICHLET, MIXED, ProblemSpec, assemble_system
-from .errors import ArgumentError, FracFemError
-from .fields import POTENTIALS, SOURCES, ScalarField, parse_field
+from .errors import ArgumentError, DomainError, FracFemError
+from .fields import POTENTIALS, SOURCES, parse_field
+from .fraccalc import PowerSum
 from .mesh import Mesh, build_mesh
 from .solver import GMRES_RESTART, solve_reconstruction, solve_standard
 
@@ -39,13 +40,17 @@ CSV_COLUMNS = (
 )
 
 _METHODS = ("standard", "recon", "recon_mixed")
+# report labels of the catalog potentials; a custom one is labelled by its expression
+_Q_LABELS = {"zero": "zero", "x_times_1mx": "x(1-x)"}
 # largest array a study may allocate, 1 GiB: the dense lead block of a graded
 # study (k_max = 13 takes 512 MiB) and the GMRES basis of its finest mesh,
 # level or reference (m = 2^21 takes 816 MiB)
 _ARRAY_BYTES = 1 << 30
 
 # config fields a JSON file could fill with a value of the wrong type; None
-# leaves a hint, an expression or the output path unset
+# leaves a hint, an expression or the output path unset. A hint, the leading
+# exponent of a field at x = 0, is optional and changes no number: it is
+# only checked against the field
 _HINT, _TEXT = (int, float, type(None)), (str, type(None))
 _FIELD_TYPES = {"k_min": int, "k_max": int, "reference_m": int, "delta": (int, float), "f_hint": _HINT,
                 "q_hint": _HINT, "f_expr": _TEXT, "q_expr": _TEXT, "out": _TEXT}
@@ -105,6 +110,12 @@ class ExperimentConfig:
                 f"k_max={self.k_max} with grading exponent {self.delta} needs a {block >> 20} MiB "
                 f"lead block, over the {_ARRAY_BYTES >> 20} MiB limit"
             )
+        width = (2.0**-self.k_max) ** self.delta  # first element of the finest level
+        if width * width == 0.0:  # as assemble_lead refuses it, but before any work
+            raise DomainError(
+                f"k_max={self.k_max} with grading exponent {self.delta:g} makes the first element "
+                f"width {width:.3g}, which squares to zero"
+            )
         for name, m in (("k_max", 2**self.k_max), ("reference_m", self.reference_m)):
             basis = 8 * (GMRES_RESTART + 1) * (m - 1)  # bytes of the GMRES basis on m elements
             if basis > _ARRAY_BYTES:
@@ -114,6 +125,14 @@ class ExperimentConfig:
                 )
         # parse custom fields once, and refuse them, before any output opens
         ProblemSpec.check_fields(self.potential, self.source)
+        for name, hint, field in (("f_hint", self.f_hint, self.source), ("q_hint", self.q_hint, self.potential)):
+            if hint is None:
+                continue
+            if not math.isfinite(hint):
+                raise ArgumentError(f"singularity hint must be a finite number, got {hint}")
+            worst = field.min_exponent_at_zero()
+            if worst is not None and worst < 0.0 and hint > worst:
+                raise DomainError(f"{name} {hint} is weaker than the field's leading exponent {worst}")
         if self.needs_reference and 2**self.k_max > self.reference_m // 8:
             raise ArgumentError(
                 f"k_max={self.k_max} is too fine for the reference mesh "
@@ -125,16 +144,20 @@ class ExperimentConfig:
         return MIXED if self.method == "recon_mixed" else DIRICHLET
 
     @cached_property
-    def source(self) -> ScalarField:
+    def source(self) -> PowerSum:
         if self.example == "custom":
-            return parse_field(self.f_expr, self.f_hint)
+            return parse_field(self.f_expr)
         return SOURCES[self.example]()
 
     @cached_property
-    def potential(self) -> ScalarField:
+    def potential(self) -> PowerSum:
         if self.q_kind == "custom":
-            return parse_field(self.q_expr, self.q_hint)
+            return parse_field(self.q_expr)
         return POTENTIALS[self.q_kind]()
+
+    @property
+    def q_label(self) -> str:
+        return self.q_expr if self.q_kind == "custom" else _Q_LABELS[self.q_kind]
 
     @property
     def needs_reference(self) -> bool:
@@ -143,18 +166,11 @@ class ExperimentConfig:
     @property
     def source_smoothness(self) -> float:
         """Sobolev index of the source, used for predicted rates only."""
-        ps = self.source.powersum
-        if ps.terms:
-            candidates = [
-                t.exponent + 0.5
-                for t in ps.terms
-                if t.anchor > 0.0 or t.exponent != round(t.exponent)
-            ]
-            if candidates:
-                return float(min(max(min(candidates), 0.0), 1.5))
-            return 1.0
-        hint = self.source.hint or 0.0
-        return float(min(max(hint + 0.5, 0.0), 1.5))
+        terms = self.source.terms
+        if not terms:
+            return 0.5
+        candidates = [t.exponent + 0.5 for t in terms if t.anchor > 0.0 or t.exponent != round(t.exponent)]
+        return float(min(max(min(candidates), 0.0), 1.5)) if candidates else 1.0
 
 
 def _config_from_json(path: str) -> dict:
@@ -202,7 +218,7 @@ def run_experiment(config: ExperimentConfig) -> list[ConvergenceReport]:
             alpha=alpha,
             method=config.method,
             example=config.example,
-            q_label=config.potential.label,
+            q_label=config.q_label,
             delta=config.delta,
             expected=expected,
         )
@@ -334,9 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", dest="fmt", help="output format: csv or markdown")
     parser.add_argument("--out", help="output path (defaults to stdout)")
     parser.add_argument("--f-expr", dest="f_expr", help="custom source expression")
-    parser.add_argument("--f-hint", dest="f_hint", type=float, help="custom source singularity exponent at 0")
+    parser.add_argument("--f-hint", dest="f_hint", type=float,
+                        help="optional source exponent at 0, checked against the source")
     parser.add_argument("--q-expr", dest="q_expr", help="custom potential expression")
-    parser.add_argument("--q-hint", dest="q_hint", type=float, help="custom potential singularity exponent at 0")
+    parser.add_argument("--q-hint", dest="q_hint", type=float,
+                        help="optional potential exponent at 0, checked against the potential")
     return parser
 
 

@@ -1,23 +1,17 @@
 """Scalar coefficient fields: the built-in source/potential catalog and a
-small expression grammar for user-supplied ones.
-
-A field carries a vectorized evaluator, an optional left-endpoint
-singularity exponent (its "hint"), and, when available, an exact shifted
-power sum representation that unlocks closed-form assembly.
+small expression grammar for user-supplied ones. Every field is a shifted
+power sum, which the loads, the splitting constant and the exact solution
+read exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError
 from .fraccalc import PowerSum, PowerTerm
 
 __all__ = [
-    "ScalarField",
     "zero_field",
     "source_bump",
     "source_step",
@@ -28,66 +22,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function on [0, 1] with optional structure for exact assembly."""
-
-    fn: Callable
-    hint: float | None = None
-    powersum: PowerSum | None = None
-    label: str = ""
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.powersum is not None and len(self.powersum.terms) == 0
+def zero_field() -> PowerSum:
+    return PowerSum(())
 
 
-def zero_field() -> ScalarField:
-    return ScalarField(
-        fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        hint=None,
-        powersum=PowerSum(()),
-        label="zero",
-    )
-
-
-def source_bump() -> ScalarField:
+def source_bump() -> PowerSum:
     """f(x) = x (1 - x)."""
-    return ScalarField(
-        fn=lambda x: x * (1.0 - x),
-        hint=None,
-        powersum=PowerSum.from_terms([(1.0, 0.0, 1.0), (-1.0, 0.0, 2.0)]),
-        label="x(1-x)",
-    )
+    return PowerSum.from_terms([(1.0, 0.0, 1.0), (-1.0, 0.0, 2.0)])
 
 
-def source_step() -> ScalarField:
-    """Indicator of [0, 1/2]."""
-    return ScalarField(
-        fn=lambda x: np.where(np.asarray(x, dtype=float) <= 0.5, 1.0, 0.0),
-        hint=None,
-        powersum=PowerSum.from_terms([(1.0, 0.0, 0.0), (-1.0, 0.5, 0.0)]),
-        label="chi(0,1/2)",
-    )
+def source_step() -> PowerSum:
+    """Indicator of [0, 1/2)."""
+    return PowerSum.from_terms([(1.0, 0.0, 0.0), (-1.0, 0.5, 0.0)])
 
 
-def source_inverse_quartic() -> ScalarField:
+def source_inverse_quartic() -> PowerSum:
     """f(x) = x^(-1/4), integrable endpoint blow-up at x = 0."""
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0.0, x, 1.0) ** -0.25 * np.where(x > 0.0, 1.0, np.inf)
-
-    return ScalarField(
-        fn=fn,
-        hint=-0.25,
-        powersum=PowerSum.from_terms([(1.0, 0.0, -0.25)]),
-        label="x^(-1/4)",
-    )
+    return PowerSum.from_terms([(1.0, 0.0, -0.25)])
 
 
 SOURCES = {
@@ -229,18 +180,9 @@ def _parse_base(tk: _Tokens) -> PowerSum:
     return PowerSum.from_terms([(tk.number(), 0.0, 0.0)])
 
 
-def parse_field(expr: str, hint: float | None) -> ScalarField:
-    """Parse an expression over {x, +, -, *, ^, const, chi(a,b)} into a field.
-
-    The singularity hint is required alongside custom expressions; pass 0.0
-    (or the known leading exponent at x = 0) explicitly.
-    """
-    if hint is None:
-        raise ArgumentError(
-            "custom fields need an explicit singularity hint (0 when smooth at x = 0)"
-        )
-    if not np.isfinite(hint):
-        raise ArgumentError(f"singularity hint must be a finite number, got {hint}")
+def parse_field(expr: str) -> PowerSum:
+    """Parse an expression over {x, +, -, *, ^, const, chi(a,b)} into its
+    power sum."""
     tk = _Tokens(expr)
     try:
         ps = _parse_expr(tk).merged()  # terms that cancel leave the zero field
@@ -248,14 +190,4 @@ def parse_field(expr: str, hint: float | None) -> ScalarField:
         raise ArgumentError(f"expression nests too deeply, {expr.count('(')} parentheses") from None
     if tk.peek() is not None:
         raise ArgumentError(f"trailing input at position {tk.pos} in {expr!r}")
-    worst = ps.min_exponent_at_zero()
-    if worst is not None and worst < 0.0 and hint > worst:
-        raise DomainError(
-            f"hint {hint} is weaker than the parsed leading exponent {worst}"
-        )
-    return ScalarField(
-        fn=ps.__call__,
-        hint=hint if hint != 0.0 else None,
-        powersum=ps,
-        label=expr,
-    )
+    return ps

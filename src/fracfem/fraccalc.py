@@ -106,6 +106,10 @@ class PowerSum:
         return cls((PowerTerm(coeff, 0.0, exponent),))
 
     @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
     def is_zero_anchored(self) -> bool:
         return all(t.anchor == 0.0 for t in self.terms)
 

@@ -67,9 +67,11 @@ def frac_integral_quad(fn, gamma_ord, x, left_exponent=0.0, breaks=()):
         left_here = left_exponent if (lo == 0.0 and left_exponent) else 0.0
         right_here = gamma_ord - 1.0 if hi == x else 0.0
 
-        def core(t, _l=left_here, _r=right_here):
-            # qawse probes the endpoints; keep the smooth remainder finite there
-            t = max(t, 1e-300)
+        def core(t, _l=left_here, _r=right_here, _hi=hi):
+            # qawse probes the endpoints; keep the smooth remainder finite
+            # there, and take it at hi from the left: a field that jumps at
+            # a break takes its value beyond the break there
+            t = min(max(t, 1e-300), np.nextafter(_hi, 0.0))
             v = fn(t)
             if _l:
                 v /= t**_l

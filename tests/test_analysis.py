@@ -20,7 +20,7 @@ from fracfem.analysis import (
 from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedFormError
 from fracfem.fraccalc import PowerSum
-from fracfem.fields import SOURCES, ScalarField, source_bump, source_step, zero_field
+from fracfem.fields import SOURCES, source_bump, source_step, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 from fracfem.solver import Solution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
@@ -57,7 +57,7 @@ def test_closed_form_matches_green_kernel_quadrature(alpha, x, example):
     f = SOURCES[example]()
     where = {"b": dict(breaks=(0.5,)), "c": dict(left_exponent=-0.25)}.get(example, {})
     got = exact_q0(ProblemSpec(alpha, zero_field(), f), build_mesh(16)).u(x)
-    assert got == pytest.approx(green_solution_quad(alpha, f.fn, x, **where), rel=1e-9)
+    assert got == pytest.approx(green_solution_quad(alpha, f, x, **where), rel=1e-9)
 
 
 def test_closed_form_boundary_and_split():
@@ -84,17 +84,16 @@ def test_closed_form_mixed_condition():
 def test_closed_form_requires_power_sum_and_zero_potential():
     with pytest.raises(ArgumentError):
         exact_q0(ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump()))
-    # a source without a power sum is refused before any solution exists
-    smooth = ScalarField(fn=lambda x: np.sin(np.pi * np.asarray(x)))
+    # a source that is not a power sum is refused before any solution exists
     with pytest.raises(UnsupportedFormError):
-        ProblemSpec(alpha=1.5, q=zero_field(), f=smooth)
+        ProblemSpec(alpha=1.5, q=zero_field(), f=np.sin)
 
 
 def test_green_kernel_reproduces_solution():
     alpha, x = 1.5, 0.5
     f = source_bump()
     val, _ = quad(
-        lambda y: green_q0(alpha, x, y) * f.fn(y),
+        lambda y: green_q0(alpha, x, y) * f(y),
         0.0,
         1.0,
         points=[x],
@@ -104,7 +103,7 @@ def test_green_kernel_reproduces_solution():
     )
     spec = ProblemSpec(alpha=alpha, q=zero_field(), f=f)
     assert exact_q0(spec).u(x) == pytest.approx(val, rel=1e-9)
-    assert green_solution_quad(alpha, f.fn, x) == pytest.approx(val, rel=1e-9)
+    assert green_solution_quad(alpha, f, x) == pytest.approx(val, rel=1e-9)
 
 
 def test_error_norms_vanish_on_identical_fields():
@@ -245,9 +244,7 @@ def test_reference_solution_is_cached_and_validated():
 
 
 def test_reference_cache_tells_unlabeled_fields_apart():
-    one_ps, five_ps = PowerSum.monomial(1.0, 0.0), PowerSum.monomial(5.0, 0.0)
-    one = ScalarField(fn=one_ps.__call__, powersum=one_ps)
-    five = ScalarField(fn=five_ps.__call__, powersum=five_ps)
+    one, five = PowerSum.monomial(1.0, 0.0), PowerSum.monomial(5.0, 0.0)
     mu_one = reference_solution(ProblemSpec(alpha=1.5, q=one, f=one), build_mesh(64)).mu
     mu_five = reference_solution(ProblemSpec(alpha=1.5, q=one, f=five), build_mesh(64)).mu
     # the strength is linear in the source

@@ -21,11 +21,11 @@ from fracfem.assembly import (
     lead_stencil,
     load_vector,
     mass_bands,
-    powersum_load,
+    quadrature_load,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
+from fracfem.cli import ExperimentConfig
 from fracfem.fields import (
-    ScalarField,
     parse_field,
     source_bump,
     source_inverse_quartic,
@@ -253,7 +253,7 @@ def test_lead_table_is_kept_on_the_spec():
 
 
 def test_with_alpha_shares_only_the_alpha_free_data():
-    spec = ProblemSpec(alpha=1.25, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
+    spec = ProblemSpec(alpha=1.25, q=parse_field("chi(0,0.5)"), f=source_bump())
     spec.lead(build_mesh(32, 5.0))
     terms = spec.level_terms(build_mesh(32, 5.0))
     plans, pair = dict(spec._far_plans[5.0]), spec.singular_pair
@@ -277,7 +277,7 @@ def test_with_alpha_shares_only_the_alpha_free_data():
 
 
 def test_level_terms_are_kept_read_only_for_build_mesh_levels_only():
-    q = parse_field("chi(0,0.5)", 0.0)
+    q = parse_field("chi(0,0.5)")
     spec = ProblemSpec(alpha=1.5, q=q, f=source_step())
     for mesh in (build_mesh(16), build_mesh(16, 2.0)):
         terms = spec.level_terms(mesh)
@@ -666,10 +666,10 @@ def test_mass_matches_quadrature_on_graded_mesh():
     diag, off = mass_bands(mesh, q)
     for j in (1, 3):
         phi = hat_value(mesh.nodes, j)
-        got = load_entry_quad(mesh.nodes, lambda t: q.fn(t) * phi(t), j)
+        got = load_entry_quad(mesh.nodes, lambda t: q(t) * phi(t), j)
         assert diag[j - 1] == pytest.approx(got, rel=1e-10)
     phi1 = hat_value(mesh.nodes, 1)
-    got = load_entry_quad(mesh.nodes, lambda t: q.fn(t) * phi1(t), 2)
+    got = load_entry_quad(mesh.nodes, lambda t: q(t) * phi1(t), 2)
     assert off[0] == pytest.approx(got, rel=1e-10)
 
 
@@ -692,7 +692,7 @@ def test_load_matches_quadrature(field, breaks, left_exp):
     out = load_vector(mesh, field)
     for j in (1, 4, 8 - 1):
         oracle = load_entry_quad(
-            mesh.nodes, field.fn, j, left_exponent=left_exp, breaks=breaks
+            mesh.nodes, field, j, left_exponent=left_exp, breaks=breaks
         )
         assert out[j - 1] == pytest.approx(oracle, rel=1e-9, abs=1e-14)
 
@@ -701,11 +701,11 @@ def test_load_matches_quadrature(field, breaks, left_exp):
 @pytest.mark.parametrize(
     "ps",
     [
-        source_bump().powersum,
-        source_step().powersum,
-        source_inverse_quartic().powersum,
+        source_bump(),
+        source_step(),
+        source_inverse_quartic(),
         # custom sums with two interior anchors; 0.25 is a node of m = 16
-        parse_field("chi(0.3,0.7)", 0.0).powersum,
+        parse_field("chi(0.3,0.7)"),
         fraccalc.PowerSum.from_terms([(2.5, 0.25, 1.5), (-0.75, 0.6, 0.5)]),
     ],
     ids=["a", "b", "c", "chi", "powers"],
@@ -713,18 +713,21 @@ def test_load_matches_quadrature(field, breaks, left_exp):
 @pytest.mark.parametrize("m", [2, 3, 16, 37, 256])
 def test_powersum_load_matches_per_term_loop_bit_for_bit(m, ps, delta):
     mesh = build_mesh(m, delta)
-    got, want = powersum_load(mesh, ps), powersum_load_per_term(mesh, ps)
+    got, want = load_vector(mesh, ps), powersum_load_per_term(mesh, ps)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_quadrature_load_path_without_powersum():
-    # a field carrying only a callable exercises the Gauss fallback
+    # a callable with no power sum takes the Gauss rules of 10 points
     mesh = build_mesh(16)
-    smooth = ScalarField(fn=lambda x: np.sin(np.pi * np.asarray(x)), hint=None)
-    out = load_vector(mesh, smooth)
+
+    def smooth(x):
+        return np.sin(np.pi * np.asarray(x))
+
+    out = quadrature_load(mesh, smooth, 10)
     for j in (1, 8, 15):
-        oracle = load_entry_quad(mesh.nodes, smooth.fn, j)
+        oracle = load_entry_quad(mesh.nodes, smooth, j)
         assert out[j - 1] == pytest.approx(oracle, rel=1e-9)
 
 
@@ -743,7 +746,7 @@ def test_endpoint_weight_vector_matches_quadrature():
     q = source_bump()
     s = endpoint_weight_vector(mesh, q, alpha)
     for j in (1, 5, 7):
-        oracle = endpoint_weight_entry_quad(mesh.nodes, q.fn, j, alpha)
+        oracle = endpoint_weight_entry_quad(mesh.nodes, q, j, alpha)
         assert s[j - 1] == pytest.approx(oracle, rel=1e-10)
     assert not endpoint_weight_vector(mesh, zero_field(), alpha).any()
 
@@ -751,7 +754,7 @@ def test_endpoint_weight_vector_matches_quadrature():
 # a potential that jumps inside elements: 0.3 and 0.7 are nodes of no
 # build_mesh(2) or build_mesh(5); on m = 2 they sit in the first and the last
 # element, whose rules absorb an end power
-INTERIOR_JUMPS = parse_field("chi(0.3,0.7)*(1+x)", 0.0)
+INTERIOR_JUMPS = parse_field("chi(0.3,0.7)*(1+x)")
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -762,7 +765,7 @@ def test_mass_bands_cut_at_interior_anchors(m):
         # (q phi_j, phi_i) as the load of q phi_j against hat i = j, j + 1
         phi = hat_value(mesh.nodes, j)
         entries = [
-            load_entry_quad(mesh.nodes, lambda t: INTERIOR_JUMPS.fn(t) * phi(t), i, breaks=(0.3, 0.7))
+            load_entry_quad(mesh.nodes, lambda t: INTERIOR_JUMPS(t) * phi(t), i, breaks=(0.3, 0.7))
             for i in range(j, min(j + 2, m))
         ]
         assert diag[j - 1] == pytest.approx(entries[0], rel=1e-12)
@@ -782,34 +785,40 @@ CUT_MESHES = pytest.mark.parametrize(
 def test_endpoint_weight_vector_cut_at_interior_anchors(mesh, alpha):
     s = endpoint_weight_vector(mesh, INTERIOR_JUMPS, alpha)
     for j in range(1, mesh.m):
-        want = endpoint_weight_entry_quad(mesh.nodes, INTERIOR_JUMPS.fn, j, alpha, (0.3, 0.7))
+        want = endpoint_weight_entry_quad(mesh.nodes, INTERIOR_JUMPS, j, alpha, (0.3, 0.7))
         assert s[j - 1] == pytest.approx(want, rel=1e-10)
 
 
 @CUT_MESHES
 def test_quadrature_load_cut_at_breaks(mesh):
     # x^(-1/4) (1 + chi(0.3,0.7)): singular at 0 and jumping at both breaks,
-    # with no power sum to say where
-    jumps = parse_field("chi(0.3,0.7)", 0.0).fn
-    field = ScalarField(fn=lambda x: x**-0.25 * (1.0 + jumps(x)), hint=-0.25)
-    out = load_vector(mesh, field, (0.3, 0.7))
+    # a callable with no power sum to say where
+    jumps = parse_field("chi(0.3,0.7)")
+
+    def field(x):
+        return x**-0.25 * (1.0 + jumps(x))
+
+    out = quadrature_load(mesh, field, 10, (0.3, 0.7), left_exp=-0.25)
     for j in range(1, mesh.m):
-        want = load_entry_quad(mesh.nodes, field.fn, j, left_exponent=-0.25, breaks=(0.3, 0.7))
+        want = load_entry_quad(mesh.nodes, field, j, left_exponent=-0.25, breaks=(0.3, 0.7))
         assert out[j - 1] == pytest.approx(want, rel=1e-10)
 
 
 def test_anchors_on_nodes_change_no_bit(monkeypatch):
     # jumps at nodes need no cut; the rules must stay the uncut ones
     mesh = build_mesh(8, delta=2.0)  # 0.25 and 0.5625 are nodes
-    q = parse_field("chi(0.25,0.5625)*(1+x)", 0.0)
+    q = parse_field("chi(0.25,0.5625)*(1+x)")
     cut = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
     monkeypatch.setattr(assembly, "_anchors", lambda field: ())  # the same field, its anchors unseen
     blind = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
     for got, want in zip(cut, blind):
         assert np.array_equal(got, want)
     monkeypatch.undo()
-    field = ScalarField(fn=lambda x: x**-0.25 * q.fn(x), hint=-0.25)
-    assert np.array_equal(load_vector(mesh, field, (0.25, 0.5625)), load_vector(mesh, field))
+    def field(x):
+        return x**-0.25 * q(x)
+
+    cut, blind = (quadrature_load(mesh, field, 10, breaks, left_exp=-0.25) for breaks in ((0.25, 0.5625), ()))
+    assert np.array_equal(cut, blind)
 
 
 # --- problem validation ----------------------------------------------------------
@@ -824,19 +833,21 @@ def test_problem_spec_validation():
         ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump(), bc="periodic")
     # a potential too large to be taken as bounded is rejected up front
     with pytest.raises(DomainError):
-        ProblemSpec(alpha=1.5, q=parse_field("2e8*x", 0.0), f=source_bump())
+        ProblemSpec(alpha=1.5, q=parse_field("2e8*x"), f=source_bump())
     # a negative power with a zero coefficient is no blow-up
-    zero_power = fraccalc.PowerSum.from_terms([(0.0, 0.0, -0.5), (1.0, 0.0, 1.0)])
-    q = ScalarField(fn=zero_power.__call__, powersum=zero_power)
+    q = fraccalc.PowerSum.from_terms([(0.0, 0.0, -0.5), (1.0, 0.0, 1.0)])
     assert ProblemSpec(alpha=1.5, q=q, f=source_bump()).singular_pair.c0 > 0.0
 
 
 @pytest.mark.parametrize("expr,hint", [("x^-0.5", -0.5), ("x^-0.9", -0.9), ("x^-0.1-chi(0.5,1)", -0.1)])
 def test_unbounded_potential_is_refused_by_its_exponent(expr, hint):
     # x^-0.5 stays below 1e8 at every point of a sample that starts at 1e-3,
-    # but its mass bands would take plain Gauss rules on an unbounded integrand
+    # but its mass bands would take plain Gauss rules on an unbounded integrand;
+    # a hint that states the exponent does not let it through
     with pytest.raises(DomainError, match=r"x\^-0\.\d"):
-        ProblemSpec(alpha=1.5, q=parse_field(expr, hint), f=source_bump())
+        ProblemSpec(alpha=1.5, q=parse_field(expr), f=source_bump())
+    with pytest.raises(DomainError, match=r"x\^-0\.\d"):
+        ExperimentConfig(q_kind="custom", q_expr=expr, q_hint=hint, method="recon")
 
 
 def test_singular_exponent_by_condition():
@@ -876,15 +887,13 @@ def test_splitting_constant_with_potential_frozen():
     assert pair.c0 == pytest.approx(0.9507318209834486, rel=1e-10)
 
 
-def test_splitting_constant_quadrature_and_closed_form_agree():
-    # the constant needs power sums: a field that carries only a callable is
-    # refused, with its name and label, before anything is built
+def test_problem_spec_refuses_a_plain_callable():
+    # every field is a power sum: a plain callable is refused, with the
+    # name of the field, before anything is built
     bump = source_bump()
-    callable_only = ScalarField(fn=bump.fn, label="bump by hand")
-    with pytest.raises(UnsupportedFormError, match=r"field q \('bump by hand'\)"):
-        ProblemSpec(alpha=1.6, q=callable_only, f=bump)
-    with pytest.raises(UnsupportedFormError, match=r"field f \('bump by hand'\)"):
-        ProblemSpec(alpha=1.6, q=bump, f=callable_only)
+    for q, f, name in ((bump.__call__, bump, "q"), (bump, np.sin, "f")):
+        with pytest.raises(UnsupportedFormError, match=rf"field {name} must be a PowerSum, got "):
+            ProblemSpec(alpha=1.6, q=q, f=f)
 
 
 def test_mixed_profile_and_modified_source():
@@ -906,7 +915,7 @@ def test_adaptive_splitting_constant_matches_incomplete_beta(alpha, bc):
     # chi(0,1/2) = 1 - (x - 1/2)_+^0: the power rule for the first term, the
     # anchored rule for the second; closed form:
     # int_0^(1/2) (1-t)^(a-1) t^e dt = B(e+1, a) I_(1/2)(e+1, a)
-    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump(), bc=bc)
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)"), f=source_bump(), bc=bc)
     p = spec.singular_exponent
 
     def half_moment(e):
@@ -922,10 +931,10 @@ def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
     # and the constant matches a quadrature split at the same points, taken
     # one u_s term at a time as in test_splitting_constant_term_by_term (q u_s
     # as one field is off by up to 9e-12 in the oracle itself)
-    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0.3,0.7)", 0.0), f=source_bump())
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0.3,0.7)"), f=source_bump())
     integral = sum(
         t.coeff * frac_integral_quad(
-            lambda x, e=t.exponent: spec.q.fn(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.3, 0.7)
+            lambda x, e=t.exponent: spec.q(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.3, 0.7)
         )
         for t in spec.singular_pair.u_s.terms
     )
@@ -935,13 +944,13 @@ def test_splitting_constant_splits_at_non_dyadic_anchors(alpha):
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 def test_splitting_constant_term_by_term(alpha):
     # chi(0,0.5) has no zero-anchored power sum, so q u_s is no power sum
-    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
+    spec = ProblemSpec(alpha=alpha, q=parse_field("chi(0,0.5)"), f=source_bump())
     c0 = spec.singular_pair.c0
     # the oracle too goes term by term, t^2 without a weight: quad of q u_s
     # as one field with the weight t^(alpha-1) is off by up to 9e-12 here
     integral = sum(
         t.coeff * frac_integral_quad(
-            lambda x, e=t.exponent: spec.q.fn(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.5,)
+            lambda x, e=t.exponent: spec.q(x) * x**e, alpha, 1.0, t.exponent % 2.0, (0.5,)
         )
         for t in spec.singular_pair.u_s.terms
     )
@@ -949,7 +958,7 @@ def test_splitting_constant_term_by_term(alpha):
 
 
 def test_singular_pair_is_cached_on_the_spec():
-    spec = ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)", 0.0), f=source_bump())
+    spec = ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)"), f=source_bump())
     twin = ProblemSpec(alpha=1.5, q=spec.q, f=spec.f)
     key = hash(spec)
     first = solve_reconstruction(spec, build_mesh(16))
@@ -968,9 +977,7 @@ def test_singular_pair_is_cached_on_the_spec():
 def test_degenerate_splitting_detected():
     # scale the potential so 1 + (I^alpha q u_s)(1) crosses zero
     gamma = -1.0 / 0.051821321143524765
-    ps = source_bump().powersum.scaled(gamma)
-    q = ScalarField(fn=ps.__call__, powersum=ps, label="scaled bump")
-    spec = ProblemSpec(alpha=1.5, q=q, f=source_bump())
+    spec = ProblemSpec(alpha=1.5, q=source_bump().scaled(gamma), f=source_bump())
     with pytest.raises(DegenerateSplittingError):
         build_singular_pair(spec)
 

@@ -22,7 +22,8 @@ from fracfem.cli import (
     main,
     run_experiment,
 )
-from fracfem.errors import ArgumentError
+from fracfem.errors import ArgumentError, DomainError
+from fracfem.fields import source_bump
 from fracfem.mesh import build_mesh
 
 # potential scale that drives 1 + (I^1.5 q u_s)(1) through zero
@@ -98,7 +99,8 @@ def test_config_refuses_a_gmres_basis_over_the_array_limit(capsys, monkeypatch):
 def test_config_derived_properties():
     config = _tiny()
     assert config.bc == "dirichlet"
-    assert config.source.label == "x(1-x)"
+    assert config.source == source_bump()
+    assert config.q_label == "zero"
     assert config.potential.is_zero
     assert not config.needs_reference
     assert config.source_smoothness == 1.0
@@ -109,6 +111,8 @@ def test_config_derived_properties():
     assert _tiny(example="b").source_smoothness == 0.5
     with_q = _tiny(q_kind="x_times_1mx", k_min=2, k_max=3, reference_m=64)
     assert with_q.needs_reference
+    assert with_q.q_label == "x(1-x)"
+    assert _tiny(q_kind="custom", q_expr="chi(0,0.5)", k_min=2, k_max=3, reference_m=64).q_label == "chi(0,0.5)"
 
 
 def test_custom_expression_smoothness():
@@ -369,15 +373,23 @@ def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_too_steep_grading_is_refused_in_one_line(capsys):
-    # at delta = 200 the first widths of m = 8 and 16 square to zero in the
-    # lead's near band; the finest level runs first, so the cell names its
-    # width and delta before anything divides
-    assert main(["--graded", "200", "--levels", "3:4"]) == 2
-    captured = capsys.readouterr()
+def test_too_steep_grading_is_refused_in_one_line(capsys, monkeypatch, tmp_path):
+    # only configs are built: at delta = 200 the first width of m = 16
+    # squares to zero, which the lead's near band would divide by; the
+    # config names the width and delta before any level runs or the output
+    # opens (m = 8: 2^-600, whose square is zero too, is never reached)
+    studies = []
+    monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
     width = np.diff(build_mesh(16, 200.0).nodes).min()
-    assert captured.err.startswith(f"alpha=1.5 failed: DomainError: mesh element width {width:.3g} ")
-    assert "grading exponent 200" in captured.err and captured.err.count("\n") == 1
+    message = f"k_max=4 with grading exponent 200 makes the first element width {width:.3g}, which squares to zero"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ExperimentConfig(delta=200.0, k_min=3, k_max=4)
+    assert ExperimentConfig(delta=100.0, k_min=3, k_max=5).k_max == 5  # 2^-500 squares to a subnormal
+    out = tmp_path / "table.csv"
+    assert main(["--graded", "200", "--levels", "3:4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists() and studies == []
 
 
 def test_bad_custom_source_leaves_the_output_file_alone(tmp_path, capsys):
@@ -498,9 +510,9 @@ def test_potential_with_non_dyadic_jumps_converges(capsys):
 
 
 def test_potential_with_a_weak_power_at_zero_runs(capsys):
-    # x^0.3 with hint 0: no Gauss rule absorbs the power, but the splitting
-    # constant takes x^0.3 u_s by the power rule, and each chi edge by a
-    # fixed rule anchored there
+    # x^0.3: the first element's rule absorbs Q's power x^(0.3 + alpha - 1),
+    # read from q's power sum, and the splitting constant takes x^0.3 u_s by
+    # the power rule, and each chi edge by a fixed rule anchored there
     argv = [
         "--alpha", "1.4", "--example", "b", "--q", "custom", "--q-expr", "x^0.3-chi(0.25,0.75)",
         "--q-hint", "0", "--method", "recon", "--levels", "3:7", "--reference-m", "2048",
@@ -544,6 +556,42 @@ def test_unbounded_potential_is_refused_in_one_line(expr, exponent, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: potential q must be bounded on [0, 1], but has a term x^{exponent}\n"
     assert captured.out == ""
+
+
+def test_hint_changes_no_number(capsys):
+    # q's power sum sets the left exponent of Q's quadrature load, so a
+    # hint, given or not, leaves every byte as it is
+    argv = ["--alpha", "1.3,1.7", "--example", "a", "--q", "custom", "--q-expr", "x^0.5+chi(0.5,1)",
+            "--method", "recon", "--levels", "3:6", "--reference-m", "512"]
+    tables = []
+    for hint in ([], ["--q-hint", "0"], ["--q-hint", "0.5"], ["--q-hint", "2"]):
+        assert main(argv + hint) == 0, hint
+        tables.append(capsys.readouterr().out)
+    assert tables[0].count("\n") == 9 and all(t == tables[0] for t in tables[1:])
+
+
+def test_custom_source_runs_without_a_hint(capsys):
+    argv = ["--alpha", "1.5", "--example", "custom", "--f-expr", "x^-0.25+x", "--method", "recon",
+            "--levels", "3:5"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert table.count("\n") == 4
+    assert main(argv + ["--f-hint", "-0.25"]) == 0
+    assert capsys.readouterr().out == table
+
+
+def test_hint_is_optional_and_checked():
+    # a hint is the leading exponent at x = 0: it may be left out, but one
+    # that claims more smoothness than the parsed expression has is refused
+    assert _tiny(example="custom", f_expr="x^-0.5").f_hint is None
+    assert _tiny(example="custom", f_expr="x^-0.5", f_hint=-0.5).f_hint == -0.5
+    with pytest.raises(DomainError, match=r"^f_hint 0.0 is weaker than the field's leading exponent -0.5$"):
+        _tiny(example="custom", f_expr="x^-0.5", f_hint=0.0)
+    # a catalog field is checked alike: example c is x^(-1/4)
+    with pytest.raises(DomainError, match=r"^f_hint 0.0 is weaker than the field's leading exponent -0.25$"):
+        _tiny(example="c", f_hint=0.0)
+    with pytest.raises(ArgumentError, match="finite"):
+        _tiny(f_hint=float("nan"))
 
 
 def test_module_entry_point_runs_without_runtime_warning():
@@ -663,10 +711,10 @@ def test_uniform_study_builds_level_terms_once(monkeypatch):
         calls.append(("mass", mesh.m))
         return bands(mesh, q)
 
-    def counting_load(mesh, field, breaks=()):
+    def counting_load(mesh, field):
         if field is config.source:
             calls.append(("f", mesh.m))
-        return load(mesh, field, breaks)
+        return load(mesh, field)
 
     def counting_mesh(m, delta=1.0):
         calls.append(("mesh", m))

@@ -14,7 +14,6 @@ from fracfem.assembly import (
 )
 from fracfem.errors import ArgumentError, DomainError, IterativeFailure, SingularSystemError
 from fracfem.fields import (
-    ScalarField,
     parse_field,
     source_bump,
     source_inverse_quartic,
@@ -170,11 +169,11 @@ def test_dense_and_fft_paths_agree(monkeypatch, case, m):
     # one preconditioner, applied by gemv on dense arrays or by FFT: the same
     # system takes as many matvecs (to one) and gives the same coefficients
     spec, mesh, method = {
-        "chi_recon": (ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)", 0.0), f=source_bump()),
+        "chi_recon": (ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)"), f=source_bump()),
                       build_mesh(m), "reconstruction"),
         "graded_standard": (ProblemSpec(alpha=1.25, q=source_bump(), f=source_bump()),
                             build_mesh(m, 5.0), "standard"),
-        "mixed_recon": (ProblemSpec(alpha=1.75, q=parse_field("x * (1 - x)", 0.0),
+        "mixed_recon": (ProblemSpec(alpha=1.75, q=parse_field("x * (1 - x)"),
                                     f=source_bump(), bc="mixed"),
                         build_mesh(m), "reconstruction"),
     }[case]
@@ -198,7 +197,7 @@ def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
     # D^(-1/2) C^(-1)[:n, :n] D^(-1/2), with C the circulant of length N, the
     # power of two >= n + 1, whose first column takes the middle row of
     # D^(-1/2) A D^(-1/2), mass bands included; both ways of applying it
-    spec = ProblemSpec(alpha=1.5, q=parse_field("4 + x", 0.0), f=source_bump())
+    spec = ProblemSpec(alpha=1.5, q=parse_field("4 + x"), f=source_bump())
     system = assemble_system(spec, build_mesh(48, delta), "standard")
     full = full_matrix(system)
     n, k = system.n, system.n // 2
@@ -289,7 +288,7 @@ def test_gmres_on_graded_meshes(alpha, delta, m):
 def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
     # the one solve path against LU of the oracle's dense matrix
     bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
-    q = zero_field() if q_sign == 0.0 else parse_field(f"{q_sign} * x * (1 - x)", 0.0)
+    q = zero_field() if q_sign == 0.0 else parse_field(f"{q_sign} * x * (1 - x)")
     spec = ProblemSpec(alpha=alpha, q=q, f=source_bump(), bc=bc)
     mesh = build_mesh(m, delta)
     sol = solve_reconstruction(spec, mesh)
@@ -312,10 +311,9 @@ def test_solution_is_linear_in_the_source(alpha, mixed, delta, m, scale):
     # u(f + c g) = u(f) + c u(g), regular part and strength alike, with a
     # potential whose splitting constant takes the rule anchored at 1/2
     bc = "mixed" if mixed and alpha > 1.5 else "dirichlet"
-    q = parse_field("chi(0,0.5)", 0.0)
+    q = parse_field("chi(0,0.5)")
     f, g = source_bump(), source_inverse_quartic()
-    ps = f.powersum + g.powersum.scaled(scale)
-    both = ScalarField(fn=ps.__call__, hint=g.hint, powersum=ps)
+    both = f + g.scaled(scale)
     mesh = build_mesh(m, delta)
     u_f, u_g, u_fg = (
         solve_reconstruction(ProblemSpec(alpha=alpha, q=q, f=src, bc=bc), mesh)
