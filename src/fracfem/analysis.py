@@ -5,7 +5,10 @@ For q = 0 the solution has the closed form
     u = -I_0^alpha f + (I_0^alpha f)(1) x^(alpha-2)       (mixed, alpha > 3/2)
 so the power rule gives an exact solution for every source, since each is
 a power sum. With a potential, errors are measured against a
-reconstruction solve on a fine uniform mesh.
+reconstruction solve on a fine uniform mesh. L2 and sup errors against a
+closed form are taken on the study mesh's own cells, cut at the closed
+form's anchors; the fine mesh serves the energy norm, and the L2 and sup
+sampling of a reference between its nodes.
 """
 
 from __future__ import annotations
@@ -25,13 +28,17 @@ from .solver import Solution, solve_reconstruction
 REFERENCE_M = 4096
 
 _GAUSS_PER_CELL = 8
+# cuts at these fractions of the way from an anchor to the next one (or 1)
+# leave no panel wider than its distance from the anchor
+_HALVINGS = 2.0 ** -np.arange(60, 0, -1)
 
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Exact (closed-form) or reference (fine-mesh) solution triple, with the
-    fine mesh on which error norms sample it and the leading block there,
-    which the energy norm needs."""
+    """Exact (closed-form) or reference (fine-mesh) solution triple, with a
+    fine mesh and the leading block there. The energy norm takes the error
+    at the fine nodes; L2 and the sup sample a reference between its fine
+    nodes as well, and a closed form only on the study mesh's cells."""
 
     u: Callable
     u_r: Callable
@@ -41,8 +48,8 @@ class ExactSolution:
 
 
 def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
-    """Closed-form solution for q = 0, sampled by the error norms on
-    ``mesh``, by default build_mesh(REFERENCE_M)."""
+    """Closed-form solution for q = 0, with ``mesh``, by default
+    build_mesh(REFERENCE_M), for the energy norm."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
     frac = rl_integral_powersum(spec.alpha, spec.f)
@@ -79,41 +86,54 @@ def error_norms(approx: Solution, exact: ExactSolution) -> ErrorNorms:
     u for the standard method, which has no mu_h, and against the regular
     part u_r for the reconstruction method.
 
-    L2 and the sup are taken over the union refinement of the approximation
-    mesh and the exact solution's fine mesh, from one array of differences
-    at the union nodes. When the exact field is piecewise linear too (a
-    regular part against a fine-mesh reference) their difference is linear on every
-    union cell, so both follow exactly from those differences; otherwise
-    Gauss points in every cell sample it as well. The energy norm is the
-    quadratic form of the leading block on the fine mesh interpolant of the
-    error, whose node values are the same differences at the fine nodes,
-    so it reflects the |.|_(alpha/2) seminorm.
+    When the exact field is piecewise linear too (a regular part against a
+    fine-mesh reference), the difference is linear on every cell of the
+    union of both meshes, so L2 and the sup follow exactly from the
+    differences at the union nodes. Otherwise L2 takes 8 Gauss points per
+    cell: the cells of the approximation mesh cut at the closed form's
+    anchors, or at a reference's fine nodes. Each anchor, 0 included, also
+    cuts at 60 points that halve the way to the next anchor (or 1) toward
+    it, so no panel is wider than its distance from the anchor; a cut that
+    rounds onto the anchor drops out. The sup is the largest difference at
+    the Gauss points and at the nodes of both meshes. The energy norm is
+    the quadratic form of the leading block on the fine mesh interpolant of
+    the error, from the differences at the fine nodes, so it reflects the
+    |.|_(alpha/2) seminorm.
     """
     approx_fn = approx.fe
     exact_fn = exact.u if approx.mu_h is None else exact.u_r
 
     fine, nodes = exact.mesh.nodes, approx_fn.mesh.nodes
-    at = np.searchsorted(fine, nodes)
-    if np.array_equal(fine[np.minimum(at, fine.size - 1)], nodes):
-        # nested meshes: the union is the fine mesh, and a fine-mesh
-        # interpolant takes its nodal values there (np.interp returns them)
-        union = fine
-        on_fine = isinstance(exact_fn, PwLinear) and exact_fn.mesh is exact.mesh
-        node_gap = (exact_fn.nodal_values if on_fine else exact_fn(fine)) - approx_fn(fine)
-        d = node_gap[1:-1]
-    else:
-        union = np.union1d(nodes, fine)
-        node_gap = exact_fn(union) - approx_fn(union)
-        d = node_gap[np.searchsorted(union, fine[1:-1])]
-    linf = float(np.max(np.abs(node_gap)))
     if isinstance(exact_fn, PwLinear):
+        at = np.searchsorted(fine, nodes)
+        if np.array_equal(fine[np.minimum(at, fine.size - 1)], nodes):
+            # nested meshes: the union is the fine mesh, and a fine-mesh
+            # interpolant takes its nodal values there (np.interp returns them)
+            union = fine
+            on_fine = exact_fn.mesh is exact.mesh
+            node_gap = (exact_fn.nodal_values if on_fine else exact_fn(fine)) - approx_fn(fine)
+            d = node_gap[1:-1]
+        else:
+            union = np.union1d(nodes, fine)
+            node_gap = exact_fn(union) - approx_fn(union)
+            d = node_gap[np.searchsorted(union, fine[1:-1])]
+        linf = float(np.max(np.abs(node_gap)))
         lo, hi = node_gap[:-1], node_gap[1:]
         l2 = float(np.sqrt(np.sum(np.diff(union) * (lo * lo + lo * hi + hi * hi)) / 3.0))
     else:
-        x, wq = legendre_panel(_GAUSS_PER_CELL, union[:-1, None], union[1:, None])
+        if isinstance(exact_fn, PowerSum):
+            anchors = np.union1d(0.0, [t.anchor for t in exact_fn.terms if t.anchor < 1.0])
+            breaks = anchors
+        else:
+            anchors, breaks = np.zeros(1), fine
+        reach = np.append(anchors[1:], 1.0) - anchors
+        edges = np.union1d(np.union1d(nodes, breaks), anchors[:, None] + reach[:, None] * _HALVINGS)
+        x, wq = legendre_panel(_GAUSS_PER_CELL, edges[:-1, None], edges[1:, None])
         gap = exact_fn(x) - approx_fn(x)
         l2 = float(np.sqrt(np.sum(wq * gap * gap)))
-        linf = max(float(np.max(np.abs(gap))), linf)
+        d = exact_fn(fine[1:-1]) - approx_fn(fine[1:-1])
+        node_gap = exact_fn(nodes) - approx_fn(nodes)
+        linf = float(max(np.max(np.abs(gap)), np.max(np.abs(d)), np.max(np.abs(node_gap))))
     quad_form = float(np.dot(d, exact.lead.matvec(d)))
     energy = math.sqrt(max(quad_form, 0.0))
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,7 +25,13 @@ from fracfem.mesh import Mesh, PwLinear, build_mesh
 from fracfem.solver import Solution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
 
-from .oracles import error_norms_gauss, error_norms_union, green_q0, green_solution_quad
+from .oracles import (
+    error_l2_dense,
+    error_norms_gauss,
+    error_norms_union,
+    green_q0,
+    green_solution_quad,
+)
 
 # u(x) for q = 0, f = x(1-x), from independent kernel quadrature
 GREEN_BUMP_POINTS = np.array([0.25, 0.5, 0.75])
@@ -51,6 +57,7 @@ def test_closed_form_matches_green_kernel(alpha):
     example=st.sampled_from(["a", "b", "c"]),
 )
 @settings(max_examples=60, deadline=None)
+@example(alpha=1.001, x=0.5000001, example="b")  # just past the source's jump
 def test_closed_form_matches_green_kernel_quadrature(alpha, x, example):
     # the power-rule solution against the Green kernel integrated by quad,
     # across the whole range of alpha and for every catalog source
@@ -172,7 +179,7 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
 @settings(max_examples=60, deadline=None)
 def test_nested_error_norms_take_the_union_bits(kind, m, refine, nested, alpha, seed):
     # study nodes that are fine nodes skip the union: the same ErrorNorms
-    # bits as the union path, for a fine-mesh reference and a closed form
+    # bits as the union path, for a regular part against a fine-mesh reference
     rng = np.random.default_rng(seed)
     coarse = Mesh(_study_nodes(kind, m, rng))
     fine_nodes = _study_nodes(kind, m * refine + (0 if nested else 1), rng)
@@ -184,10 +191,51 @@ def test_nested_error_norms_take_the_union_bits(kind, m, refine, nested, alpha, 
     recon = Solution(u_r_h, 0.0, None, mu_h=0.0)
     exact = ExactSolution(None, u_r, 0.0, fine, lead)
     assert error_norms(recon, exact) == error_norms_union(recon, exact)
-    closed = exact_q0(ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()), build_mesh(16))
-    closed = ExactSolution(closed.u, closed.u_r, closed.mu, fine, lead)
-    standard = Solution(u_r_h, 0.0, None)
-    assert error_norms(standard, closed) == error_norms_union(standard, closed)
+
+
+@given(
+    delta=st.sampled_from([1.0, 2.0, 5.0]),
+    k=st.integers(min_value=2, max_value=9),
+    alpha=st.floats(min_value=1.01, max_value=1.99),
+    example=st.sampled_from(sorted(SOURCES)),
+    method=st.sampled_from(["standard", "recon", "recon_mixed"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_closed_form_error_norms_match_dense_sampling(delta, k, alpha, example, method):
+    # L2 from the study cells cut at and toward the anchors, against 16 Gauss
+    # points on a uniform m = 65536 mesh with 80 cuts per anchor; the energy
+    # keeps the bits of the differences at the fine nodes
+    mixed = method == "recon_mixed"
+    if mixed:
+        alpha = 1.5 + 0.5 * (alpha - 1.0)  # mixed conditions need alpha in (3/2, 2)
+    spec = ProblemSpec(alpha, zero_field(), SOURCES[example](), "mixed" if mixed else "dirichlet")
+    mesh = build_mesh(2**k, delta)
+    if method == "standard":
+        sol = solve_standard(assemble_system(spec, mesh, "standard"))
+    else:
+        sol = solve_reconstruction(spec, mesh)
+    exact = exact_q0(spec, build_mesh(512))
+    got = error_norms(sol, exact)
+    dense = error_l2_dense(sol.fe, exact.u if sol.mu_h is None else exact.u_r)
+    assert got.l2 == pytest.approx(dense, rel=1e-8)
+    assert got.energy == error_norms_union(sol, exact).energy
+
+
+def test_closed_form_norms_sample_the_study_cells():
+    # an m = 8 study against an m = 4096 fine mesh: the fine nodes for the
+    # energy, 8 Gauss points in each study cell and panel, no union sweep
+    sizes = []
+
+    class CountingPowerSum(PowerSum):
+        def __call__(self, x):
+            sizes.append(np.size(x))
+            return super().__call__(x)
+
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    closed = exact_q0(spec, build_mesh(4096))
+    exact = ExactSolution(CountingPowerSum(closed.u.terms), closed.u_r, closed.mu, closed.mesh, closed.lead)
+    error_norms(solve_standard(assemble_system(spec, build_mesh(8), "standard")), exact)
+    assert 4096 < sum(sizes) < 5000
 
 
 @given(

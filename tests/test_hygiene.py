@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import dataclasses
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,3 +198,52 @@ def test_graded_study_changes_no_module_level_container():
                    ExperimentConfig(alphas=(1.6, 1.8), method="recon_mixed", **chi)):
         assert all(report.error is None for report in run_experiment(config))
         assert containers() == before
+
+
+DOTTED = re.compile(r"`(\w+(?:\.\w+)+)")
+
+
+def _public_namespace():
+    """The package's modules by short name and their public classes by name."""
+    modules = _package_modules()
+    spaces = {m.__name__.rpartition(".")[2]: m for m in modules}
+    for m in modules:
+        spaces.update((name, value) for name, value in vars(m).items()
+                      if inspect.isclass(value) and value.__module__ == m.__name__ and not name.startswith("_"))
+    return spaces
+
+
+def unresolved_names(text: str, spaces: dict) -> list[str]:
+    """Backticked dotted names in ``text`` led by a key of ``spaces``, with an
+    optional ``fracfem.`` prefix, that name neither an attribute nor a
+    dataclass field. A chain is followed while it names modules and classes."""
+    missing = []
+    for name in dict.fromkeys(DOTTED.findall(text)):
+        head, *rest = name.removeprefix("fracfem.").split(".")
+        obj = spaces.get(head)
+        for part in rest if obj is not None else ():
+            if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+                break
+            if not hasattr(obj, part):
+                missing.append(name)
+                break
+            obj = getattr(obj, part)
+            if not (inspect.ismodule(obj) or inspect.isclass(obj)):
+                break
+    return missing
+
+
+def test_checker_flags_an_unresolved_readme_name():
+    text = ("`analysis.error_norms` `ExactSolution.lead` `fracfem.mesh.Mesh.m` `Lead.of(mesh, alpha)` "
+            "`analysis.error_norm` `fracfem.fields.no_such` `Mesh.width` `np.nothing` `lead.nothing()`")
+    assert unresolved_names(text, _public_namespace()) == [
+        "analysis.error_norm",
+        "fracfem.fields.no_such",
+        "Mesh.width",
+    ]
+
+
+def test_readme_names_resolve():
+    # a renamed or deleted function, class or field leaves no stale name in the README
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert unresolved_names(readme, _public_namespace()) == []
