@@ -144,8 +144,8 @@ class ProblemSpec:
 
     @cached_property
     def _level_terms(self) -> dict:
-        """Read-only mass bands and source load of each build_mesh(m, delta)
-        level by (m, delta), which fixes its nodes; ``with_alpha`` shares them."""
+        """Read-only mass bands and source load of each mesh asked for, by
+        mesh; ``with_alpha`` shares them."""
         return {}
 
     def with_alpha(self, alpha: float) -> ProblemSpec:
@@ -158,27 +158,25 @@ class ProblemSpec:
 
     def level_terms(self, mesh: Mesh) -> tuple:
         """(diagonal, off-diagonal, load): the mass bands of (q phi_j, phi_i)
-        and the load (f, phi_i) on ``mesh``, which do not depend on alpha.
-        Kept for a build_mesh level; computed afresh for other nodes."""
-        key = (mesh.m, mesh.delta)
-        terms = self._level_terms.get(key)
+        and the load (f, phi_i) on ``mesh``, which do not depend on alpha."""
+        terms = self._level_terms.get(mesh)
         if terms is None:
             terms = (*mass_bands(mesh, self.q), load_vector(mesh, self.f))
-            if mesh.delta is not None:
-                for array in terms:
-                    array.setflags(write=False)
-                self._level_terms[key] = terms
+            for array in terms:
+                array.setflags(write=False)
+            self._level_terms[mesh] = terms
         return terms
 
     def lead(self, mesh: Mesh) -> Lead:
-        """Leading block on ``mesh``. A build_mesh(m, delta) grading is
-        self-similar, x_j = m^-delta y_j with y_j = j^delta, and the block is
-        homogeneous of degree 1 - alpha in the nodes, so it is
-        m^(delta (alpha - 1)) times the leading block of one table, the
-        block on the nodes y of the finest mesh asked for so far; a finer
-        mesh rebuilds it. Other meshes take ``Lead.of``."""
+        """Leading block on ``mesh``. A graded mesh is self-similar,
+        x_j = m^-delta y_j with y_j = j^delta, and the block is homogeneous
+        of degree 1 - alpha in the nodes, so it is m^(delta (alpha - 1))
+        times the leading block of one table, the block on the nodes y of
+        the finest mesh asked for so far; a finer mesh rebuilds it. Uniform
+        meshes, and gradings whose table nodes would pass 2^_TABLE_LOG2,
+        take ``Lead.of``."""
         delta = mesh.delta
-        if delta is None or mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
+        if mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
             return Lead.of(mesh, self.alpha)
         n = mesh.m - 1
         table = self._lead_tables.get(delta)
@@ -392,8 +390,7 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     """
     h = np.diff(mesh.nodes).min()
     if h * h == 0.0:  # the near band divides by products of neighbouring widths
-        graded = "" if mesh.delta is None else f" (grading exponent {mesh.delta})"
-        raise DomainError(f"mesh element width {h:.3g} squares to zero{graded}")
+        raise DomainError(f"mesh element width {h:.3g} squares to zero (grading exponent {mesh.delta})")
     return _lead_rows(mesh.nodes, alpha, {})
 
 
@@ -576,16 +573,16 @@ def _anchors(field: PowerSum) -> tuple:
     return tuple(sorted({t.anchor for t in field.terms if 0.0 < t.anchor < 1.0}))
 
 
-def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), left_exp=0.0, right_exp=0.0):
+def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), right_exp=0.0):
     """Per-element Gauss sums of the integrands that ``weighted(x, wq, n_r)``
     stacks, with the weights wq multiplied in (rows of x are elements) and
     n_r = (x - x_lo) / h the rising hat.
 
     weighted_rule redoes an element with a break strictly inside, so a jump
-    or kink there costs no accuracy; also the first element if the integrand
-    behaves like (x - x_0)^left_exp, and the last if like (x_m - x)^right_exp,
-    with twice the points and the power absorbed into the weights, then
-    divided back out of them, since the integrand carries it.
+    or kink there costs no accuracy; also the last element if the integrand
+    behaves like (x_m - x)^right_exp, with twice the points and the power
+    absorbed into the weights, then divided back out of them, since the
+    integrand carries it.
     """
     lo, hi = nodes[:-1, None], nodes[1:, None]
     x, wq = legendre_panel(points, lo, hi)
@@ -593,14 +590,12 @@ def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), left_exp=
     last = nodes.size - 2
     # elements k with a break b strictly inside, nodes[k] < b < nodes[k + 1]
     redo = {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}
-    redo.update(k for k, e in ((0, left_exp), (last, right_exp)) if e)
+    if right_exp:
+        redo.add(last)
     for k in redo:
-        left = left_exp if k == 0 else 0.0
         right = right_exp if k == last else 0.0
         lo, hi = nodes[k], nodes[k + 1]
-        t, w = weighted_rule(points * 2 if left or right else points, lo, hi, right, left, breaks)
-        if left:
-            w /= (t - lo) ** left
+        t, w = weighted_rule(points * 2 if right else points, lo, hi, right, breaks=breaks)
         if right:
             w /= (hi - t) ** right
         sums[..., k] = weighted(t, w, (t - lo) / (hi - lo)).sum(axis=-1)
@@ -648,16 +643,16 @@ def load_vector(mesh: Mesh, ps: PowerSum) -> np.ndarray:
     return out
 
 
-def quadrature_load(mesh: Mesh, fn, points: int, breaks=(), left_exp=0.0, right_exp=0.0) -> np.ndarray:
+def quadrature_load(mesh: Mesh, fn, points: int, breaks=(), right_exp=0.0) -> np.ndarray:
     """Load vector (fn, phi_i) by per-element Gauss rules of ``points``
-    points, elements cut at ``breaks``; fn behaves like x^left_exp at 0 and
-    (1 - x)^right_exp at 1, powers the end elements absorb."""
+    points, elements cut at ``breaks``; fn behaves like (1 - x)^right_exp at
+    1, a power the last element absorbs."""
 
     def weighted(x, wq, n_r):
         wfv = wq * fn(x)
         return np.array([wfv * n_r, wfv * (1.0 - n_r)])
 
-    rising, falling = _element_sums(mesh.nodes, points, weighted, breaks, left_exp, right_exp)
+    rising, falling = _element_sums(mesh.nodes, points, weighted, breaks, right_exp)
     return rising[:-1] + falling[1:]
 
 
@@ -682,14 +677,15 @@ def endpoint_weight_vector(mesh: Mesh, q: PowerSum, alpha) -> np.ndarray:
 class SingularPair:
     """Splitting data u = u_r + mu * u_s for the reconstruction method.
 
-    q_profile is Q(x) = c0 c1(x) - c0 q(x) u_s(x), c1(x) = -2/Gamma(3-alpha)
-    x^(2-alpha), as a power sum when q is zero-anchored and None otherwise;
-    the regular part sees the modified source f(x) + (I^alpha f)(1) Q(x).
+    The regular part sees the modified source f(x) + (I^alpha f)(1) Q(x),
+    Q = c0 c1 - c0 q u_s with c1(x) = -2/Gamma(3-alpha) x^(2-alpha).
+    q_profile is the power sum c0 c1 - c0 q0 u_s, q0 the terms of q
+    anchored at 0; _profile_load takes the terms anchored inside (0, 1).
     """
 
     u_s: PowerSum
     c0: float
-    q_profile: PowerSum | None
+    q_profile: PowerSum
     f_frac_at_one: float
 
 
@@ -716,27 +712,21 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
         )
     c0 = 1.0 / denom
     f_at_one = float(rl_integral_powersum_at(a, spec.f, 1.0))
-    # q u_s is a power sum only when every term of q is anchored at 0
-    q_profile = _c1(a).scaled(c0) + q_us.scaled(-c0) if q.is_zero_anchored else None
-    return SingularPair(u_s, c0, q_profile, f_at_one)
-
-
-def _c1(alpha: float) -> PowerSum:
-    """c1(x) = -2/Gamma(3-alpha) x^(2-alpha), the source term of Q."""
-    return PowerSum.monomial(-2.0 / gamma_fn(3.0 - alpha), 2.0 - alpha)
+    c1 = PowerSum.monomial(-2.0 / gamma_fn(3.0 - a), 2.0 - a)
+    return SingularPair(u_s, c0, c1.scaled(c0) + q_us.scaled(-c0), f_at_one)
 
 
 def _profile_load(spec: ProblemSpec, mesh: Mesh, pair: SingularPair) -> np.ndarray:
-    """Load of Q: exact when Q is a power sum. Otherwise by quadrature, with
-    elements cut where q jumps or kinks, and the first element absorbing
-    Q's leading power x^min(2 - alpha, e + p) at 0, where x^e is q's
-    leading term at 0 and x^p the singular profile."""
-    if pair.q_profile is not None:
-        return load_vector(mesh, pair.q_profile)
-    a, q, u_s, c0 = spec.alpha, spec.q, pair.u_s, pair.c0
-    c1, e = _c1(a), q.min_exponent_at_zero()
-    left = 2.0 - a if e is None else min(2.0 - a, e + spec.singular_exponent)
-    return quadrature_load(mesh, lambda x: c0 * c1(x) - c0 * q(x) * u_s(x), _LOAD_POINTS, _anchors(q), left)
+    """Load of Q: q_profile's exactly, less c0 (q_in u_s, phi_i) for the
+    terms q_in of q anchored inside (0, 1), by quadrature with elements cut
+    at their anchors; q_in is zero left of its first anchor, so no power of
+    x at 0 needs absorbing."""
+    load = load_vector(mesh, pair.q_profile)
+    q_in = PowerSum(tuple(t for t in spec.q.terms if 0.0 < t.anchor < 1.0))
+    if q_in.is_zero:
+        return load
+    u_s = pair.u_s
+    return load - pair.c0 * quadrature_load(mesh, lambda x: q_in(x) * u_s(x), _LOAD_POINTS, _anchors(q_in))
 
 
 @dataclass(frozen=True)

@@ -109,10 +109,6 @@ class PowerSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_zero_anchored(self) -> bool:
-        return all(t.anchor == 0.0 for t in self.terms)
-
     def scaled(self, c: float) -> "PowerSum":
         return PowerSum(
             tuple(PowerTerm(c * t.coeff, t.anchor, t.exponent) for t in self.terms)

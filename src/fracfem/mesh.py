@@ -6,6 +6,8 @@ through its m - 1 interior nodal values only.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,57 +17,48 @@ from .errors import ArgumentError, DomainError
 
 
 def build_mesh(m: int, delta: float = 1.0) -> "Mesh":
-    """Mesh with nodes (j/m)^delta; delta = 1 gives the uniform mesh.
-
-    The grading exponent concentrates nodes near x = 0 where the leading
-    singular profile lives.
-    """
-    if m < 2:
-        raise ArgumentError(f"need at least two elements, got m={m}")
-    if not (np.isfinite(delta) and delta >= 1.0):
-        raise ArgumentError(f"grading exponent must be a finite number >= 1, got {delta}")
-    return Mesh(_graded_nodes(m, delta), delta)
-
-
-def _graded_nodes(m: int, delta: float) -> np.ndarray:
-    """Nodes (j/m)^delta, j = 0..m, and exactly j/m when delta = 1."""
-    base = np.arange(m + 1, dtype=float) / m
-    return base if delta == 1.0 else base**delta
+    """Mesh with nodes (j/m)^delta; delta = 1 gives the uniform mesh."""
+    return Mesh(m, delta)
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition 0 = x_0 < x_1 < ... < x_m = 1. ``delta`` records the grading
-    exponent of build_mesh's nodes (j/m)^delta; None for any other nodes."""
+    """Partition of [0, 1] at the nodes (j/m)^delta, j = 0..m, exactly j/m
+    when delta = 1. The grading exponent concentrates nodes near x = 0 where
+    the leading singular profile lives; (m, delta) fixes the nodes, so two
+    meshes of the same pair are equal and hash alike."""
 
-    nodes: np.ndarray
-    delta: float | None = None
+    m: int
+    delta: float = 1.0
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ArgumentError("mesh needs at least two elements")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ArgumentError("mesh must span exactly [0, 1]")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ArgumentError("mesh nodes must be strictly increasing")
-        if self.delta is not None and not np.array_equal(
-            nodes, _graded_nodes(nodes.size - 1, self.delta)
-        ):
-            raise ArgumentError(f"mesh nodes are not (j/m)^delta for delta={self.delta}")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def m(self) -> int:
-        """Number of elements."""
-        return self.nodes.size - 1
+        try:
+            m, delta = operator.index(self.m), float(self.delta)
+        except (TypeError, ValueError):
+            raise ArgumentError(
+                f"need an integer m and a real delta, got m={self.m!r}, delta={self.delta!r}"
+            ) from None
+        if m < 2:
+            raise ArgumentError(f"need at least two elements, got m={m}")
+        if not (math.isfinite(delta) and delta >= 1.0):
+            raise ArgumentError(f"grading exponent must be a finite number >= 1, got {delta}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "delta", delta)
+        if self.nodes[1] == 0.0:
+            raise ArgumentError(f"grading exponent {delta:g} makes the node (1/{m})^{delta:g} underflow to 0")
 
     @cached_property
+    def nodes(self) -> np.ndarray:
+        """The nodes, read-only: 0 = x_0 < x_1 < ... < x_m = 1."""
+        nodes = np.arange(self.m + 1, dtype=float) / self.m
+        if self.delta != 1.0:
+            nodes **= self.delta
+        nodes.setflags(write=False)
+        return nodes
+
+    @property
     def is_uniform(self) -> bool:
-        """Whether the nodes are exactly j/m, as build_mesh(m) makes them;
-        the nodes are read-only, so the answer is kept."""
-        return np.array_equal(self.nodes, np.arange(self.m + 1) / self.m)
+        return self.delta == 1.0
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,8 @@ RESIDUAL_TOL = 1e-12
 
 GMRES_RESTART = 50
 _GMRES_MAX_INNER = 2000
-# one GMRES sweep: 2-norm target relative to its residual, bounded inner budget
-_GMRES_SWEEP_RTOL = 1e-12
-_GMRES_SWEEP_INNER = 200
+# one GMRES cycle's 2-norm target, relative to the true residual it starts from
+_GMRES_CYCLE_RTOL = 1e-12
 # largest n solved on dense arrays: measured against the FFT path, a dense
 # solve takes about 0.6-0.75 of its time at n = 127, and 1.0-1.4 at n = 255
 _DENSE_N = 127
@@ -132,11 +131,11 @@ def _system_operator(system: AssembledSystem):
 def _gmres_cycle(matvec, precond, r: np.ndarray, target: float, steps: int):
     """At most ``steps`` iterations of right-preconditioned GMRES for A x = r
     from x = 0, stopping once Givens rotations put the residual 2-norm at or
-    below ``target``. Returns x, the iteration count and that residual."""
+    below ``target``. Returns x and the iteration count."""
     basis, tri = np.empty((steps + 1, r.size)), np.zeros((steps, steps))
     beta = math.sqrt(float(r @ r))  # the bits of np.linalg.norm, one call
     if beta == 0.0:
-        return np.zeros_like(r), 0, 0.0
+        return np.zeros_like(r), 0
     np.divide(r, beta, out=basis[0])
     rhs, rotations = [beta], []
     for j in range(steps):
@@ -161,17 +160,17 @@ def _gmres_cycle(matvec, precond, r: np.ndarray, target: float, steps: int):
     y = np.empty(k)
     for i in range(k - 1, -1, -1):  # back-substitution on the Givens factor
         y[i] = (rhs[i] - tri[i, i + 1 : k] @ y[i + 1 :]) / tri[i, i]
-    return precond(y @ basis[:k]), k, abs(rhs[k])
+    return precond(y @ basis[:k]), k
 
 
 def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """Preconditioned GMRES in sweeps until the backward error is <= RESIDUAL_TOL.
+    """Restarted, preconditioned GMRES until the backward error is <= RESIDUAL_TOL.
 
-    Each sweep solves for the correction from the true residual in restarted
-    cycles, until GMRES's own residual falls by _GMRES_SWEEP_RTOL or the
-    sweep's budget is spent; the true one can stall above that at rounding.
-    The true residual b - Ax, formed once per cycle, starts the next one and
-    gives the backward error |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf).
+    Each cycle solves for the correction from the true residual b - Ax,
+    until GMRES's own residual falls by _GMRES_CYCLE_RTOL or GMRES_RESTART
+    iterations are spent; the true one can stall above that at rounding.
+    The true residual, formed once per cycle, gives the backward error
+    |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf) and starts the next cycle.
     """
     precond = _strang_preconditioner(system)
     matvec = _system_operator(system)
@@ -179,14 +178,10 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
     norm_b = float(np.abs(system.load).max(initial=0.0))
     coeffs, gap, iterations = np.zeros(system.n), system.load, 0
     while True:
-        target = _GMRES_SWEEP_RTOL * math.sqrt(float(gap @ gap))
-        budget = min(_GMRES_SWEEP_INNER, _GMRES_MAX_INNER - iterations)
-        while budget > 0:
-            step, k, est = _gmres_cycle(matvec, precond, gap, target, min(GMRES_RESTART, budget))
-            coeffs, iterations, budget = coeffs + step, iterations + k, budget - k
-            gap = system.load - matvec(coeffs)
-            if est <= target:
-                break
+        target = _GMRES_CYCLE_RTOL * math.sqrt(float(gap @ gap))
+        step, k = _gmres_cycle(matvec, precond, gap, target, min(GMRES_RESTART, _GMRES_MAX_INNER - iterations))
+        coeffs, iterations = coeffs + step, iterations + k
+        gap = system.load - matvec(coeffs)
         scale = norm_a * float(np.abs(coeffs).max(initial=0.0)) + norm_b
         res = float(np.abs(gap).max()) / scale if scale else 0.0
         if res <= RESIDUAL_TOL:
@@ -214,7 +209,7 @@ def solve_standard(system: AssembledSystem) -> Solution:
 
     Raises SingularSystemError(row, value) for a zero or non-finite scaled
     diagonal and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
-    iterations or at the first sweep whose backward error is not finite.
+    iterations or at the first cycle whose backward error is not finite.
     """
     if system.pair is not None:
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")

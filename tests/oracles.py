@@ -223,6 +223,27 @@ def load_entry_quad(nodes, fn, j, left_exponent=0.0, breaks=()):
     return total
 
 
+def profile_load_entry_quad(nodes, fn, j, breaks=()):
+    """int_0^1 fn(t) phi_j(t) dt by quad on each panel between the nodes
+    and ``breaks``; on the first element t = s^20, which turns a power
+    t^e at 0, e > -1, into the smooth s^(20 e + 19)."""
+    phi = hat_value(nodes, j)
+    a, c = nodes[j - 1], nodes[j + 1]
+    pts = sorted({a, nodes[j], c} | {p for p in breaks if a < p < c})
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        if lo == 0.0:
+            def g(s):
+                t = max(s**20, 1e-300)
+                return 20.0 * s**19 * phi(t) * fn(t)
+
+            v, _ = quad(g, 0.0, hi**0.05, limit=_LIMIT)
+        else:
+            v, _ = quad(lambda t: phi(t) * fn(t), lo, hi, limit=_LIMIT)
+        total += v
+    return total
+
+
 def endpoint_weight_entry_quad(nodes, q_fn, j, alpha, breaks=()):
     """(1/Gamma(a)) int_0^1 (1-t)^(a-1) q(t) phi_j(t) dt, split at the
     nodes and at ``breaks``."""

@@ -21,7 +21,7 @@ from fracfem.assembly import Lead, ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedFormError
 from fracfem.fraccalc import PowerSum
 from fracfem.fields import SOURCES, source_bump, source_step, zero_field
-from fracfem.mesh import Mesh, PwLinear, build_mesh
+from fracfem.mesh import PwLinear, build_mesh
 from fracfem.solver import Solution, solve_reconstruction, solve_standard
 from fracfem.assembly import assemble_system
 
@@ -135,27 +135,25 @@ def test_error_norms_shrink_under_refinement():
     assert errs[1].linf < errs[0].linf
 
 
-def _study_nodes(kind, m, rng):
-    if kind == "random":
-        return np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, m - 1)), [1.0]))
-    return build_mesh(m, {"uniform": 1.0, "delta2": 2.0, "delta5": 5.0}[kind]).nodes
-
-
-@given(
-    kind=st.sampled_from(["random", "uniform", "delta2", "delta5"]),
+# a graded or uniform study mesh of m elements against a uniform fine mesh of
+# m * refine + extra: nested for a uniform study mesh and extra = 0, and for
+# a few graded ones (delta = 2 with m = 2 or 4); elsewhere the union of both
+STUDY_MESHES = dict(
+    delta=st.sampled_from([1.0, 2.0, 5.0]),
     m=st.integers(min_value=2, max_value=24),
     refine=st.integers(min_value=1, max_value=4),
-    nested=st.booleans(),
+    extra=st.integers(min_value=0, max_value=1),
     alpha=st.floats(min_value=1.01, max_value=1.99),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+
+
+@given(**STUDY_MESHES)
 @settings(max_examples=80, deadline=None)
-def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, seed):
+def test_node_exact_norms_match_gauss_sampling(delta, m, refine, extra, alpha, seed):
     # a regular part against a fine-mesh reference: both piecewise linear
     rng = np.random.default_rng(seed)
-    coarse = Mesh(_study_nodes(kind, m, rng))
-    fine_nodes = _study_nodes(kind, m * refine + (0 if nested else 1), rng)
-    fine = Mesh(np.union1d(coarse.nodes, fine_nodes) if nested else fine_nodes)
+    coarse, fine = build_mesh(m, delta), build_mesh(m * refine + extra)
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
     lead = Lead.of(fine, alpha)
@@ -168,23 +166,15 @@ def test_node_exact_norms_match_gauss_sampling(kind, m, refine, nested, alpha, s
     assert got.energy == energy
 
 
-@given(
-    kind=st.sampled_from(["random", "uniform", "delta2", "delta5"]),
-    m=st.integers(min_value=2, max_value=24),
-    refine=st.integers(min_value=1, max_value=4),
-    nested=st.booleans(),
-    alpha=st.floats(min_value=1.01, max_value=1.99),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
+@given(**STUDY_MESHES)
 @settings(max_examples=60, deadline=None)
-def test_nested_error_norms_take_the_union_bits(kind, m, refine, nested, alpha, seed):
+def test_nested_error_norms_take_the_union_bits(delta, m, refine, extra, alpha, seed):
     # study nodes that are fine nodes skip the union: the same ErrorNorms
     # bits as the union path, for a regular part against a fine-mesh reference
     rng = np.random.default_rng(seed)
-    coarse = Mesh(_study_nodes(kind, m, rng))
-    fine_nodes = _study_nodes(kind, m * refine + (0 if nested else 1), rng)
-    fine = Mesh(np.union1d(coarse.nodes, fine_nodes) if nested else fine_nodes)
-    assert nested == bool(np.isin(coarse.nodes, fine.nodes).all())
+    coarse, fine = build_mesh(m, delta), build_mesh(m * refine + extra)
+    if delta == 1.0 and extra == 0:
+        assert np.isin(coarse.nodes, fine.nodes).all()
     lead = Lead.of(fine, alpha)
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))

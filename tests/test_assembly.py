@@ -45,6 +45,7 @@ from .oracles import (
     lead_stencil_full_series,
     load_entry_quad,
     powersum_load_per_term,
+    profile_load_entry_quad,
     stencil_far_field_peano,
     stencil_to_dense,
     stiffness_entry_decimal,
@@ -233,10 +234,12 @@ def test_lead_table_is_kept_on_the_spec():
     assert spec._lead_tables[5.0] is table
     assert np.array_equal(coarse.lead.dense, 16.0 ** (5.0 * 0.25) * table[:15, :15])
     assert np.array_equal(fine.lead.dense, 32.0 ** (5.0 * 0.25) * table[:31, :31])
-    # one table per grading exponent; none for uniform or raw-node meshes
+    # one table per grading exponent; none for uniform meshes, nor for
+    # gradings whose table nodes would pass 2^256 (50 log2(65) > 256)
     spec.lead(build_mesh(8, 2.0))
     spec.lead(build_mesh(64))
-    spec.lead(Mesh(build_mesh(64, 3.0).nodes))
+    steep = build_mesh(64, 50.0)
+    assert np.array_equal(spec.lead(steep).dense, assemble_lead(steep, 1.25))
     assert sorted(spec._lead_tables) == [2.0, 5.0]
     # the table is not a field: equality and hashing ignore it
     assert "_lead_tables" in vars(spec) and "_lead_tables" not in vars(twin)
@@ -269,14 +272,14 @@ def test_with_alpha_shares_only_the_alpha_free_data():
     assert spec._far_plans[5.0].keys() == plans.keys()
     assert all(spec._far_plans[5.0][key] is plan for key, plan in plans.items())
     assert all(got is kept for got, kept in zip(moved.level_terms(build_mesh(32, 5.0)), terms))
-    assert list(spec._level_terms) == [(32, 5.0)]
+    assert list(spec._level_terms) == [build_mesh(32, 5.0)]
     assert moved.singular_pair.u_s != pair.u_s and spec.singular_pair is pair
     # a spec built afresh or by replace() starts with stores of its own
     for other in (ProblemSpec(alpha=1.25, q=spec.q, f=spec.f), dataclasses.replace(spec)):
         assert other._far_plans == {} and other._level_terms == {}
 
 
-def test_level_terms_are_kept_read_only_for_build_mesh_levels_only():
+def test_level_terms_are_kept_read_only_by_mesh():
     q = parse_field("chi(0,0.5)")
     spec = ProblemSpec(alpha=1.5, q=q, f=source_step())
     for mesh in (build_mesh(16), build_mesh(16, 2.0)):
@@ -285,14 +288,12 @@ def test_level_terms_are_kept_read_only_for_build_mesh_levels_only():
         assert all(np.array_equal(got, w) and not got.flags.writeable for got, w in zip(terms, want))
         with pytest.raises(ValueError):
             terms[2][0] = 0.0
-    # the same nodes without a recorded grading are computed afresh, kept
-    # nowhere, by the level terms and by a whole system alike
-    raw = Mesh(build_mesh(16).nodes.copy())
-    fresh = ProblemSpec(alpha=1.5, q=q, f=source_step())
-    terms = fresh.level_terms(raw)
-    assert all(np.array_equal(got, w) for got, w in zip(terms, spec.level_terms(build_mesh(16))))
-    assemble_system(fresh, raw, "reconstruction")
-    assert fresh._level_terms == {} and list(spec._level_terms) == [(16, 1.0), (16, 2.0)]
+        # an equal mesh built afresh, and a whole system on it, take the kept arrays
+        again = Mesh(16, mesh.delta)
+        assert all(got is kept for got, kept in zip(spec.level_terms(again), terms))
+        system = assemble_system(spec, again, "standard")
+        assert system.mass_diag is terms[0] and system.load is terms[2]
+    assert list(spec._level_terms) == [build_mesh(16), build_mesh(16, 2.0)]
 
 
 def test_far_field_plans_do_not_depend_on_request_order():
@@ -369,20 +370,17 @@ def test_lead_matches_decimal_oracle_at_m512(alpha):
 )
 def test_lead_far_field_on_irregular_meshes(nodes):
     # widths that shrink as well as grow; the second mesh has pairs whose
-    # separation ratio needs graded panels
-    mesh = Mesh(nodes)
-    A = assemble_lead(mesh, 1.3)
+    # separation ratio needs graded panels. A mesh is (m, delta), so these
+    # nodes go to the node-level builder directly
+    A = assembly._lead_rows(nodes, 1.3, {})
     row_max = np.max(np.abs(A), axis=1)
-    for i, j in zip(*np.tril_indices(mesh.m - 1, -3)):
-        exact = stiffness_entry_decimal(mesh.nodes, 1.3, i + 1, j + 1)
+    for i, j in zip(*np.tril_indices(nodes.size - 2, -3)):
+        exact = stiffness_entry_decimal(nodes, 1.3, i + 1, j + 1)
         assert abs(A[i, j] - exact) <= 1e-12 * row_max[i], (i, j)
 
 
-def test_refused_width_names_delta_only_on_graded_meshes():
-    # raw nodes record no grading exponent, so the refusal names none
-    mesh = Mesh(np.r_[0.0, 1e-200, np.linspace(0.1, 1, 5)])
-    with pytest.raises(DomainError, match=r"^mesh element width 1e-200 squares to zero$"):
-        assemble_lead(mesh, 1.5)
+def test_refused_width_names_the_grading():
+    # (1/64)^160 = 2^-960 is a normal float, but its square is not
     with pytest.raises(DomainError, match=r"squares to zero \(grading exponent 160.0\)$"):
         assemble_lead(build_mesh(64, 160.0), 1.5)
 
@@ -399,12 +397,11 @@ def test_refused_width_names_delta_only_on_graded_meshes():
 def test_low_rank_far_field_matches_gauss_tiers(monkeypatch, nodes, alpha):
     # the Chebyshev column blocks against the element-pair tier rules that
     # they replace: with no admissible block, every far pair takes its tier
-    mesh = Mesh(nodes)
-    blocks = assembly._far_blocks(nodes, np.arange(3, mesh.m))[0]
+    blocks = assembly._far_blocks(nodes, np.arange(3, nodes.size - 1))[0]
     assert blocks.size > 0
-    A = assemble_lead(mesh, alpha)
+    A = assembly._lead_rows(nodes, alpha, {})
     monkeypatch.setattr(assembly, "_CHEB_ETA", 0.0)
-    tiers = assemble_lead(mesh, alpha)
+    tiers = assembly._lead_rows(nodes, alpha, {})
     far = np.tril(np.ones(A.shape, dtype=bool), -3)
     assert np.array_equal(A[~far], tiers[~far])
     assert np.all(np.abs(A[far] - tiers[far]) <= 2e-13 * np.abs(tiers[far]))
@@ -459,14 +456,13 @@ def test_lead_near_band_where_neighbour_widths_differ(nodes, bound):
     # ratio of neighbouring widths (up to 2^64 here); element pair by element
     # pair, with the narrow element's difference taken by expm1 and log1p, it
     # does not
-    mesh = Mesh(nodes)
-    A = assemble_lead(mesh, 1.05)
+    A = assembly._lead_rows(nodes, 1.05, {})
     assert np.all(np.isfinite(A))
-    n = mesh.m - 1
+    n = nodes.size - 2
     row_max = np.max(np.abs(A), axis=1)
     for i in range(n):
         for j in range(max(0, i - 2), min(n, i + 2)):
-            exact = stiffness_entry_decimal(mesh.nodes, 1.05, i + 1, j + 1)
+            exact = stiffness_entry_decimal(nodes, 1.05, i + 1, j + 1)
             assert abs(A[i, j] - exact) <= bound * row_max[i], (i, j)
 
 
@@ -791,16 +787,16 @@ def test_endpoint_weight_vector_cut_at_interior_anchors(mesh, alpha):
 
 @CUT_MESHES
 def test_quadrature_load_cut_at_breaks(mesh):
-    # x^(-1/4) (1 + chi(0.3,0.7)): singular at 0 and jumping at both breaks,
-    # a callable with no power sum to say where
+    # e^x (1 + chi(0.3,0.7)): jumping at both breaks, a callable with no
+    # power sum to say where
     jumps = parse_field("chi(0.3,0.7)")
 
     def field(x):
-        return x**-0.25 * (1.0 + jumps(x))
+        return np.exp(x) * (1.0 + jumps(x))
 
-    out = quadrature_load(mesh, field, 10, (0.3, 0.7), left_exp=-0.25)
+    out = quadrature_load(mesh, field, 10, (0.3, 0.7))
     for j in range(1, mesh.m):
-        want = load_entry_quad(mesh.nodes, field, j, left_exponent=-0.25, breaks=(0.3, 0.7))
+        want = load_entry_quad(mesh.nodes, field, j, breaks=(0.3, 0.7))
         assert out[j - 1] == pytest.approx(want, rel=1e-10)
 
 
@@ -815,9 +811,9 @@ def test_anchors_on_nodes_change_no_bit(monkeypatch):
         assert np.array_equal(got, want)
     monkeypatch.undo()
     def field(x):
-        return x**-0.25 * q(x)
+        return np.exp(x) * q(x)
 
-    cut, blind = (quadrature_load(mesh, field, 10, breaks, left_exp=-0.25) for breaks in ((0.25, 0.5625), ()))
+    cut, blind = (quadrature_load(mesh, field, 10, breaks) for breaks in ((0.25, 0.5625), ()))
     assert np.array_equal(cut, blind)
 
 
@@ -1015,6 +1011,25 @@ def test_recon_load_includes_profile_term():
         system.load, base + system.pair.f_frac_at_one * profile, rtol=1e-12
     )
     np.testing.assert_allclose(system.r_vec, profile, rtol=1e-15)
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("alpha,bc", [(1.1, "dirichlet"), (1.3, "dirichlet"), (1.7, "mixed")])
+@pytest.mark.parametrize("q", ["chi(0,0.5)", "x^0.5+chi(0.5,1)"])
+def test_profile_load_matches_quadrature_of_the_whole_profile(q, alpha, bc, m):
+    # the load of Q = c0 (c1 - q u_s) against quad of Q itself, whatever
+    # part of it is exact: each entry to 1e-11 of itself, the first included,
+    # where Q and q u_s carry powers of x at 0
+    spec = ProblemSpec(alpha=alpha, q=parse_field(q), f=source_bump(), bc=bc)
+    mesh, pair = build_mesh(m), spec.singular_pair
+    c1 = -2.0 / gamma_special(3.0 - alpha)
+
+    def profile(x):
+        return pair.c0 * (c1 * x ** (2.0 - alpha) - spec.q(x) * pair.u_s(x))
+
+    got = assemble_system(spec, mesh, "reconstruction").r_vec
+    want = np.array([profile_load_entry_quad(mesh.nodes, profile, j, (0.5,)) for j in range(1, m)])
+    assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
 
 
 def test_standard_method_rejects_mixed_conditions():

@@ -36,8 +36,10 @@ DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 # moved err_l2 by at most 5.6e-9 and err_linf by 5.3e-6 relative and no rate;
 # the chi one was retaken when the splitting constant's term at 1/2 left the
 # adaptive bisection for one fixed rule, which moved two err_mu entries by at
-# most 1.6e-11 relative
-CHI_RECON_SHA256 = "1fccde09df5a0aef6ce35d30fe13e057c7725901fe706b1840e11352e46d51e5"
+# most 1.6e-11 relative, and again when the load of Q took its zero-anchored
+# part exactly and only the part anchored inside (0, 1) by quadrature, which
+# moved err_mu by at most 9.9e-8 and err_l2 by 1.0e-8 relative and no rate
+CHI_RECON_SHA256 = "17437c8fb6c0cdc41c3b4ccd100a6320d97e0f6466a71727922cd6d5322f9da1"
 GRADED_STANDARD_SHA256 = "8a73b6ce6c65994c3c3458ba863478fd5de55a4d6cda5c19ed692a1c306be541"
 
 

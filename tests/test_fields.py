@@ -25,7 +25,7 @@ def test_bump_values_and_structure():
     xs = np.array([0.0, 0.25, 0.5, 1.0])
     np.testing.assert_allclose(f(xs), xs * (1.0 - xs), rtol=1e-15)
     assert not f.is_zero
-    assert f.is_zero_anchored
+    assert all(t.anchor == 0.0 for t in f.terms)
 
 
 def test_step_values_and_structure():

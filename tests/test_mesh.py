@@ -1,13 +1,14 @@
 """Meshes, the piecewise-linear space, and hat fractional derivatives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfem.assembly import Lead, ProblemSpec, assemble_lead, assemble_system
+from fracfem.assembly import Lead, assemble_lead
 from fracfem.errors import ArgumentError, DomainError
-from fracfem.fields import source_bump, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 
 from .oracles import (
@@ -36,58 +37,57 @@ def test_graded_nodes_follow_power_law():
     assert widths[0] < widths[-1] / 10.0
 
 
-def test_uniformity_follows_the_nodes():
-    assert Mesh(np.arange(5) / 4.0).is_uniform
+def test_uniformity_follows_the_grading():
+    assert build_mesh(4).is_uniform and Mesh(4, 1).is_uniform
     assert not build_mesh(4, delta=1.5).is_uniform
-    # graded nodes passed in directly must not be taken for the uniform mesh
-    mesh = Mesh(np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
-    assert not mesh.is_uniform
-    lead = Lead.of(mesh, 1.5)
+    # a graded mesh takes the dense block, a uniform one the stencil
+    lead = Lead.of(build_mesh(4, 1.5), 1.5)
     assert lead.stencil is None
-    assert np.array_equal(lead.dense, assemble_lead(mesh, 1.5))
-    # build_mesh's graded nodes passed in directly carry no grading record,
-    # so a system on them takes the direct block, not a scaled table block
-    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
-    for delta in (2.0, 5.0):
-        raw = Mesh(build_mesh(64, delta).nodes)
-        assert raw.delta is None and not raw.is_uniform
-        system = assemble_system(spec, raw, "standard")
-        assert np.array_equal(system.lead.dense, assemble_lead(raw, 1.25))
-    assert "_lead_tables" not in vars(spec)
+    assert np.array_equal(lead.dense, assemble_lead(build_mesh(4, 1.5), 1.5))
+    assert Lead.of(build_mesh(4), 1.5).dense is None
 
 
 def test_build_mesh_records_its_grading():
     assert build_mesh(8).delta == 1.0 and build_mesh(16, 2.5).delta == 2.5
-    nodes = build_mesh(16, 2.5).nodes
-    assert Mesh(nodes).delta is None
-    assert np.array_equal(Mesh(nodes, 2.5).nodes, nodes)
-    # a recorded exponent must give the nodes exactly as (j/m)^delta
-    nudged = nodes.copy()
-    nudged[3] = np.nextafter(nudged[3], 1.0)
-    for args in ((nodes, 2.0), (nudged, 2.5), (np.arange(17) / 16.0, 2.5), (nodes, np.nan)):
-        with pytest.raises(ArgumentError, match="delta"):
-            Mesh(*args)
+    assert build_mesh(16, 2.5) == Mesh(16, 2.5)
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["m", "delta"]
+
+
+def test_meshes_of_one_m_and_delta_are_equal():
+    # (m, delta) fixes the nodes, so it is the mesh's identity: an integer
+    # delta is the same grading as its float
+    a, b = Mesh(8, 2), Mesh(8, 2.0)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert type(a.delta) is float and np.array_equal(a.nodes, b.nodes)
+    assert Mesh(np.int64(8), np.float64(2.0)) == a
+    assert a != Mesh(8, 2.5) and a != Mesh(16, 2.0)
 
 
 def test_uniformity_is_kept_and_the_nodes_cannot_change_it():
     mesh = build_mesh(8)
-    assert "is_uniform" not in vars(mesh)
-    assert mesh.is_uniform and vars(mesh)["is_uniform"] is True
+    assert mesh.nodes is mesh.nodes  # computed once
+    assert mesh.is_uniform
     with pytest.raises(ValueError):
         mesh.nodes[1] = 0.2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.delta = 2.0
 
 
 def test_build_mesh_validation():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="m=1"):
         build_mesh(1)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="got 0.5"):
         build_mesh(8, delta=0.5)
-    with pytest.raises(ArgumentError):
-        Mesh(np.array([0.0, 0.2, 0.9]))
-    with pytest.raises(ArgumentError):
-        Mesh(np.array([0.0, 0.6, 0.4, 1.0]))
+    with pytest.raises(ArgumentError, match="got nan"):
+        Mesh(8, np.nan)
+    # a node array, or a size that is no integer, is not a mesh
+    for m in (np.array([0.0, 0.2, 0.9]), 2.5):
+        with pytest.raises(ArgumentError, match=r"integer m.*got m="):
+            Mesh(m)
+    with pytest.raises(ArgumentError, match="delta='x'"):
+        Mesh(8, "x")
     # at m = 256, delta = 160 the first nodes underflow to 0
-    with pytest.raises(ArgumentError, match="increasing"):
+    with pytest.raises(ArgumentError, match=r"grading exponent 160 .*\(1/256\)\^160 underflow"):
         build_mesh(256, 160.0)
 
 

@@ -215,10 +215,9 @@ def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
 
 
 def test_one_true_residual_per_cycle(monkeypatch):
-    # restarts of 3 in sweeps of 3 force 4 cycles of 12 iterations in all;
-    # each iteration and each cycle's residual make one matvec apiece
+    # restarts of 3 force 4 cycles of 12 iterations in all; each iteration
+    # and each cycle's residual make one matvec apiece
     monkeypatch.setattr(solver_mod, "GMRES_RESTART", 3)
-    monkeypatch.setattr(solver_mod, "_GMRES_SWEEP_INNER", 3)
     spec = ProblemSpec(alpha=1.95, q=source_bump(), f=source_bump())
     system = assemble_system(spec, build_mesh(512), "reconstruction")
     calls = _count_matvecs(monkeypatch)
@@ -231,7 +230,7 @@ def test_one_true_residual_per_cycle(monkeypatch):
     "alpha, delta, m", [(1.25, 5.0, 256), (1.95, 1.0, 512)], ids=["graded", "uniform"]
 )
 def test_gmres_converges_through_restarts(monkeypatch, alpha, delta, m):
-    # cycles of 3 iterations restart many times within the default sweep
+    # cycles of 3 iterations restart many times
     monkeypatch.setattr(solver_mod, "GMRES_RESTART", 3)
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
     mesh = build_mesh(m, delta)
