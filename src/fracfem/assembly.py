@@ -16,6 +16,7 @@ Gauss rules pair by pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -30,7 +31,6 @@ from .fraccalc import (
     gamma_fn,
     legendre_panel,
     rl_integral_powersum_at,
-    weighted_rule,
 )
 from .mesh import Mesh
 
@@ -39,9 +39,10 @@ MIXED = "mixed"
 
 DEGENERATE_TOL = 1e-8
 
-_MASS_POINTS = 6
-_LOAD_POINTS = 10
-_ENDPOINT_POINTS = 12
+# _hat_moments: a piece no wider than _SERIES_R times its distance from the
+# anchor takes the series; about _PIECES (term, element) pairs at a time, so
+# a table of powers holds some 10 MiB at most
+_SERIES_R, _PIECES = 0.125, 1 << 16
 
 # Far field of assemble_lead: (Gauss points per side, largest separation ratio
 # eta = max(h_a, h_b) / gap served), each limit being the largest eta at which
@@ -109,13 +110,17 @@ class ProblemSpec:
     @staticmethod
     def check_fields(q: PowerSum, f: PowerSum) -> None:
         """Refuse a field that is not a power sum, and a potential with a
-        term of negative exponent or a sampled size over 1e8."""
+        term of negative exponent, a non-integer power anchored inside
+        (0, 1) or a sampled size over 1e8."""
         for name, field in (("q", q), ("f", f)):
             if not isinstance(field, PowerSum):
                 raise UnsupportedFormError(f"field {name} must be a PowerSum, got {type(field).__name__}")
         for t in q.terms:
             if t.exponent < 0.0 and t.coeff:
                 raise DomainError(f"potential q must be bounded on [0, 1], but has a term x^{t.exponent:g}")
+            if 0.0 < t.anchor < 1.0 and not float(t.exponent).is_integer():
+                raise UnsupportedFormError(f"potential q has a term (x - {t.anchor:g})_+^{t.exponent:g}: "
+                                           "fractional powers must be anchored at x = 0")
         sample = q(np.linspace(1e-3, 1.0 - 1e-3, 1000))
         if not np.all(np.isfinite(sample)) or np.max(np.abs(sample)) > 1e8:
             raise DomainError("potential q must be bounded on [0, 1]")
@@ -567,110 +572,171 @@ def lead_stencil(mesh: Mesh, alpha) -> np.ndarray:
     return -scale * acc
 
 
-def _anchors(field: PowerSum) -> tuple:
-    """Points in (0, 1) where the field's terms start or stop, so where it
-    may jump or kink."""
-    return tuple(sorted({t.anchor for t in field.terms if 0.0 < t.anchor < 1.0}))
+def _betas(k):
+    """B(k + i + 1, j + 1) for the moments (i, j) = (0, 0), (1, 0), (0, 1),
+    (2, 0), (1, 1), (0, 2), stacked on a last axis."""
+    k1, k2, k3 = k + 1.0, k + 2.0, k + 3.0
+    k12 = k1 * k2
+    return 1.0 / np.stack([k1, k2, k12, k3, k2 * k3, 0.5 * k12 * k3], -1)
 
 
-def _element_sums(nodes: np.ndarray, points: int, weighted, breaks=(), right_exp=0.0):
-    """Per-element Gauss sums of the integrands that ``weighted(x, wq, n_r)``
-    stacks, with the weights wq multiplied in (rows of x are elements) and
-    n_r = (x - x_lo) / h the rising hat.
+_BETA_TABLE = _betas(np.arange(96.0))  # series coefficients by k (rows)
 
-    weighted_rule redoes an element with a break strictly inside, so a jump
-    or kink there costs no accuracy; also the last element if the integrand
-    behaves like (x_m - x)^right_exp, with twice the points and the power
-    absorbed into the weights, then divided back out of them, since the
-    integrand carries it.
+
+@lru_cache(maxsize=64)  # by exponents: a sweep's levels share them
+def _series_coeffs(exponents: tuple, moments: int):
+    """Read-only, by exponent e: C(e, k) B(k+i+1, j+1) (k by moment (i, j)),
+    the count of k to the first |C(e, k)| _SERIES_R^k below 2^-56 (an integer
+    e >= 0 ends at k = e), and B(e+i+1, j+1) for a piece at the anchor."""
+    e, k = np.array(exponents)[:, None], np.arange(len(_BETA_TABLE))
+    binom = np.cumprod(np.append(np.ones_like(e), (e - k[:-1]) / (k[:-1] + 1.0), axis=1), axis=1)
+    counts = tuple(np.argmax(np.abs(binom) * _SERIES_R**k < 2.0**-56, axis=1).tolist())
+    out = binom[:, : max(counts), None] * _BETA_TABLE[: max(counts), :moments], _betas(e[:, 0])[:, :moments]
+    for array in out:
+        array.setflags(write=False)
+    return out[0], counts, out[1]
+
+
+def _series(coeffs, counts: tuple, terms: list, r: np.ndarray) -> np.ndarray:
+    """S_ij(r) of each term in ``terms`` (index, first piece, last piece + 1),
+    a row per moment, r <= _SERIES_R unless e is an integer >= 0: the term's
+    coefficients times r^k, to the first k where |C(e, k)| max(r)^k, or its
+    count, ends the series."""
+    k = np.arange(coeffs.shape[1])
+    top = min(r.max(initial=0.0), _SERIES_R)
+    ends = np.argmax(np.abs(coeffs[:, :, 0]) * (k + 1.0) * top**k < 2.0**-56, axis=1)
+    counts = np.where(ends > 0, np.minimum(ends, counts), counts).tolist()
+    table, power, done = np.empty((max(counts), r.size)), r, 1
+    table[0] = 1.0
+    while done < len(table):  # r^k for done <= k < 2 done from those below done
+        np.multiply(table[: min(done, len(table) - done)], power, out=table[done : 2 * done])
+        power, done = power * power, 2 * done
+    return [coeffs[t, : counts[t]].T @ table[: counts[t], i:j] for t, i, j in terms]
+
+
+def _hat_moments(terms: list, x: np.ndarray, slots=1, products=False) -> np.ndarray:
+    """out[slot, row, element]: sums over terms (c, e, a, lo, hi, side, slot)
+    of c int s^e, s = t - a in [lo, hi], against the hat legs N_r and N_l of
+    each element of the nodes x and, with ``products`` (side 0), N_r^2,
+    N_r N_l and N_l^2. Side 0 takes t = x, side 1 t = 1 - x, legs swapped.
+
+    An element [left, left + h] is clipped to [p, p + w], p = max(left - a, lo),
+    so N_r = ((s - p) + dl) / h, N_l = ((p + w - s) + dr) / h, dl, dr >= 0, and
+    every row sums non-negative M_ij = int_p^(p+w) s^e (s - p)^i (p + w - s)^j.
+    At the anchor, p = 0, M_ij = w^(e+i+j+1) B(e+i+1, j+1). Elsewhere a piece
+    wider than _SERIES_R p is cut at p (1 + _SERIES_R)^k (not for an integer
+    e >= 0, a polynomial) and M_ij = w^(i+j+1) p^e S_ij(w / p), S_ij(r) =
+    int_0^1 (1 + r tau)^e tau^i (1 - tau)^j = sum_k C(e, k) B(k+i+1, j+1) r^k:
+    nothing cancels. Elements go _PIECES // len(terms) at a time.
     """
-    lo, hi = nodes[:-1, None], nodes[1:, None]
-    x, wq = legendre_panel(points, lo, hi)
-    sums = weighted(x, wq, (x - lo) / (hi - lo)).sum(axis=-1)
-    last = nodes.size - 2
-    # elements k with a break b strictly inside, nodes[k] < b < nodes[k + 1]
-    redo = {int(np.searchsorted(nodes, b)) - 1 for b in breaks if b not in nodes}
-    if right_exp:
-        redo.add(last)
-    for k in redo:
-        right = right_exp if k == last else 0.0
-        lo, hi = nodes[k], nodes[k + 1]
-        t, w = weighted_rule(points * 2 if right else points, lo, hi, right, breaks=breaks)
-        if right:
-            w /= (hi - t) ** right
-        sums[..., k] = weighted(t, w, (t - lo) / (hi - lo)).sum(axis=-1)
-    return sums
-
-
-def mass_bands(mesh: Mesh, q: PowerSum):
-    """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal);
-    elements are cut at the anchors of q."""
-    n = mesh.m - 1
-    if q.is_zero:
-        return np.zeros(n), np.zeros(max(n - 1, 0))
-
-    def weighted(x, wq, n_r):
-        wqv, n_l = wq * q(x), 1.0 - n_r
-        left = wqv * n_l
-        return np.array([left * n_l, left * n_r, wqv * n_r * n_r])
-
-    ll, lr, rr = _element_sums(mesh.nodes, _MASS_POINTS, weighted, _anchors(q))
-    return rr[:n] + ll[1:], lr[1:n].copy()  # copied, so a kept band does not pin all three sums
-
-
-def load_vector(mesh: Mesh, ps: PowerSum) -> np.ndarray:
-    """Exact load vector (ps, phi_i) of a power sum. Row 0 of the stacks is
-    hat j's rising leg on [x_{j-1}, x_j], row 1 its falling leg on
-    [x_j, x_{j+1}]; one pass per term serves both, summed leg by leg."""
-    x, n = mesh.nodes, mesh.m - 1
-    xl, xr = np.stack([x[:n], x[1:-1]]), np.stack([x[1:-1], x[2:]])
-    widths = xr - xl
-    B = np.array([[1.0], [-1.0]]) / widths
-    A = np.stack([-x[:n], x[2:]]) / widths
-    legs = []
-    for t in ps.terms:
-        hi = xr - t.anchor
-        active = hi > 0.0
-        lo = np.maximum(np.maximum(t.anchor, xl) - t.anchor, 0.0)
-        hi = np.maximum(hi, 0.0)
-        j1 = (hi ** (t.exponent + 1.0) - lo ** (t.exponent + 1.0)) / (t.exponent + 1.0)
-        j2 = (hi ** (t.exponent + 2.0) - lo ** (t.exponent + 2.0)) / (t.exponent + 2.0)
-        legs.append(np.where(active, t.coeff * ((A + B * t.anchor) * j1 + B * j2), 0.0))
-    out = np.zeros(n)
-    for leg in (0, 1):
-        for rows in legs:
-            out += rows[leg]
+    rows, grow, m = 5 if products else 2, 1.0 + _SERIES_R, x.size - 1
+    out = np.zeros((slots, rows, m))
+    groups = {}  # terms of one interval, side and slot share their pieces
+    for term in terms:
+        groups.setdefault(tuple(term[2:]), []).append(term[:2])
+    if not groups:
+        return out
+    a, lo, hi, side, slot = np.array(list(groups), dtype=float).T[..., None]
+    side, slot = side[:, 0].astype(int), slot[:, 0].astype(int)
+    c, e = np.array([t for group in groups.values() for t in group]).T
+    member = np.repeat(np.arange(len(groups)), [len(group) for group in groups.values()])
+    coeffs, counts, at_anchor = _series_coeffs(tuple(e.tolist()), rows + 1)
+    cuts = np.bincount(member, np.array(counts) != e + 1.0, len(groups)) > 0  # one ending at k = e needs none
+    lefts, widths = np.stack([x[:-1], 1.0 - x[1:]]), np.diff(x)
+    step = max(1, _PIECES // len(e))
+    for s in range(0, m, step):
+        shifted, width = lefts[side, s : s + step] - a, widths[s : s + step]
+        p, dr = np.maximum(shifted, lo), np.maximum(shifted + width - hi, 0.0)
+        dl = p - shifted
+        group, elem = np.nonzero(dl + dr < width)
+        h, p, dl, dr = width[elem], p[group, elem], dl[group, elem], dr[group, elem]
+        w = h - dl - dr
+        # pieces [p + low, p + high], cut at p (1 + _SERIES_R)^k
+        ratio = np.divide(w, p, out=np.zeros_like(p), where=(p > 0.0) & cuts[group])
+        count = np.maximum(np.ceil(np.log1p(ratio) / np.log1p(_SERIES_R)), 1).astype(int)
+        last = np.cumsum(count) - 1
+        piece = np.repeat(np.arange(p.size), count)
+        low = p[piece] * (grow ** (np.arange(piece.size) - (last + 1 - count)[piece]) - 1.0)
+        high = np.append(low[1:], 0.0)
+        high[last] = w
+        size, start, group, h = high - low, p[piece] + low, group[piece], h[piece]
+        at = start == 0.0
+        base = np.where(at, size, start)
+        ends = np.searchsorted(group, np.arange(len(groups) + 1))  # pieces are in group order
+        spans = [(t, ends[g], ends[g + 1]) for t, g in enumerate(member.tolist())]
+        moments = np.zeros((rows + 1, piece.size))
+        for (t, i, j), part in zip(spans, _series(coeffs, counts, spans, np.divide(size, start, out=np.zeros_like(size), where=~at))):
+            moments[:, i:j] += part * (c[t] * base[i:j] ** e[t] * size[i:j])
+        at = np.flatnonzero(at)  # the pieces at an anchor, each summed over the terms of its group
+        weights = (member == group[at, None]) * c * size[at, None] ** (e + 1.0)
+        moments[:, at] = (weights @ at_anchor).T
+        u, al, ar = size / h, (dl[piece] + low) / h, (dr[piece] + w[piece] - high) / h
+        m00, m10, m01, *second = moments
+        legs = [u * m10 + al * m00, u * m01 + ar * m00]
+        if products:
+            m20, m11, m02 = second
+            legs += [u * u * m20 + al * (2.0 * u * m10 + al * m00), u * (u * m11 + ar * m10) + al * (u * m01 + ar * m00),
+                     u * u * m02 + ar * (2.0 * u * m01 + ar * m00)]
+        n = width.size
+        index = (np.arange(rows)[:, None] ^ side[group]) * n + (slot[group] * (rows * n) + elem[piece])
+        out[..., s : s + n] += np.bincount(index.ravel(), np.ravel(legs), slots * rows * n).reshape(slots, rows, n)
     return out
 
 
-def quadrature_load(mesh: Mesh, fn, points: int, breaks=(), right_exp=0.0) -> np.ndarray:
-    """Load vector (fn, phi_i) by per-element Gauss rules of ``points``
-    points, elements cut at ``breaks``; fn behaves like (1 - x)^right_exp at
-    1, a power the last element absorbs."""
+def _power_sum_terms(ps: PowerSum) -> list:
+    """_hat_moments terms of a power sum on [0, 1]."""
+    return [(t.coeff, t.exponent, t.anchor, 0.0, np.inf, 0, 0) for t in ps.terms]
 
-    def weighted(x, wq, n_r):
-        wfv = wq * fn(x)
-        return np.array([wfv * n_r, wfv * (1.0 - n_r)])
 
-    rising, falling = _element_sums(mesh.nodes, points, weighted, breaks, right_exp)
-    return rising[:-1] + falling[1:]
+def mass_bands(mesh: Mesh, q: PowerSum):
+    """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal),
+    exact term by term (_hat_moments)."""
+    _, _, rr, rl, ll = _hat_moments(_power_sum_terms(q), mesh.nodes, products=True)[0]
+    return rr[:-1] + ll[1:], rl[1:-1].copy()  # copied, so a kept band does not pin the rows
+
+
+def load_vector(mesh: Mesh, ps: PowerSum) -> np.ndarray:
+    """Exact load vector (ps, phi_i) of a power sum (_hat_moments): hat i
+    rises on element i - 1 and falls on element i."""
+    rise, fall = _hat_moments(_power_sum_terms(ps), mesh.nodes)[0]
+    return rise[:-1] + fall[1:]
+
+
+def _half_series(e: float) -> list:
+    """(C(e, k) (-1)^k, k) of (1 - z)^e on z <= 1/2, to the first term below
+    2^-53 of the sum at z = 1/2."""
+    k = np.arange(len(_BETA_TABLE))
+    coeffs = np.cumprod(np.append(1.0, (k[:-1] - e) / (k[:-1] + 1.0)))
+    at_half = coeffs * 0.5**k
+    return list(zip(coeffs.tolist(), range(np.argmax(np.abs(at_half) < 2.0**-53 * np.abs(np.cumsum(at_half))))))
+
+
+def _endpoint_terms(q: PowerSum, a: float, slot=0) -> list:
+    """_hat_moments terms of (1 - x)^(a-1) q / Gamma(a). A term c (x - b)_+^k
+    of integer k is c ((1 - b) - y)^k y^(a-1) on y = 1 - x <= 1 - b. A term
+    c x^e of non-integer e splits at x = 1/2: on [0, 1/2] (1 - x)^(a-1), on
+    [1/2, 1] x^e = (1 - y)^e expands (_half_series). A non-integer power
+    anchored inside (0, 1) raises UnsupportedFormError."""
+    terms, scale = [], 1.0 / gamma_fn(a)
+    for t in q.terms:
+        c = scale * t.coeff
+        if float(t.exponent).is_integer():
+            k = int(t.exponent)
+            terms += [(c * math.comb(k, i) * (1.0 - t.anchor) ** (k - i) * (-1.0) ** i, a - 1.0 + i, 0.0, 0.0,
+                       1.0 - t.anchor, 1, slot) for i in range(k + 1)]
+        elif t.anchor == 0.0:
+            terms += [(c * b, t.exponent + i, 0.0, 0.0, 0.5, 0, slot) for b, i in _half_series(a - 1.0)]
+            terms += [(c * b, a - 1.0 + i, 0.0, 0.0, 0.5, 1, slot) for b, i in _half_series(t.exponent)]
+        elif t.anchor < 1.0:
+            raise UnsupportedFormError(f"a fractional power of q must be anchored at x = 0, got (x - {t.anchor:g})^{t.exponent:g}")
+    return terms
 
 
 def endpoint_weight_vector(mesh: Mesh, q: PowerSum, alpha) -> np.ndarray:
-    """Vector s with s_j = (I_0^alpha q phi_j)(1).
-
-    This is the same endpoint-weighted functional that defines the splitting
-    constant, evaluated on the basis: the load of (1 - x)^(alpha - 1) q, whose
-    last element absorbs the weight into a Gauss-Jacobi rule. Elements are
-    cut at the anchors of q.
-    """
-    a = frac_order(alpha)
-    if q.is_zero:
-        return np.zeros(mesh.m - 1)
-    load = quadrature_load(
-        mesh, lambda x: (1.0 - x) ** (a - 1.0) * q(x), _ENDPOINT_POINTS, _anchors(q), right_exp=a - 1.0
-    )
-    return load / gamma_fn(a)
+    """Vector s with s_j = (I_0^alpha q phi_j)(1), the load of
+    (1 - x)^(alpha - 1) q / Gamma(alpha), exact term by term (_endpoint_terms)."""
+    rise, fall = _hat_moments(_endpoint_terms(q, frac_order(alpha)), mesh.nodes)[0]
+    return rise[:-1] + fall[1:]
 
 
 @dataclass(frozen=True)
@@ -680,7 +746,7 @@ class SingularPair:
     The regular part sees the modified source f(x) + (I^alpha f)(1) Q(x),
     Q = c0 c1 - c0 q u_s with c1(x) = -2/Gamma(3-alpha) x^(2-alpha).
     q_profile is the power sum c0 c1 - c0 q0 u_s, q0 the terms of q
-    anchored at 0; _profile_load takes the terms anchored inside (0, 1).
+    anchored at 0; _profile_terms takes the terms anchored inside (0, 1).
     """
 
     u_s: PowerSum
@@ -716,17 +782,16 @@ def build_singular_pair(spec: ProblemSpec) -> SingularPair:
     return SingularPair(u_s, c0, c1.scaled(c0) + q_us.scaled(-c0), f_at_one)
 
 
-def _profile_load(spec: ProblemSpec, mesh: Mesh, pair: SingularPair) -> np.ndarray:
-    """Load of Q: q_profile's exactly, less c0 (q_in u_s, phi_i) for the
-    terms q_in of q anchored inside (0, 1), by quadrature with elements cut
-    at their anchors; q_in is zero left of its first anchor, so no power of
-    x at 0 needs absorbing."""
-    load = load_vector(mesh, pair.q_profile)
-    q_in = PowerSum(tuple(t for t in spec.q.terms if 0.0 < t.anchor < 1.0))
-    if q_in.is_zero:
-        return load
-    u_s = pair.u_s
-    return load - pair.c0 * quadrature_load(mesh, lambda x: q_in(x) * u_s(x), _LOAD_POINTS, _anchors(q_in))
+def _profile_terms(spec: ProblemSpec, pair: SingularPair) -> list:
+    """_hat_moments terms of Q: q_profile's, less c0 q_in u_s for the terms
+    c (x - b)^k of q anchored inside (0, 1), k an integer (check_fields): on
+    [b, 1], (x - b)^k x^p = sum_i C(k, i) (-b)^(k-i) x^(p+i)."""
+    terms = _power_sum_terms(pair.q_profile)
+    for t in (t for t in spec.q.terms if 0.0 < t.anchor < 1.0):
+        k = int(t.exponent)
+        terms += [(-pair.c0 * t.coeff * s.coeff * math.comb(k, i) * (-t.anchor) ** (k - i), s.exponent + i, 0.0,
+                   t.anchor, np.inf, 0, 0) for s in pair.u_s.terms for i in range(k + 1)]
+    return terms
 
 
 @dataclass(frozen=True)
@@ -832,7 +897,8 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
     if method == "standard":
         return AssembledSystem(mesh, lead, diag, off, f_load, None, None, None)
     pair = spec.singular_pair
-    r_vec = _profile_load(spec, mesh, pair)
-    s_vec = endpoint_weight_vector(mesh, spec.q, spec.alpha)
+    # the load of Q and the endpoint vector in one pass
+    terms = _profile_terms(spec, pair) + _endpoint_terms(spec.q, spec.alpha, slot=1)
+    r_vec, s_vec = (rise[:-1] + fall[1:] for rise, fall in _hat_moments(terms, mesh.nodes, slots=2))
     load = f_load + pair.f_frac_at_one * r_vec
     return AssembledSystem(mesh, lead, diag, off, load, r_vec, s_vec, pair)

@@ -182,8 +182,9 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-# three rules per alpha in a reconstruction study with q = chi(0,0.5): the 36
-# alphas of a sweep keep 108 and evict none; a longer sweep stays bounded
+# one rule per alpha in a reconstruction study with q = chi(0,0.5), the panel
+# of anchored_moment on [1/2, 1]: a sweep's alphas evict none; a longer sweep
+# stays bounded
 @lru_cache(maxsize=256)
 def gauss_jacobi(n: int, a: float, b: float):
     """Nodes/weights on [-1, 1] for the weight (1-x)^a (1+x)^b, by Golub-Welsch:
@@ -213,22 +214,14 @@ def legendre_panel(n: int, a: float, b: float):
     return a + half * (xi + 1.0), half * w
 
 
-def weighted_rule(n: int, lo, hi, right_exp=0.0, left_exp=0.0, breaks=(), ends=None):
+def weighted_rule(n: int, lo, hi, right_exp=0.0, left_exp=0.0, ends=None):
     """Nodes t and weights w, sum w g(t) ~ int_lo^hi (b-t)^right_exp (t-a)^left_exp g(t) dt
-    with (a, b) = ``ends``, by default (lo, hi).
-
-    Without a break strictly inside (lo, hi) this is one panel of n points;
-    otherwise the breaks cut it into panels of n // 2 each. A panel that
-    ends at a or b absorbs the factor singular there into Gauss-Jacobi
-    weights, and any other factor with a nonzero exponent multiplies its
-    weights. An uncut panel builds no list and concatenates nothing.
+    with (a, b) = ``ends``, by default (lo, hi): one panel of n points. If
+    it ends at a or b, it absorbs the factor singular there into
+    Gauss-Jacobi weights; any other factor with a nonzero exponent
+    multiplies its weights.
     """
     a, b = (lo, hi) if ends is None else ends
-    cuts = breaks and [x for x in breaks if lo < x < hi]
-    if cuts:
-        edges = [lo, *cuts, hi]
-        panels = [weighted_rule(n // 2, *e, right_exp, left_exp, ends=(a, b)) for e in zip(edges, edges[1:])]
-        return tuple(np.concatenate(part) for part in zip(*panels))
     right = right_exp if hi == b else 0.0
     left = left_exp if lo == a else 0.0
     xi, w = gauss_jacobi(n, right, left) if right or left else gauss_legendre(n)

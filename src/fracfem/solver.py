@@ -193,9 +193,9 @@ def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
 def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float) -> Solution:
     """The solved system as a Solution. With a singular pair,
     mu_h = c0 [ (I^alpha f)(1) - s . coeffs ]: by linearity s . coeffs equals
-    (I^alpha q u_r_h)(1), evaluated by endpoint_weight_vector's per-element
-    rule; the splitting constant c0 comes from build_singular_pair, by the
-    power rule and one fixed rule per term of q anchored inside (0, 1)."""
+    (I^alpha q u_r_h)(1), the endpoint vector s being exact term by term; the
+    splitting constant c0 comes from build_singular_pair, by the power rule
+    and one fixed rule per term of q anchored inside (0, 1)."""
     fe, pair = PwLinear(system.mesh, coeffs), system.pair
     if pair is None:
         return Solution(fe, res, system.lead)

@@ -24,12 +24,14 @@ stencil, leading block and assembled system to dense matrices, for
 comparisons with dense products and numpy's dense solve; the package
 multiplies and solves without forming them. eval_terms_masked is the
 boolean-mask evaluation of a power sum that the package's evaluator
-replaces term by term. lead_stencil_full_series and powersum_load_per_term
-are the evaluations that the package's cached stencil band with its short
-far series, and its one pass per power-sum term over both hat legs,
-replace; they use the package's beta_fn and gamma_fn and keep every
-rounding of the evaluations they stand for, so the tests compare them bit
-for bit. error_l2_dense is the L2 error of a closed form by brute force,
+replaces term by term. lead_stencil_full_series is the evaluation that the
+package's cached stencil band with its short far series replaces; it uses
+the package's beta_fn and gamma_fn and keeps every rounding of the
+evaluation it stands for, so the tests compare it bit for bit.
+hat_moment_decimal and endpoint_entry_decimal take the exact load, mass and
+endpoint entries of power sums from their antiderivatives in
+high-precision decimal arithmetic, where the differences of powers that
+the package's series avoids cancel harmlessly. error_l2_dense is the L2 error of a closed form by brute force,
 16 Gauss points on a uniform m = 65536 mesh cut at and toward the anchors,
 against which the package's 8 points per study cell are checked.
 """
@@ -201,6 +203,58 @@ def stiffness_entry_decimal(nodes, alpha, i, j, digits=50):
         return -scale * float(total)
 
 
+def _moment_decimal(x, hats, e, lo, hi):
+    """int_lo^hi s^e prod_i phi_i(s) ds, lo >= 0, for the 1-based hats i of
+    the Decimal nodes x, in the current decimal context. On each element
+    the hats are linear, their product a polynomial in s, and each power
+    integrates to s^(e+k+1) / (e+k+1)."""
+    total = Decimal(0)
+    for k in range(min(hats) - 1, max(hats) + 1):
+        left, right = max(x[k], lo), min(x[k + 1], hi)
+        if left >= right or any(not i - 1 <= k <= i for i in hats):
+            continue
+        poly = [Decimal(1)]  # coefficients of s^0, s^1, ...
+        for i in hats:
+            if k == i - 1:  # rising: (s - x[i-1]) / (x[i] - x[i-1])
+                a, b = -x[i - 1] / (x[i] - x[i - 1]), 1 / (x[i] - x[i - 1])
+            else:  # falling: (x[i+1] - s) / (x[i+1] - x[i])
+                a, b = x[i + 1] / (x[i + 1] - x[i]), -1 / (x[i + 1] - x[i])
+            poly = [(poly[j] * a if j < len(poly) else 0) + (poly[j - 1] * b if j else 0)
+                    for j in range(len(poly) + 1)]
+        total += sum(c * (right ** (e + j + 1) - left ** (e + j + 1)) / (e + j + 1) for j, c in enumerate(poly))
+    return total
+
+
+def hat_moment_decimal(nodes, hats, e, anchor=0.0, lo=0.0, digits=50):
+    """int (t - anchor)_+^e prod_i phi_i(t) dt over t >= lo, in
+    `digits`-digit decimal arithmetic with the float nodes, anchor and lo
+    taken exactly: one hat gives a load entry, two a mass entry."""
+    first = min(hats) - 1  # the hats' support, nodes first..max(hats) + 1
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = [Decimal(float(v)) - Decimal(anchor) for v in nodes[first : max(hats) + 2]]
+        start = max(Decimal(float(lo)) - Decimal(anchor), Decimal(0))
+        return float(_moment_decimal(x, [i - first for i in hats], Decimal(float(e)), start, x[-1]))
+
+
+def endpoint_entry_decimal(nodes, q, j, alpha, digits=50):
+    """(1/Gamma(alpha)) int_0^1 (1-t)^(alpha-1) q(t) phi_j(t) dt for a q of
+    integer exponents, in `digits`-digit decimal arithmetic: in y = 1 - t a
+    term c (t - b)_+^k is c sum_i C(k, i) (1 - b)^(k-i) (-y)^i on y <= 1 - b,
+    times y^(alpha-1). Only Gamma(alpha) is a double."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        one = Decimal(1)
+        y = [one - Decimal(float(v)) for v in nodes[j + 1 : j - 2 if j > 1 else None : -1]]  # hat 1 of y
+        total = Decimal(0)
+        for t in q.terms:
+            k, top = int(t.exponent), one - Decimal(t.anchor)
+            for i in range(k + 1):
+                moment = _moment_decimal(y, (1,), Decimal(float(alpha)) - 1 + i, Decimal(0), top)
+                total += Decimal(t.coeff) * math.comb(k, i) * top ** (k - i) * (-1) ** i * moment
+        return float(total) / gamma_fn(alpha)
+
+
 def load_entry_quad(nodes, fn, j, left_exponent=0.0, breaks=()):
     """int_0^1 fn(t) phi_j(t) dt with panel splitting at hats and kinks."""
     phi = hat_value(nodes, j)
@@ -244,30 +298,28 @@ def profile_load_entry_quad(nodes, fn, j, breaks=()):
     return total
 
 
-def endpoint_weight_entry_quad(nodes, q_fn, j, alpha, breaks=()):
+def endpoint_weight_entry_quad(nodes, q_fn, j, alpha, breaks=(), left_exponent=0.0):
     """(1/Gamma(a)) int_0^1 (1-t)^(a-1) q(t) phi_j(t) dt, split at the
-    nodes and at ``breaks``."""
+    nodes and at ``breaks``. A panel ending at 1 absorbs (1-t)^(a-1), and
+    one starting at 0 absorbs t^left_exponent, the power q blows up or
+    kinks with there (``weight='alg'``)."""
     phi = hat_value(nodes, j)
     a, c = nodes[j - 1], nodes[j + 1]
     pts = sorted({a, nodes[j], c} | {p for p in breaks if a < p < c})
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi == 1.0:
-            v, _ = quad(
-                lambda t: q_fn(t) * phi(t),
-                lo,
-                hi,
-                weight="alg",
-                wvar=(0.0, alpha - 1.0),
-                limit=_LIMIT,
-            )
+        left = left_exponent if lo == 0.0 else 0.0
+        right = alpha - 1.0 if hi == 1.0 else 0.0
+
+        def core(t, _l=left, _r=right):
+            t = min(max(t, 1e-300), np.nextafter(1.0, 0.0))
+            v = q_fn(t) * phi(t) / t**_l
+            return v if _r else v * (1.0 - t) ** (alpha - 1.0)
+
+        if left or right:
+            v, _ = quad(core, lo, hi, weight="alg", wvar=(left, right), limit=_LIMIT)
         else:
-            v, _ = quad(
-                lambda t: q_fn(t) * phi(t) * (1.0 - t) ** (alpha - 1.0),
-                lo,
-                hi,
-                limit=_LIMIT,
-            )
+            v, _ = quad(core, lo, hi, limit=_LIMIT)
         total += v
     return total / gamma_fn(alpha)
 
@@ -542,26 +594,3 @@ def lead_stencil_full_series(m, alpha):
         acc[far] = p * (p - 1.0) * (p - 2.0) * (p - 3.0) * dist**e * series
     scale = beta_fn(2.0 - s, 2.0 - s) * (1.0 / m) ** (1.0 - 2.0 * s) / gamma_math(2.0 - s) ** 2
     return -scale * acc
-
-
-def powersum_load_per_term(mesh, ps):
-    """Load vector (ps, phi_i) of a left-anchored power sum, one hat leg and
-    one term at a time, a term skipped on a leg where it is zero throughout."""
-    nodes, widths, n = mesh.nodes, np.diff(mesh.nodes), mesh.m - 1
-    out = np.zeros(n)
-    legs = (
-        (nodes[0:n], nodes[1 : n + 1], 1.0 / widths[:n], -nodes[0:n] / widths[:n]),
-        (nodes[1 : n + 1], nodes[2 : n + 2], -1.0 / widths[1:], nodes[2 : n + 2] / widths[1:]),
-    )
-    for xl, xr, B, A in legs:
-        for t in ps.terms:
-            hi = xr - t.anchor
-            active = hi > 0.0
-            if not np.any(active):
-                continue
-            lo = np.maximum(np.maximum(t.anchor, xl) - t.anchor, 0.0)
-            hi = np.maximum(hi, 0.0)
-            j1 = (hi ** (t.exponent + 1.0) - lo ** (t.exponent + 1.0)) / (t.exponent + 1.0)
-            j2 = (hi ** (t.exponent + 2.0) - lo ** (t.exponent + 2.0)) / (t.exponent + 2.0)
-            out += np.where(active, t.coeff * ((A + B * t.anchor) * j1 + B * j2), 0.0)
-    return out

@@ -1,6 +1,7 @@
 """Assembly of the leading block, mass, loads, and the singular splitting."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fracfem.assembly import (
     lead_stencil,
     load_vector,
     mass_bands,
-    quadrature_load,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
 from fracfem.cli import ExperimentConfig
@@ -38,13 +38,14 @@ from fracfem.solver import solve_reconstruction, system_matvec
 from .oracles import (
     assemble_mass_q,
     dense_lead,
+    endpoint_entry_decimal,
     endpoint_weight_entry_quad,
     frac_integral_quad,
     full_matrix,
+    hat_moment_decimal,
     hat_value,
     lead_stencil_full_series,
     load_entry_quad,
-    powersum_load_per_term,
     profile_load_entry_quad,
     stencil_far_field_peano,
     stencil_to_dense,
@@ -533,7 +534,6 @@ def test_stencil_far_field_needs_no_gauss_rule(monkeypatch):
         raise AssertionError("the stencil far field evaluated a Gauss panel")
 
     monkeypatch.setattr(assembly, "legendre_panel", refuse)
-    monkeypatch.setattr(assembly, "weighted_rule", refuse)
     st = lead_stencil(build_mesh(4096), 1.5)
     assert np.all(np.isfinite(st)) and np.all(st[: 4096 - 4] < 0.0)
 
@@ -637,6 +637,18 @@ def test_lead_holds_exactly_one_format():
 # --- mass and loads ------------------------------------------------------------
 
 
+# the first six entries, n/3, n/2 and the last two of a long vector
+def _sampled(n):
+    return sorted({*range(min(6, n)), n // 3, n // 2, n - 2, n - 1} - {-1})
+
+
+def _gap(got, want, full=()):
+    """Largest gap of sampled entries as a fraction of the largest entry,
+    of the oracle's or of the ``full`` vector they were sampled from (or
+    the gap itself when every entry is zero)."""
+    return np.max(np.abs(np.asarray(got) - np.asarray(want))) / (np.max(np.abs([*want, *full])) or 1.0)
+
+
 def test_mass_bands_frozen_values():
     # quad of t(1-t) phi_i phi_j on m = 4; the integrands are quartic
     diag, off = mass_bands(build_mesh(4), source_bump())
@@ -708,23 +720,14 @@ def test_load_matches_quadrature(field, breaks, left_exp):
 )
 @pytest.mark.parametrize("m", [2, 3, 16, 37, 256])
 def test_powersum_load_matches_per_term_loop_bit_for_bit(m, ps, delta):
+    # the exact load against the decimal moment oracle, term by term; the
+    # name is kept from the difference-of-powers load it used to pin
     mesh = build_mesh(m, delta)
-    got, want = load_vector(mesh, ps), powersum_load_per_term(mesh, ps)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_quadrature_load_path_without_powersum():
-    # a callable with no power sum takes the Gauss rules of 10 points
-    mesh = build_mesh(16)
-
-    def smooth(x):
-        return np.sin(np.pi * np.asarray(x))
-
-    out = quadrature_load(mesh, smooth, 10)
-    for j in (1, 8, 15):
-        oracle = load_entry_quad(mesh.nodes, smooth, j)
-        assert out[j - 1] == pytest.approx(oracle, rel=1e-9)
+    rows = _sampled(m - 1) if m > 64 else range(m - 1)
+    got = load_vector(mesh, ps)
+    want = [sum(t.coeff * hat_moment_decimal(mesh.nodes, (j + 1,), t.exponent, t.anchor) for t in ps.terms)
+            for j in rows]
+    assert _gap(got[rows], want, got) <= 1e-14
 
 
 def test_endpoint_weight_vector_frozen():
@@ -785,36 +788,127 @@ def test_endpoint_weight_vector_cut_at_interior_anchors(mesh, alpha):
         assert s[j - 1] == pytest.approx(want, rel=1e-10)
 
 
-@CUT_MESHES
-def test_quadrature_load_cut_at_breaks(mesh):
-    # e^x (1 + chi(0.3,0.7)): jumping at both breaks, a callable with no
-    # power sum to say where
-    jumps = parse_field("chi(0.3,0.7)")
+# --- exact moments against the decimal oracle ----------------------------------
 
-    def field(x):
-        return np.exp(x) * (1.0 + jumps(x))
-
-    out = quadrature_load(mesh, field, 10, (0.3, 0.7))
-    for j in range(1, mesh.m):
-        want = load_entry_quad(mesh.nodes, field, j, breaks=(0.3, 0.7))
-        assert out[j - 1] == pytest.approx(want, rel=1e-10)
+def _oracle_mesh_cases():
+    return st.sampled_from([(8, 1.0), (64, 1.0), (64, 5.0), (4096, 1.0)])
 
 
-def test_anchors_on_nodes_change_no_bit(monkeypatch):
-    # jumps at nodes need no cut; the rules must stay the uncut ones
-    mesh = build_mesh(8, delta=2.0)  # 0.25 and 0.5625 are nodes
-    q = parse_field("chi(0.25,0.5625)*(1+x)")
-    cut = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
-    monkeypatch.setattr(assembly, "_anchors", lambda field: ())  # the same field, its anchors unseen
-    blind = (*mass_bands(mesh, q), endpoint_weight_vector(mesh, q, 1.4))
-    for got, want in zip(cut, blind):
-        assert np.array_equal(got, want)
-    monkeypatch.undo()
-    def field(x):
-        return np.exp(x) * q(x)
+@given(
+    case=_oracle_mesh_cases(),
+    exponent=st.one_of(st.sampled_from([-0.75, -0.25, 0.0, 0.5, 1.0, 2.0]), st.floats(-0.95, 3.0)),
+    anchor=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.99)),
+)
+@settings(max_examples=10, deadline=None)
+def test_load_and_mass_match_the_decimal_oracle(case, exponent, anchor):
+    m, delta = case
+    mesh, ps = build_mesh(m, delta), fraccalc.PowerSum.from_terms([(1.0, anchor, exponent)])
+    rows = _sampled(m - 1) if m > 64 else range(m - 1)
+    load, (diag, off) = load_vector(mesh, ps), mass_bands(mesh, ps)
+    x = mesh.nodes
+    assert _gap(load[rows], [hat_moment_decimal(x, (j + 1,), exponent, anchor) for j in rows], load) <= 1e-14
+    assert _gap(diag[rows], [hat_moment_decimal(x, (j + 1, j + 1), exponent, anchor) for j in rows], diag) <= 1e-14
+    rows = [j for j in rows if j < m - 2]
+    assert _gap(off[rows], [hat_moment_decimal(x, (j + 1, j + 2), exponent, anchor) for j in rows], off) <= 1e-14
 
-    cut, blind = (quadrature_load(mesh, field, 10, breaks) for breaks in ((0.25, 0.5625), ()))
-    assert np.array_equal(cut, blind)
+
+@given(
+    case=_oracle_mesh_cases(),
+    alpha=st.floats(1.01, 1.99),
+    k=st.integers(0, 2),
+    anchor=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.99)),
+)
+@settings(max_examples=10, deadline=None)
+def test_integer_endpoint_vector_matches_the_decimal_oracle(case, alpha, k, anchor):
+    # ((1 - b) - y)^k expands in powers of y; for k <= 2 its cancellation
+    # stays below the bound
+    m, delta = case
+    mesh, q = build_mesh(m, delta), fraccalc.PowerSum.from_terms([(1.0, anchor, float(k))])
+    rows = _sampled(m - 1) if m > 64 else range(m - 1)
+    got = endpoint_weight_vector(mesh, q, alpha)
+    assert _gap(got[rows], [endpoint_entry_decimal(mesh.nodes, q, j + 1, alpha) for j in rows], got) <= 1e-14
+
+
+@given(
+    case=_oracle_mesh_cases(),
+    alpha=st.floats(1.01, 1.99),
+    q=st.sampled_from(["x*(1-x)", "chi(0,0.5)", "chi(0.3,0.7)*(1+x)", "x^0.5+chi(0.5,1)"]),
+    bc=st.sampled_from(["dirichlet", "mixed"]),
+)
+@settings(max_examples=10, deadline=None)
+def test_profile_load_matches_the_decimal_oracle(case, alpha, q, bc):
+    # Q = q_profile - c0 q_in u_s: the terms (c, b, k) of q_in expand, on
+    # [b, 1], as (x - b)^k x^p = sum_i C(k, i) (-b)^(k-i) x^(p+i)
+    m, delta = case
+    if bc == "mixed":
+        alpha = 1.5 + alpha / 4.0
+    spec = ProblemSpec(alpha=alpha, q=parse_field(q), f=source_bump(), bc=bc)
+    mesh, pair = build_mesh(m, delta), spec.singular_pair
+    rows = _sampled(m - 1) if m > 64 else range(m - 1)
+    full = assemble_system(spec, mesh, "reconstruction").r_vec
+
+    def entry(j):
+        total = sum(t.coeff * hat_moment_decimal(mesh.nodes, (j + 1,), t.exponent, t.anchor)
+                    for t in pair.q_profile.terms)
+        for t in (t for t in spec.q.terms if 0.0 < t.anchor < 1.0):
+            k = int(t.exponent)
+            total -= pair.c0 * sum(
+                t.coeff * s.coeff * math.comb(k, i) * (-t.anchor) ** (k - i)
+                * hat_moment_decimal(mesh.nodes, (j + 1,), s.exponent + i, 0.0, t.anchor)
+                for s in pair.u_s.terms for i in range(k + 1))
+        return total
+
+    assert _gap(full[rows], [entry(j) for j in rows], full) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_square_root_potential_moments_are_exact(m):
+    # the plain Gauss rules missed x^0.5 at its anchor: 2.1e-7 of the largest
+    # mass entry and 1.6e-7 of the largest endpoint entry at m = 8
+    mesh, q, alpha = build_mesh(m), parse_field("x^0.5"), 1.3
+    diag, off = mass_bands(mesh, q)
+    x = mesh.nodes
+    assert _gap(diag, [hat_moment_decimal(x, (j, j), 0.5) for j in range(1, m)]) <= 1e-14
+    assert _gap(off, [hat_moment_decimal(x, (j, j + 1), 0.5) for j in range(1, m - 1)]) <= 1e-14
+    want = [endpoint_weight_entry_quad(x, q, j, alpha, left_exponent=0.5) for j in range(1, m)]
+    assert _gap(endpoint_weight_vector(mesh, q, alpha), want) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [8, 64])
+@pytest.mark.parametrize("alpha", [1.01, 1.3, 1.99])
+@pytest.mark.parametrize("delta", [1.0, 5.0])
+def test_square_root_endpoint_vector_matches_quadrature(m, alpha, delta):
+    # the split at x = 1/2 against quad absorbing both end powers
+    mesh, q = build_mesh(m, delta), parse_field("x^0.5+chi(0.5,1)")
+    want = [endpoint_weight_entry_quad(mesh.nodes, q, j, alpha, (0.5,), left_exponent=0.5) for j in range(1, m)]
+    assert _gap(endpoint_weight_vector(mesh, q, alpha), want) <= 1e-13
+
+
+@pytest.mark.parametrize("delta", [1.0, 5.0])
+@pytest.mark.parametrize("q", ["x*(1-x)", "chi(0,0.5)", "x^0.5+chi(0.5,1)"])
+def test_assembly_reaches_no_gauss_rule(monkeypatch, q, delta):
+    def refuse(*_args):
+        raise AssertionError("assembly evaluated a Gauss rule")
+
+    spec = ProblemSpec(alpha=1.4, q=parse_field(q), f=source_bump())
+    spec.singular_pair  # its interior terms take anchored_moment, a Gauss rule
+    mesh = build_mesh(64, delta)
+    monkeypatch.setattr(fraccalc, "gauss_legendre", refuse)
+    monkeypatch.setattr(fraccalc, "gauss_jacobi", refuse)
+    for out in (load_vector(mesh, spec.q), *mass_bands(mesh, spec.q), endpoint_weight_vector(mesh, spec.q, 1.4),
+                assemble_system(spec, mesh, "reconstruction").r_vec):
+        assert np.all(np.isfinite(out))
+
+
+def test_fractional_power_inside_is_refused():
+    q = fraccalc.PowerSum.from_terms([(1.0, 0.3, 0.5)])
+    with pytest.raises(UnsupportedFormError, match=r"\(x - 0.3\)_\+\^0.5"):
+        ProblemSpec(alpha=1.3, q=q, f=source_bump())
+    with pytest.raises(UnsupportedFormError):
+        endpoint_weight_vector(build_mesh(8), q, 1.3)
+    # integer powers inside, and any power at 0 or 1, are accepted
+    ok = fraccalc.PowerSum.from_terms([(1.0, 0.3, 2.0), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5)])
+    assert ProblemSpec(alpha=1.3, q=ok, f=source_bump()).singular_pair.c0 > 0.0
 
 
 # --- problem validation ----------------------------------------------------------

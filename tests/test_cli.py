@@ -38,9 +38,12 @@ DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 # adaptive bisection for one fixed rule, which moved two err_mu entries by at
 # most 1.6e-11 relative, and again when the load of Q took its zero-anchored
 # part exactly and only the part anchored inside (0, 1) by quadrature, which
-# moved err_mu by at most 9.9e-8 and err_l2 by 1.0e-8 relative and no rate
-CHI_RECON_SHA256 = "17437c8fb6c0cdc41c3b4ccd100a6320d97e0f6466a71727922cd6d5322f9da1"
-GRADED_STANDARD_SHA256 = "8a73b6ce6c65994c3c3458ba863478fd5de55a4d6cda5c19ed692a1c306be541"
+# moved err_mu by at most 9.9e-8 and err_l2 by 1.0e-8 relative and no rate;
+# both were retaken when every load, mass and endpoint integral became exact
+# (the series of assembly._hat_moments), which moved the chi study's err_mu by
+# at most 4.5e-11, the graded study's err_l2 by 1.2e-10 relative, and no rate
+CHI_RECON_SHA256 = "f19a90172638471e9c71af39bf69ef5595d9e70fcf110470a071cade4d99e702"
+GRADED_STANDARD_SHA256 = "5d29e0533925c1e066c344e9124e68d65669e7b8032aaafed080cc5f12915dad"
 
 
 def _tiny(**overrides):

@@ -304,18 +304,6 @@ def test_weighted_rule_interior_panel_multiplies_both_factors():
     assert float(w @ np.exp(t)) == pytest.approx(want, rel=1e-12)
 
 
-def test_weighted_rule_cut_panels_absorb_only_at_the_true_ends():
-    # three panels of 12 points: the first absorbs t^(-1/4), the last
-    # (1-t)^(1/2), and the middle one multiplies both factors in
-    t, w = weighted_rule(24, 0.0, 1.0, 0.5, -0.25, breaks=(0.35, 0.65))
-    assert t.size == 36 and np.all(np.diff(t) > 0.0)
-    for lo, hi in ((0.0, 0.35), (0.35, 0.65), (0.65, 1.0)):
-        inside = (t > lo) & (t < hi)
-        assert inside.sum() == 12
-    want, _ = quad(np.exp, 0.0, 1.0, weight="alg", wvar=(-0.25, 0.5), epsabs=0.0, epsrel=1e-13)
-    assert float(w @ np.exp(t)) == pytest.approx(want, rel=1e-12)
-
-
 @pytest.mark.parametrize("n", [8, 16, 20, 24, 32, 48])
 @pytest.mark.parametrize("a", [0.0, 0.02, 0.5, 0.98])
 def test_gauss_jacobi_moments_are_exact(n, a):

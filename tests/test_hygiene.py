@@ -80,6 +80,40 @@ def test_every_export_is_read_inside_the_package():
     assert exported and [name for name in exported if name not in read] == []
 
 
+def dead_private_names(sources: dict) -> list[str]:
+    """Module-level private functions, classes and constants (one leading
+    underscore) of the modules ``sources`` (name -> text) that no module
+    reads, bare or as an attribute."""
+    read = set().union(*(read_names(text) for text in sources.values()))
+    dead = []
+    for module, text in sorted(sources.items()):
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}.{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {
+        "a": "_X = 1\n_Y, _Z = 2, 3\n_W: int = 4\ndef _f():\n    return _Y\nclass _C:\n    pass\n__all__ = []\n",
+        "b": "import a\nprint(a._Z, a._f())\ndef _g():\n    _C = 0\n    return _C\n",
+    }
+    assert dead_private_names(sources) == ["a._W", "a._X", "b._g"]
+
+
+def test_every_private_name_is_read_inside_the_package():
+    # a helper or constant that nothing reads is dead code left behind
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
 def raised_names(source: str) -> set[str]:
     """Names of the exceptions a module raises, as ``raise X`` or ``raise X(...)``."""
     raised = set()
@@ -173,6 +207,7 @@ def test_module_level_caches_are_keyed_on_scalars():
         "fracfem.fraccalc.gauss_legendre",
         "fracfem.fraccalc.gauss_jacobi",
         "fracfem.assembly._stencil_band",
+        "fracfem.assembly._series_coeffs",
     }
 
 
