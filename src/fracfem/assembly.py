@@ -153,12 +153,17 @@ class ProblemSpec:
         mesh; ``with_alpha`` shares them."""
         return {}
 
+    @cached_property
+    def _moment_plans(self) -> dict:
+        """_hat_moments plans of the load of Q and the endpoint vector by mesh; ``with_alpha`` shares them."""
+        return {}
+
     def with_alpha(self, alpha: float) -> ProblemSpec:
-        """This problem at another alpha, sharing the far-field plans and the
-        level terms; its singular pair and lead tables are its own."""
+        """This problem at another alpha, sharing the far-field plans, level terms
+        and moment plans; its singular pair and lead tables are its own."""
         spec = replace(self, alpha=alpha)
-        vars(spec)["_far_plans"] = self._far_plans
-        vars(spec)["_level_terms"] = self._level_terms
+        for name in ("_far_plans", "_level_terms", "_moment_plans"):
+            vars(spec)[name] = getattr(self, name)
         return spec
 
     def level_terms(self, mesh: Mesh) -> tuple:
@@ -597,13 +602,12 @@ def _series_coeffs(exponents: tuple, moments: int):
     return out[0], counts, out[1]
 
 
-def _series(coeffs, counts: tuple, terms: list, r: np.ndarray) -> np.ndarray:
+def _series(coeffs, counts: tuple, terms: list, r: np.ndarray, top: float) -> np.ndarray:
     """S_ij(r) of each term in ``terms`` (index, first piece, last piece + 1),
     a row per moment, r <= _SERIES_R unless e is an integer >= 0: the term's
-    coefficients times r^k, to the first k where |C(e, k)| max(r)^k, or its
-    count, ends the series."""
+    coefficients times r^k, to the first k where |C(e, k)| top^k, top =
+    min(max(r), _SERIES_R), or its count, ends the series."""
     k = np.arange(coeffs.shape[1])
-    top = min(r.max(initial=0.0), _SERIES_R)
     ends = np.argmax(np.abs(coeffs[:, :, 0]) * (k + 1.0) * top**k < 2.0**-56, axis=1)
     counts = np.where(ends > 0, np.minimum(ends, counts), counts).tolist()
     table, power, done = np.empty((max(counts), r.size)), r, 1
@@ -614,7 +618,7 @@ def _series(coeffs, counts: tuple, terms: list, r: np.ndarray) -> np.ndarray:
     return [coeffs[t, : counts[t]].T @ table[: counts[t], i:j] for t, i, j in terms]
 
 
-def _hat_moments(terms: list, x: np.ndarray, slots=1, products=False) -> np.ndarray:
+def _hat_moments(terms: list, x: np.ndarray, plans: dict, slots=1, products=False) -> np.ndarray:
     """out[slot, row, element]: sums over terms (c, e, a, lo, hi, side, slot)
     of c int s^e, s = t - a in [lo, hi], against the hat legs N_r and N_l of
     each element of the nodes x and, with ``products`` (side 0), N_r^2,
@@ -627,60 +631,73 @@ def _hat_moments(terms: list, x: np.ndarray, slots=1, products=False) -> np.ndar
     wider than _SERIES_R p is cut at p (1 + _SERIES_R)^k (not for an integer
     e >= 0, a polynomial) and M_ij = w^(i+j+1) p^e S_ij(w / p), S_ij(r) =
     int_0^1 (1 + r tau)^e tau^i (1 - tau)^j = sum_k C(e, k) B(k+i+1, j+1) r^k:
-    nothing cancels. Elements go _PIECES // len(terms) at a time.
+    nothing cancels. Elements go _PIECES // len(terms) at a time. The pieces
+    (_moment_plan) do not depend on c or e: ``plans`` keeps those of a mesh of
+    one chunk, whatever its length, by layout, so another alpha reuses them.
     """
-    rows, grow, m = 5 if products else 2, 1.0 + _SERIES_R, x.size - 1
+    rows, m = 5 if products else 2, x.size - 1
     out = np.zeros((slots, rows, m))
     groups = {}  # terms of one interval, side and slot share their pieces
     for term in terms:
         groups.setdefault(tuple(term[2:]), []).append(term[:2])
     if not groups:
         return out
-    a, lo, hi, side, slot = np.array(list(groups), dtype=float).T[..., None]
-    side, slot = side[:, 0].astype(int), slot[:, 0].astype(int)
     c, e = np.array([t for group in groups.values() for t in group]).T
     member = np.repeat(np.arange(len(groups)), [len(group) for group in groups.values()])
     coeffs, counts, at_anchor = _series_coeffs(tuple(e.tolist()), rows + 1)
     cuts = np.bincount(member, np.array(counts) != e + 1.0, len(groups)) > 0  # one ending at k = e needs none
-    lefts, widths = np.stack([x[:-1], 1.0 - x[1:]]), np.diff(x)
-    step = max(1, _PIECES // len(e))
+    key, step = (tuple(groups), tuple(cuts.tolist()), products), max(1, _PIECES // len(e))
     for s in range(0, m, step):
-        shifted, width = lefts[side, s : s + step] - a, widths[s : s + step]
-        p, dr = np.maximum(shifted, lo), np.maximum(shifted + width - hi, 0.0)
-        dl = p - shifted
-        group, elem = np.nonzero(dl + dr < width)
-        h, p, dl, dr = width[elem], p[group, elem], dl[group, elem], dr[group, elem]
-        w = h - dl - dr
-        # pieces [p + low, p + high], cut at p (1 + _SERIES_R)^k
-        ratio = np.divide(w, p, out=np.zeros_like(p), where=(p > 0.0) & cuts[group])
-        count = np.maximum(np.ceil(np.log1p(ratio) / np.log1p(_SERIES_R)), 1).astype(int)
-        last = np.cumsum(count) - 1
-        piece = np.repeat(np.arange(p.size), count)
-        low = p[piece] * (grow ** (np.arange(piece.size) - (last + 1 - count)[piece]) - 1.0)
-        high = np.append(low[1:], 0.0)
-        high[last] = w
-        size, start, group, h = high - low, p[piece] + low, group[piece], h[piece]
-        at = start == 0.0
-        base = np.where(at, size, start)
-        ends = np.searchsorted(group, np.arange(len(groups) + 1))  # pieces are in group order
+        plans = plans if m <= step else {}  # a mesh of more chunks keeps no plan: its peak stays one chunk's
+        if key not in plans:
+            plans[key] = _moment_plan(x[s : s + step + 1], np.array(key[0], dtype=float).T[..., None], cuts, rows)
+        ends, size, base, r, top, at, group_at, u, al, ar, index = plans[key]
         spans = [(t, ends[g], ends[g + 1]) for t, g in enumerate(member.tolist())]
-        moments = np.zeros((rows + 1, piece.size))
-        for (t, i, j), part in zip(spans, _series(coeffs, counts, spans, np.divide(size, start, out=np.zeros_like(size), where=~at))):
+        moments = np.zeros((rows + 1, size.size))
+        for (t, i, j), part in zip(spans, _series(coeffs, counts, spans, r, top)):
             moments[:, i:j] += part * (c[t] * base[i:j] ** e[t] * size[i:j])
-        at = np.flatnonzero(at)  # the pieces at an anchor, each summed over the terms of its group
-        weights = (member == group[at, None]) * c * size[at, None] ** (e + 1.0)
+        weights = (member == group_at) * c * size[at, None] ** (e + 1.0)  # pieces at an anchor
         moments[:, at] = (weights @ at_anchor).T
-        u, al, ar = size / h, (dl[piece] + low) / h, (dr[piece] + w[piece] - high) / h
         m00, m10, m01, *second = moments
         legs = [u * m10 + al * m00, u * m01 + ar * m00]
         if products:
             m20, m11, m02 = second
             legs += [u * u * m20 + al * (2.0 * u * m10 + al * m00), u * (u * m11 + ar * m10) + al * (u * m01 + ar * m00),
                      u * u * m02 + ar * (2.0 * u * m01 + ar * m00)]
-        n = width.size
-        index = (np.arange(rows)[:, None] ^ side[group]) * n + (slot[group] * (rows * n) + elem[piece])
-        out[..., s : s + n] += np.bincount(index.ravel(), np.ravel(legs), slots * rows * n).reshape(slots, rows, n)
+        n = min(step, m - s)
+        out[..., s : s + n] += np.bincount(index, np.ravel(legs), slots * rows * n).reshape(slots, rows, n)
     return out
+
+
+def _moment_plan(x: np.ndarray, groups: np.ndarray, cuts: np.ndarray, rows: int) -> tuple:
+    """_hat_moments' pieces of the elements of the nodes x, clipped to each group's
+    (a, lo, hi, side, slot) interval and cut where ``cuts``: the group ends, each
+    piece's size, base and r = size / start with the top r, the pieces at an anchor
+    and their groups, the leg weights u, al, ar and the scatter index of the legs."""
+    a, lo, hi, side, slot = groups
+    side, slot = side[:, 0].astype(int), slot[:, 0].astype(int)
+    shifted, width = np.stack([x[:-1], 1.0 - x[1:]])[side] - a, np.diff(x)
+    p, dr = np.maximum(shifted, lo), np.maximum(shifted + width - hi, 0.0)
+    dl = p - shifted
+    group, elem = np.nonzero(dl + dr < width)
+    h, p, dl, dr = width[elem], p[group, elem], dl[group, elem], dr[group, elem]
+    w = h - dl - dr
+    # pieces [p + low, p + high], cut at p (1 + _SERIES_R)^k
+    ratio = np.divide(w, p, out=np.zeros_like(p), where=(p > 0.0) & cuts[group])
+    count = np.maximum(np.ceil(np.log1p(ratio) / np.log1p(_SERIES_R)), 1).astype(int)
+    last = np.cumsum(count) - 1
+    piece = np.repeat(np.arange(p.size), count)
+    low = p[piece] * ((1.0 + _SERIES_R) ** (np.arange(piece.size) - (last + 1 - count)[piece]) - 1.0)
+    high = np.append(low[1:], 0.0)
+    high[last] = w
+    size, start, group, h = high - low, p[piece] + low, group[piece], h[piece]
+    at = start == 0.0
+    r = np.divide(size, start, out=np.zeros_like(size), where=~at)
+    n, ends = width.size, np.searchsorted(group, np.arange(len(cuts) + 1))  # pieces are in group order
+    index = (np.arange(rows)[:, None] ^ side[group]) * n + (slot[group] * (rows * n) + elem[piece])
+    at_pieces = np.flatnonzero(at)
+    return (ends.tolist(), size, np.where(at, size, start), r, min(r.max(initial=0.0), _SERIES_R), at_pieces,
+            group[at_pieces, None], size / h, (dl[piece] + low) / h, (dr[piece] + w[piece] - high) / h, index.ravel())
 
 
 def _power_sum_terms(ps: PowerSum) -> list:
@@ -691,14 +708,14 @@ def _power_sum_terms(ps: PowerSum) -> list:
 def mass_bands(mesh: Mesh, q: PowerSum):
     """Symmetric tridiagonal (q phi_j, phi_i) as (diagonal, off-diagonal),
     exact term by term (_hat_moments)."""
-    _, _, rr, rl, ll = _hat_moments(_power_sum_terms(q), mesh.nodes, products=True)[0]
+    _, _, rr, rl, ll = _hat_moments(_power_sum_terms(q), mesh.nodes, {}, products=True)[0]
     return rr[:-1] + ll[1:], rl[1:-1].copy()  # copied, so a kept band does not pin the rows
 
 
 def load_vector(mesh: Mesh, ps: PowerSum) -> np.ndarray:
     """Exact load vector (ps, phi_i) of a power sum (_hat_moments): hat i
     rises on element i - 1 and falls on element i."""
-    rise, fall = _hat_moments(_power_sum_terms(ps), mesh.nodes)[0]
+    rise, fall = _hat_moments(_power_sum_terms(ps), mesh.nodes, {})[0]
     return rise[:-1] + fall[1:]
 
 
@@ -735,7 +752,7 @@ def _endpoint_terms(q: PowerSum, a: float, slot=0) -> list:
 def endpoint_weight_vector(mesh: Mesh, q: PowerSum, alpha) -> np.ndarray:
     """Vector s with s_j = (I_0^alpha q phi_j)(1), the load of
     (1 - x)^(alpha - 1) q / Gamma(alpha), exact term by term (_endpoint_terms)."""
-    rise, fall = _hat_moments(_endpoint_terms(q, frac_order(alpha)), mesh.nodes)[0]
+    rise, fall = _hat_moments(_endpoint_terms(q, frac_order(alpha)), mesh.nodes, {})[0]
     return rise[:-1] + fall[1:]
 
 
@@ -899,6 +916,7 @@ def assemble_system(spec: ProblemSpec, mesh: Mesh, method: str) -> AssembledSyst
     pair = spec.singular_pair
     # the load of Q and the endpoint vector in one pass
     terms = _profile_terms(spec, pair) + _endpoint_terms(spec.q, spec.alpha, slot=1)
-    r_vec, s_vec = (rise[:-1] + fall[1:] for rise, fall in _hat_moments(terms, mesh.nodes, slots=2))
+    moments = _hat_moments(terms, mesh.nodes, spec._moment_plans.setdefault(mesh, {}), slots=2)
+    r_vec, s_vec = (rise[:-1] + fall[1:] for rise, fall in moments)
     load = f_load + pair.f_frac_at_one * r_vec
     return AssembledSystem(mesh, lead, diag, off, load, r_vec, s_vec, pair)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_special
 from scipy.special import betainc
@@ -24,7 +24,7 @@ from fracfem.assembly import (
     mass_bands,
 )
 from fracfem.errors import ArgumentError, DegenerateSplittingError, DomainError, UnsupportedFormError
-from fracfem.cli import ExperimentConfig
+from fracfem.cli import ExperimentConfig, run_experiment
 from fracfem.fields import (
     parse_field,
     source_bump,
@@ -275,9 +275,17 @@ def test_with_alpha_shares_only_the_alpha_free_data():
     assert all(got is kept for got, kept in zip(moved.level_terms(build_mesh(32, 5.0)), terms))
     assert list(spec._level_terms) == [build_mesh(32, 5.0)]
     assert moved.singular_pair.u_s != pair.u_s and spec.singular_pair is pair
+    # so does the next alpha's reconstruction: it reads the moment plans
+    # the first alpha left on the shared store, and adds none
+    assemble_system(spec, build_mesh(16), "reconstruction")
+    kept = dict(spec._moment_plans[build_mesh(16)])
+    assert kept and moved._moment_plans is spec._moment_plans
+    assemble_system(moved, build_mesh(16), "reconstruction")
+    assert all(spec._moment_plans[build_mesh(16)][key] is plan for key, plan in kept.items())
+    assert spec._moment_plans[build_mesh(16)].keys() == kept.keys()
     # a spec built afresh or by replace() starts with stores of its own
     for other in (ProblemSpec(alpha=1.25, q=spec.q, f=spec.f), dataclasses.replace(spec)):
-        assert other._far_plans == {} and other._level_terms == {}
+        assert other._far_plans == {} and other._level_terms == {} and other._moment_plans == {}
 
 
 def test_level_terms_are_kept_read_only_by_mesh():
@@ -1152,3 +1160,61 @@ def test_dense_block_presence_by_size_and_grading(monkeypatch):
             gmres_calls.clear()
             assert solver.solve_standard(system).residual <= solver.RESIDUAL_TOL
             assert gmres_calls == [m]
+
+
+# --- moment plans: the pieces of a mesh, kept per study ----------------------------
+
+
+@given(
+    alphas=st.tuples(st.floats(1.01, 1.99), st.floats(1.01, 1.99)),
+    bc=st.sampled_from(["dirichlet", "mixed"]),
+    case=st.sampled_from([(8, 1.0), (64, 1.0), (8, 5.0), (64, 5.0)]),
+    q=st.lists(st.tuples(st.floats(0.1, 2.0), st.sampled_from([0.0, 0.25, 0.5, 0.7]), st.integers(0, 2)),
+               min_size=1, max_size=3),
+)
+@example(alphas=(1.3, 1.5), bc="dirichlet", case=(8, 1.0), q=[(1.0, 0.0, 0)])
+@settings(max_examples=25, deadline=None)
+def test_shared_moment_plans_give_a_fresh_specs_bits(alphas, bc, case, q):
+    # q = 1 at alpha = 1.5 merges x^(2-a) with x^(a-1): one term fewer than
+    # at 1.3, so a longer chunk, over the same pieces
+    if bc == "mixed":
+        alphas = tuple(1.5 + a / 4.0 for a in alphas)
+    q = fraccalc.PowerSum.from_terms([(c, b, float(k)) for c, b, k in q])
+    mesh = build_mesh(*case)
+    spec = ProblemSpec(alpha=alphas[0], q=q, f=source_bump(), bc=bc)
+    for alpha in alphas:
+        spec = spec.with_alpha(alpha)
+        got = assemble_system(spec, mesh, "reconstruction")
+        want = assemble_system(ProblemSpec(alpha=alpha, q=q, f=spec.f, bc=bc), mesh, "reconstruction")
+        assert np.array_equal(got.r_vec, want.r_vec) and np.array_equal(got.s_vec, want.s_vec)
+    assert spec._moment_plans[mesh]
+
+
+def test_a_study_builds_one_moment_plan_per_mesh_and_layout(monkeypatch):
+    # a coarse_sweep-shaped study: three alphas on the same four meshes
+    built, plan = [], assembly._moment_plan
+
+    def counted(x, groups, cuts, rows):
+        built.append((x.size, groups.tobytes(), cuts.tobytes(), rows))
+        return plan(x, groups, cuts, rows)
+
+    monkeypatch.setattr(assembly, "_moment_plan", counted)
+    chi = dict(example="b", q_kind="custom", q_expr="chi(0,0.5)", q_hint=0.0, k_min=3, k_max=5, reference_m=256)
+    for config in (ExperimentConfig(alphas=(1.3, 1.45, 1.7), method="recon", **chi),
+                   ExperimentConfig(alphas=(1.6, 1.75, 1.9), method="recon_mixed", **chi)):
+        built.clear()
+        assert all(report.error is None for report in run_experiment(config))
+        # levels 3-5 and the reference, each with the layouts of its mass bands,
+        # source load (both once per study) and load of Q with the endpoint vector
+        assert len(set(built)) == len(built) == 4 * 3
+    # a mesh of more than one chunk streams its chunks and keeps nothing
+    spec = ProblemSpec(alpha=1.3, q=parse_field("chi(0,0.5)"), f=source_bump())
+    whole = assemble_system(dataclasses.replace(spec), build_mesh(64), "reconstruction")
+    monkeypatch.setattr(assembly, "_PIECES", 64)
+    built.clear()
+    wide = assemble_system(spec, build_mesh(64), "reconstruction")
+    assert len(built) > 1 and spec._moment_plans[build_mesh(64)] == {}
+    assemble_system(spec, build_mesh(4), "reconstruction")  # one chunk
+    assert len(spec._moment_plans[build_mesh(4)]) == 1
+    assert np.allclose(wide.r_vec, whole.r_vec, rtol=1e-14, atol=0.0)
+    assert np.allclose(wide.s_vec, whole.s_vec, rtol=1e-14, atol=0.0)

@@ -235,6 +235,24 @@ def test_graded_study_changes_no_module_level_container():
         assert containers() == before
 
 
+def test_with_alpha_shares_every_alpha_free_store():
+    # every store a spec keeps is listed here, so a new one is either
+    # shared by with_alpha or named as the alpha's own
+    from functools import cached_property
+
+    from fracfem.assembly import ProblemSpec
+    from fracfem.fields import parse_field, source_bump
+
+    stores = {name for name, value in vars(ProblemSpec).items()
+              if isinstance(value, cached_property) and name.startswith("_")}
+    shared, own = {"_far_plans", "_level_terms", "_moment_plans"}, {"_lead_tables"}
+    assert stores == shared | own
+    spec = ProblemSpec(alpha=1.3, q=parse_field("chi(0,0.5)"), f=source_bump())
+    moved = spec.with_alpha(1.7)
+    assert all(getattr(moved, name) is getattr(spec, name) for name in shared)
+    assert all(getattr(moved, name) is not getattr(spec, name) for name in own)
+
+
 DOTTED = re.compile(r"`(\w+(?:\.\w+)+)")
 
 
