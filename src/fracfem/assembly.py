@@ -139,12 +139,14 @@ class ProblemSpec:
     @cached_property
     def _lead_tables(self) -> dict:
         """Graded lead tables of this problem by grading exponent, filled by
-        ``lead`` and kept for the life of the spec."""
+        ``lead`` (the block left for the next coarser level) and kept for
+        the life of the spec."""
         return {}
 
     @cached_property
     def _far_plans(self) -> dict:
-        """Alpha-free far-field plans by grading exponent; ``with_alpha`` shares them."""
+        """Alpha-free far-field plans and column factors by grading exponent
+        (see _lead_rows); ``with_alpha`` shares them."""
         return {}
 
     @cached_property
@@ -181,21 +183,23 @@ class ProblemSpec:
         """Leading block on ``mesh``. A graded mesh is self-similar,
         x_j = m^-delta y_j with y_j = j^delta, and the block is homogeneous
         of degree 1 - alpha in the nodes, so it is m^(delta (alpha - 1))
-        times the leading block of one table, the block on the nodes y of
-        the finest mesh asked for so far; a finer mesh rebuilds it. Uniform
-        meshes, and gradings whose table nodes would pass 2^_TABLE_LOG2,
-        take ``Lead.of``."""
+        times the leading block of one table on the nodes y. A level of the
+        table's size takes the table, scaled in place, and keeps a copy of
+        its leading n // 2 block as the next table; a coarser level takes a
+        scaled copy of a block, and a finer one rebuilds the table, with the
+        same bits. Uniform meshes, and gradings whose table nodes would pass
+        2^_TABLE_LOG2, take ``Lead.of``."""
         delta = mesh.delta
         if mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
             return Lead.of(mesh, self.alpha)
-        n = mesh.m - 1
+        n, scale = mesh.m - 1, float(mesh.m) ** (delta * (self.alpha - 1.0))
         table = self._lead_tables.get(delta)
+        if table is not None and table.shape[0] > n:
+            return Lead(dense=scale * table[:n, :n])
         if table is None or table.shape[0] < n:
-            plans = self._far_plans.setdefault(delta, {})
-            if table is not None:  # a finer table batches its rows otherwise
-                plans.clear()
-            table = self._lead_tables[delta] = _lead_rows(np.arange(n + 2.0) ** delta, self.alpha, plans)
-        return Lead(dense=float(mesh.m) ** (delta * (self.alpha - 1.0)) * table[:n, :n])
+            table = _lead_rows(np.arange(n + 2.0) ** delta, self.alpha, self._far_plans.setdefault(delta, {}))
+        self._lead_tables[delta] = table[: n // 2, : n // 2].copy()
+        return Lead(dense=np.multiply(table, scale, out=table))
 
 
 def _graded_edges(g: np.ndarray):
@@ -408,8 +412,10 @@ def _lead_rows(x: np.ndarray, alpha, plans: dict) -> np.ndarray:
     """The leading block on the nodes x, one row and column per hat of x.
     An entry takes the same arithmetic whatever the row batches of the far
     field, and the same bits on the first nodes of longer x. ``plans``
-    holds the far-field plans of these nodes by (a0, a1); missing ones are
-    added, so another alpha can reuse them."""
+    holds the far-field plans of these nodes by (a0, a1), and under "cols"
+    the column factors of blocks 0 .. (n - 3) // size - 1 by block size,
+    which every row batch reads: missing ones are added, so another alpha
+    or longer x reuses them, and the plans of other row batches go."""
     a = frac_order(alpha)
     s = 0.5 * a
     p = 3.0 - 2.0 * s
@@ -425,17 +431,28 @@ def _lead_rows(x: np.ndarray, alpha, plans: dict) -> np.ndarray:
     far = scale * (-p * (p - 1.0) * (p - 2.0) * (p - 3.0))
     e = p - 4.0
     batch = max(1, _FAR_PAIRS // (n + 1))
-    for a0 in range(3, n + 1, batch):  # row elements up to the last, n
-        a1 = min(a0 + batch, n + 1)
+    keys = [(a0, min(a0 + batch, n + 1)) for a0 in range(3, n + 1, batch)]  # row elements up to n
+    for key in plans.keys() - {*keys, "cols"}:
+        del plans[key]
+    cols, size = plans.setdefault("cols", {}), 1 << _CHEB_LEVEL
+    while size <= n - 3:  # row element a takes blocks c with (c + 1) size <= a - 3; each is built once
+        have, count = cols.get(size, np.empty((0, _CHEB_K, size))), (n - 3) // size
+        if len(have) < count:
+            cols[size] = np.concatenate([have, _block_factors(x, size, np.arange(len(have), count))])
+            cols[size].setflags(write=False)
+        size *= 2
+    for a0, a1 in keys:
         if (a0, a1) not in plans:
             plans[a0, a1] = _far_plan(x[: a1 + 1], a0, a1)
         geometry, products, (gap, ha, hb, inv, i, j) = plans[a0, a1]
         rows = _row_factors(*geometry, e)
         rows *= far
-        for k, cols, pick, r, hats in products:
-            v = rows[k] @ cols[pick]
-            if not isinstance(hats, slice):  # each pair's first hat
-                hats = hats + np.arange(cols.shape[-1])
+        for k, size, pick, r in products:
+            v = rows[k] @ cols[size][pick]
+            if np.ndim(pick):  # each pair's own block
+                hats = pick[:, None] * size + np.arange(size)
+            else:
+                hats = slice(pick * size, (pick + 1) * size)
             out[r, hats] += v[:, 1]
             out[r - 1, hats] += v[:, 0]
         mom = _far_moments(gap, ha, hb, e)[..., inv]
@@ -460,9 +477,10 @@ def _far_plan(x: np.ndarray, a0: int, a1: int):
 
     - the row factors' geometry (dist, h_a, span, tier counts), in tier
       order;
-    - the block products (k, cols, pick, a, hats): rows k of the row
-      factors times the column factors cols[pick], added into the rows a
-      and a - 1 at the hats, a slice or each pair's first hat of its block;
+    - the block products (k, size, pick, a): rows k of the row factors
+      times the column factors of the blocks ``pick`` of ``size`` hats, one
+      block or one per pair, added into the rows a and a - 1 at the hats of
+      those blocks;
     - the element pairs (gap, h_a, h_b) of the hats left over, with inv
       taking their moments to each hat's Y = 1 and then Y = 0 half, and
       each hat's row element and column.
@@ -481,7 +499,7 @@ def _far_plan(x: np.ndarray, a0: int, a1: int):
     products = []
     cuts = np.flatnonzero(np.diff(size, prepend=0, append=0)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):  # one level at a time
-        products += _level_products(x, a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
+        products += _level_products(a[lo:hi], c[lo:hi], int(size[lo]), where[lo:hi])
     # hat j: Y = 1 on element j, Y = 0 on j + 1; neighbouring hats share an element
     keys = np.concatenate([ra, ra]) * x.size + np.concatenate([rj, rj + 1])
     pairs, inv = np.unique(keys, return_inverse=True)
@@ -489,26 +507,24 @@ def _far_plan(x: np.ndarray, a0: int, a1: int):
     return rows, products, (x[b] - x[f + 1], h[b], h[f], inv, ra, rj)
 
 
-def _level_products(x, a, c, size, k) -> list:
+def _level_products(a, c, size, k) -> list:
     """_far_plan's block products of one level: row elements a, rows k of
     the row factors, take the blocks c of ``size`` hats."""
-    blocks, inv = np.unique(c, return_inverse=True)
-    cols = _block_factors(x, size, blocks)
     products = []
     if size <= _GATHER_SIZE:  # many small blocks: one product per chunk of pairs
         step = max(1, _FAR_PAIRS // (2 * _CHEB_K * size))
         for s in range(0, a.size, step):
             s = slice(s, s + step)
-            products.append((k[s], cols, inv[s], a[s, None], c[s, None] * size))
+            products.append((k[s], size, c[s], a[s, None]))
         return products
+    blocks, inv = np.unique(c, return_inverse=True)
     order = np.argsort(inv, kind="stable")  # the pairs of each block together
     counts = np.bincount(inv)
     step = max(1, _FAR_PAIRS // (4 * size))
     for pick, (b, hi) in enumerate(zip(blocks.tolist(), np.cumsum(counts))):
-        hats = slice(b * size, (b + 1) * size)
         for s in range(hi - counts[pick], hi, step):
             s = order[s : min(s + step, hi)]
-            products.append((k[s], cols, pick, a[s], hats))
+            products.append((k[s], size, b, a[s]))
     return products
 
 
@@ -871,7 +887,9 @@ class Lead:
         covers every row; a dense block gives its largest row sum."""
         if self.stencil is not None:
             return float(np.abs(self.stencil).sum())
-        return float(np.abs(self.dense).sum(axis=1).max())
+        step = max(1, 8192 // self.dense.shape[1])  # |A| by rows of at most 64 KiB, below the mmap threshold
+        starts = range(0, len(self.dense), step)
+        return max(float(np.abs(self.dense[i : i + step]).sum(axis=1).max()) for i in starts)
 
 
 @dataclass(frozen=True)

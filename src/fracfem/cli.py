@@ -43,8 +43,10 @@ _METHODS = ("standard", "recon", "recon_mixed")
 # report labels of the catalog potentials; a custom one is labelled by its expression
 _Q_LABELS = {"zero": "zero", "x_times_1mx": "x(1-x)"}
 # largest array a study may allocate, 1 GiB: the dense lead block of a graded
-# study (k_max = 13 takes 512 MiB) and the GMRES basis of its finest mesh,
-# level or reference (m = 2^21 takes 816 MiB)
+# study (k_max = 13 takes 512 MiB, and the study peaks near 1.3 blocks: the
+# finest block, the quarter kept for the next level and that level's block)
+# and the GMRES basis of its finest mesh, level or reference (m = 2^21 takes
+# 816 MiB)
 _ARRAY_BYTES = 1 << 30
 
 # config fields a JSON file could fill with a value of the wrong type; None

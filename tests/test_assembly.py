@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,47 +167,66 @@ def test_lead_row_blocks_do_not_change_entries(monkeypatch):
         assert np.array_equal(assemble_lead(mesh, 1.25), whole)
 
 
-def _table(alpha, delta, levels, base=None):
-    """The lead table of a fresh spec, or of one derived from ``base`` by
-    with_alpha, after it was asked for build_mesh(2^k, delta) at each k of
-    ``levels`` in turn."""
+def _table(alpha, delta, top):
+    """The lead table that a fresh spec builds for build_mesh(2^top, delta)."""
+    return assembly._lead_rows(np.arange(2.0**top + 1.0) ** delta, alpha, {})
+
+
+def _leads(alpha, delta, levels, base=None):
+    """(k, dense lead) of a fresh spec, or of one derived from ``base`` by
+    with_alpha, asked for build_mesh(2^k, delta) at each k of ``levels`` in
+    turn."""
     spec = base.with_alpha(alpha) if base else ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump())
-    for k in levels:
-        spec.lead(build_mesh(2**k, delta))
-    return spec._lead_tables[delta]
+    return [(k, spec.lead(build_mesh(2**k, delta)).dense) for k in levels]
+
+
+def _is_scaled_table(leads, alpha, delta, table) -> bool:
+    """Whether each lead is m^(delta (alpha - 1)) times the leading block of
+    ``table``, bit for bit."""
+    return all(np.array_equal(dense, float(2**k) ** (delta * (alpha - 1.0)) * table[: 2**k - 1, : 2**k - 1])
+               for k, dense in leads)
 
 
 def test_lead_table_does_not_depend_on_request_order(monkeypatch):
     # asked for level by level from the coarsest (7 -> 15 -> 31 -> 63 -> 127
-    # rows, rebuilt at each), at 127 at once, at 127 and then at 63, and
-    # through with_alpha after alpha 1.5 filled the shared far-field plans
-    # finest first; the other alphas and gradings at up to 63 rows. 127 rows
-    # take low-rank blocks of 8 to 64 hats, so both the gathered products
-    # (up to _GATHER_SIZE hats) and the one-per-block ones; 63 rows take 8 to 32
+    # rows, rebuilt at each), at 127 at once, at 127 and then at 63, finest
+    # first (each level taking the block the one before kept), at 127, 31
+    # and then twice at 127 (a coarser copy, then two rebuilds), and through
+    # with_alpha after alpha 1.5 filled the shared far-field plans finest
+    # first; the other alphas and gradings at up to 63 rows. Every lead is
+    # the scaled block of a fresh spec's table. 127 rows take low-rank blocks
+    # of 8 to 64 hats, so both the gathered products (up to _GATHER_SIZE
+    # hats) and the one-per-block ones; 63 rows take 8 to 32
     cases = [(1.25, 5.0, 7), *((alpha, delta, 6) for alpha in (1.05, 1.95) for delta in (2.0, 5.0))]
     for alpha, delta, top in cases:
-        reference = _table(alpha, delta, [top])
+        reference = _table(alpha, delta, top)
         assert reference.shape == (2**top - 1, 2**top - 1)
         assert np.max(np.abs(np.triu(reference, k=2))) == 0.0
+        orders = (range(3, top + 1), [top], [top, 6], range(top, 2, -1), [top, top - 2, top, top])
         for rows in (None, 1, 7):
             if rows is not None:  # far-field row blocks of 1 and 7 element rows at the top
                 monkeypatch.setattr(assembly, "_FAR_PAIRS", rows * (2**top + 1))
-            for levels in (range(3, top + 1), [top], [top, 6]):
-                table = _table(alpha, delta, levels)
-                assert np.array_equal(table, reference), (alpha, delta, rows, list(levels))
+            for levels in orders:
+                leads = _leads(alpha, delta, levels)
+                assert _is_scaled_table(leads, alpha, delta, reference), (alpha, delta, rows, list(levels))
             first = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
             for k in range(top, 2, -1):
                 first.lead(build_mesh(2**k, delta))
             plans = dict(first._far_plans[delta])
-            assert plans
-            table = _table(alpha, delta, range(top, 2, -1), first)
-            assert np.array_equal(table, reference), (alpha, delta, rows, "with_alpha")
+            cols = dict(plans["cols"])
+            assert len(plans) > 1 and cols
+            leads = _leads(alpha, delta, range(top, 2, -1), first)
+            assert _is_scaled_table(leads, alpha, delta, reference), (alpha, delta, rows, "with_alpha")
             assert first._far_plans[delta].keys() == plans.keys()
+            assert all(plans["cols"][size] is factors for size, factors in cols.items())
         monkeypatch.undo()
 
 
 def test_lead_table_is_one_block_built_once(monkeypatch):
-    # a finer mesh rebuilds the table whole; a coarser one takes a block of it
+    # finest first, the table is built once and each level takes the block
+    # that the one before kept; a level finer than the kept block rebuilds
+    # the table whole, with the same bits, and a coarser one takes a scaled
+    # copy of a block of it
     calls = []
     build = assembly._lead_rows
 
@@ -216,25 +236,30 @@ def test_lead_table_is_one_block_built_once(monkeypatch):
 
     monkeypatch.setattr(assembly, "_lead_rows", counting)
     spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
-    for m in (64, 16, 32, 64, 128, 8):
-        spec.lead(build_mesh(m, 5.0))
-    assert calls == [63, 127]
-    assert spec._lead_tables[5.0].shape == (127, 127)
-    assert np.array_equal(spec._lead_tables[5.0], _table(1.25, 5.0, [7]))
+    leads = [(k, spec.lead(build_mesh(2**k, 5.0)).dense) for k in range(7, 2, -1)]
+    assert calls == [127] and spec._lead_tables[5.0].shape == (3, 3)
+    spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
+    leads += [(k, spec.lead(build_mesh(2**k, 5.0)).dense) for k in (6, 4, 5, 6, 7, 3, 7)]
+    assert calls == [127, 63, 63, 127, 127] and spec._lead_tables[5.0].shape == (63, 63)
+    assert _is_scaled_table(leads, 1.25, 5.0, build(np.arange(129.0) ** 5.0, 1.25, {}))
 
 
 def test_lead_table_is_kept_on_the_spec():
     spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
     twin = ProblemSpec(alpha=1.25, q=spec.q, f=spec.f)
     key = hash(spec)
+    reference = _table(1.25, 5.0, 5)
+    # the finest level takes the table, scaled in place, and the spec keeps
+    # a copy of its leading quarter, which the next coarser level takes
     fine = assemble_system(spec, build_mesh(32, 5.0), "standard")
     table = spec._lead_tables[5.0]
-    assert table.shape == (31, 31)
-    # a coarser level takes a scaled block of the same table
+    assert table.shape == (15, 15) and np.array_equal(table, reference[:15, :15])
+    assert not np.shares_memory(table, fine.lead.dense)
+    assert np.array_equal(fine.lead.dense, 32.0 ** (5.0 * 0.25) * reference)
     coarse = assemble_system(spec, build_mesh(16, 5.0), "standard")
-    assert spec._lead_tables[5.0] is table
-    assert np.array_equal(coarse.lead.dense, 16.0 ** (5.0 * 0.25) * table[:15, :15])
-    assert np.array_equal(fine.lead.dense, 32.0 ** (5.0 * 0.25) * table[:31, :31])
+    assert coarse.lead.dense is table
+    assert np.array_equal(coarse.lead.dense, 16.0 ** (5.0 * 0.25) * reference[:15, :15])
+    assert np.array_equal(spec._lead_tables[5.0], reference[:7, :7])
     # one table per grading exponent; none for uniform meshes, nor for
     # gradings whose table nodes would pass 2^256 (50 log2(65) > 256)
     spec.lead(build_mesh(8, 2.0))
@@ -246,14 +271,62 @@ def test_lead_table_is_kept_on_the_spec():
     assert "_lead_tables" in vars(spec) and "_lead_tables" not in vars(twin)
     assert spec == twin and hash(spec) == key == hash(twin)
     # another spec, or one derived with replace(), builds its own table
+    kept = spec._lead_tables[5.0]
     for other in (twin, dataclasses.replace(spec)):
-        other.lead(build_mesh(32, 5.0))
-        assert other._lead_tables[5.0] is not table
-        assert np.array_equal(other._lead_tables[5.0], table)
+        assert np.array_equal(other.lead(build_mesh(32, 5.0)).dense, fine.lead.dense)
+        assert other._lead_tables[5.0] is not kept and other._lead_tables[5.0] is not table
+        assert np.array_equal(other._lead_tables[5.0], reference[:15, :15])
     moved = dataclasses.replace(spec, alpha=1.75)
     moved.lead(build_mesh(32, 5.0))
-    assert np.array_equal(moved._lead_tables[5.0], _table(1.75, 5.0, [5]))
-    assert not np.array_equal(moved._lead_tables[5.0], table)
+    assert np.array_equal(moved._lead_tables[5.0], _table(1.75, 5.0, 5)[:15, :15])
+    assert not np.array_equal(moved._lead_tables[5.0], reference[:15, :15])
+
+
+def test_graded_lead_memory_is_a_block_and_a_quarter(monkeypatch):
+    # traced at m = 512, a block of 2 MiB: after the finest level the spec
+    # keeps a quarter block, and solve_standard allocates under 1/8 of a
+    # block besides its GMRES basis (no |A| temporary). The far-field plans
+    # were filled by another alpha, whose m = 256 solve warms the FFT path
+    mesh, block = build_mesh(512, 5.0), 8 * 511**2
+    first = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+    first.lead(mesh)
+    solver.solve_standard(assemble_system(first, build_mesh(256, 5.0), "standard"))
+    spec = first.with_alpha(1.25)
+    spec.level_terms(mesh)
+    tracemalloc.start()
+    try:
+        system = assemble_system(spec, mesh, "standard")
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solver.solve_standard(system)
+        _, peak = tracemalloc.get_traced_memory()
+        del system
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(table.nbytes for table in spec._lead_tables.values()) <= block / 4
+    assert kept <= block / 4 + block / 64
+    assert peak - held - 8 * (solver.GMRES_RESTART + 1) * 511 < block / 8
+    # with far-field row batches of 32 rows, eight at m = 256, each column
+    # block's factors are built once for every batch and alpha, and held once
+    monkeypatch.setattr(assembly, "_FAR_PAIRS", 32 * 257)
+    built = []
+    factors = assembly._block_factors
+
+    def recording(x, size, blocks):
+        built.extend((size, b) for b in blocks.tolist())
+        return factors(x, size, blocks)
+
+    monkeypatch.setattr(assembly, "_block_factors", recording)
+    spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+    spec.lead(build_mesh(256, 5.0))
+    spec.with_alpha(1.25).lead(build_mesh(256, 5.0))
+    plans = spec._far_plans[5.0]
+    assert len(plans) == 9 and len(built) == len(set(built))
+    a, c, size = assembly._far_blocks(np.arange(257.0) ** 5.0, np.arange(3, 256))[:3]
+    assert set(zip(size.tolist(), c.tolist())) <= set(built)
+    cols = plans["cols"]
+    assert sum(f.nbytes for f in cols.values()) == 8 * assembly._CHEB_K * sum(s for s, _ in built)
 
 
 def test_with_alpha_shares_only_the_alpha_free_data():
@@ -306,15 +379,19 @@ def test_level_terms_are_kept_read_only_by_mesh():
 
 
 def test_far_field_plans_do_not_depend_on_request_order():
-    # a finer table drops the plans of the coarser one, so a spec asked
-    # coarse to fine keeps only the plans of its finest table
-    keys = []
+    # a finer table drops the row plans of the coarser one, so a spec asked
+    # coarse to fine keeps only the row plans of its finest table; it extends
+    # the column factors of the coarser one, as they do not depend on n
+    keys, cols = [], []
     for levels in (range(3, 10), range(9, 2, -1)):
         spec = ProblemSpec(alpha=1.25, q=zero_field(), f=source_bump())
         for k in levels:
             spec.lead(build_mesh(2**k, 5.0))
-        keys.append(sorted(spec._far_plans[5.0]))
+        keys.append(sorted(key for key in spec._far_plans[5.0] if key != "cols"))
+        cols.append(spec._far_plans[5.0]["cols"])
     assert keys[0] == keys[1] == [(3, 512)]
+    assert sorted(cols[0]) == sorted(cols[1]) == [8, 16, 32, 64, 128, 256]
+    assert all(np.array_equal(cols[0][size], cols[1][size]) for size in cols[0])
 
 
 @given(
