@@ -249,6 +249,7 @@ def _run_cell(config: ExperimentConfig, spec: ProblemSpec, levels: list, fine: M
         norms = error_norms(sol, exact)
         err_mu = None if sol.mu_h is None else abs(exact.mu - sol.mu_h)
         rows.append(LevelRow(k, 1.0 / mesh.m, norms.l2, norms.energy, norms.linf, err_mu))
+        del sol  # released with its lead before the next level assembles
     return rows[::-1]
 
 

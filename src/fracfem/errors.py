@@ -27,10 +27,11 @@ class DegenerateSplittingError(FracFemError):
 
 class SingularSystemError(FracFemError):
     """Assembled system has a zero or non-finite entry in row ``row`` of the
-    diagonal that scales its preconditioner."""
+    diagonal that scales its preconditioner; ``row`` and ``value`` are None
+    when LAPACK's factorisation, not the diagonal, finds it singular."""
 
-    def __init__(self, message: str, row: int, value: float):
-        super().__init__(f"{message} (row {row}, value {value!r})")
+    def __init__(self, message: str, row: int | None = None, value: float | None = None):
+        super().__init__(message if row is None else f"{message} (row {row}, value {value!r})")
         self.row = row
         self.value = value
 

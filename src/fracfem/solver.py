@@ -1,12 +1,12 @@
 """Solution of the assembled systems.
 
-Every system, on any mesh, uniform or graded, takes restarted GMRES (Saad &
-Schultz, 1986), right-preconditioned by a diagonally scaled Strang circulant
-embedded at a power-of-two length; the kernel needs only numpy and BLAS.
-Nothing is factorised. Up to _DENSE_N unknowns the system matrix and the
-preconditioner are formed once per solve as dense arrays and each applied by
-one gemv, cheaper there than numpy's FFT calls; above it the system is applied
-matrix-free by system_matvec and the preconditioner by FFT.
+Every system, on any mesh, uniform or graded, is solved by restarted GMRES
+(Saad & Schultz, 1986), right-preconditioned by a diagonally scaled Strang
+circulant embedded at a power-of-two length; the kernel needs only numpy and
+BLAS. Up to _DENSE_N unknowns GMRES starts from the LAPACK solution of the
+fused dense system, which already meets the backward-error check, so no cycle
+runs; above it GMRES starts from zero. Wherever a cycle runs, the system is
+applied matrix-free by system_matvec and the preconditioner by FFT.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ GMRES_RESTART = 50
 _GMRES_MAX_INNER = 2000
 # one GMRES cycle's 2-norm target, relative to the true residual it starts from
 _GMRES_CYCLE_RTOL = 1e-12
-# largest n solved on dense arrays: measured against the FFT path, a dense
-# solve takes about 0.6-0.75 of its time at n = 127, and 1.0-1.4 at n = 255
-_DENSE_N = 127
+# largest n whose GMRES starts at the LAPACK solution of the dense system. With
+# OpenBLAS 0.3.31, np.linalg.solve gave the same bytes at 1 and 2 BLAS threads
+# for n <= 99 and different bytes from n = 100 on (20 random systems per
+# size); 63 is the largest 2^k - 1 below that boundary
+_DENSE_N = 63
 
 
 @dataclass(frozen=True)
@@ -72,28 +74,30 @@ def _norm_inf_estimate(system: AssembledSystem) -> float:
     return lead + mass + rank_one
 
 
-def _strang_preconditioner(system: AssembledSystem):
-    """Inverse of A ~ D^(1/2) C D^(1/2), as a callable on vectors.
-
-    D is |diag(A)| without the rank-one coupling, and C is the Strang
-    circulant of the middle row of D^(-1/2) A D^(-1/2), mass bands included,
-    embedded at N, the power of two >= n + 1: its first column takes the
-    row's offsets, all within N/2, and zeros elsewhere, and C^(-1) acts on
-    vectors zero-padded to N, of which the first n entries are kept. Up to
-    _DENSE_N unknowns D^(-1/2) C^(-1)[:n, :n] D^(-1/2) is formed once and
-    applied by one gemv; above it each application is one rfft/irfft pair of
-    length N. The scaling follows local refinement on graded meshes; on
-    uniform ones D is nearly constant and C is the Strang circulant of the
-    stencil. A zero or non-finite entry of D raises SingularSystemError
-    before the division.
-    """
-    n, k = system.n, system.n // 2
+def _diagonal_scale(system: AssembledSystem) -> np.ndarray:
+    """D^(-1/2), D being |diag(A)| without the rank-one coupling. A zero or
+    non-finite entry of D raises SingularSystemError before the division."""
     diag = np.abs(system.lead.diagonal() + system.mass_diag)
     bad = np.flatnonzero(~(np.isfinite(diag) & (diag > 0.0)))
     if bad.size:
         i = int(bad[0])
         raise SingularSystemError("zero or non-finite diagonal", i, float(diag[i]))
-    scale = 1.0 / np.sqrt(diag)
+    return 1.0 / np.sqrt(diag)
+
+
+def _strang_preconditioner(system: AssembledSystem, scale: np.ndarray):
+    """Inverse of A ~ D^(1/2) C D^(1/2), as a callable on vectors, with
+    ``scale`` = D^(-1/2) from _diagonal_scale.
+
+    C is the Strang circulant of the middle row of D^(-1/2) A D^(-1/2), mass
+    bands included, embedded at N, the power of two >= n + 1: its first
+    column takes the row's offsets, all within N/2, and zeros elsewhere, and
+    C^(-1) acts on vectors zero-padded to N, of which the first n entries are
+    kept. Each application is one rfft/irfft pair of length N. The scaling
+    follows local refinement on graded meshes; on uniform ones D is nearly
+    constant and C is the Strang circulant of the stencil.
+    """
+    n, k = system.n, system.n // 2
     row = system.lead.row(k)
     row[k] += system.mass_diag[k]
     row[k - 1 : k] += system.mass_off[k - 1 : k]  # a missing neighbour: empty slices
@@ -103,21 +107,13 @@ def _strang_preconditioner(system: AssembledSystem):
     column = np.zeros(size)
     column[(k - np.arange(n)) % size] = row
     eig = np.fft.rfft(column)
-    if n > _DENSE_N:
-        return lambda r: scale * np.fft.irfft(np.fft.rfft(scale * r, size) / eig, size)[:n]
-    # C^(-1)[i, j] = inverse[(i - j) % size]: rows of a Toeplitz block are windows
-    inverse = np.fft.irfft(1.0 / eig, size)[np.arange(n - 1, -n, -1) % size]
-    block = np.lib.stride_tricks.sliding_window_view(inverse, n)[::-1] * scale
-    block *= scale[:, None]
-    return block.dot
+    return lambda r: scale * np.fft.irfft(np.fft.rfft(scale * r, size) / eig, size)[:n]
 
 
-def _system_operator(system: AssembledSystem):
-    """x -> A x: up to _DENSE_N unknowns one gemv on the dense system matrix,
-    lead, mass bands and r s^T fused once; above it system_matvec."""
+def _system_array(system: AssembledSystem) -> np.ndarray:
+    """The system matrix as one dense n x n array: lead, mass bands and
+    r s^T fused."""
     n = system.n
-    if n > _DENSE_N:
-        return lambda x: system_matvec(system, x)
     # one n x n allocation: r s^T by a rank-one product, then the lead added in
     a = np.zeros((n, n)) if system.r_vec is None else np.dot(system.r_vec[:, None], system.s_vec[None, :])
     a += system.lead.to_array()
@@ -125,7 +121,7 @@ def _system_operator(system: AssembledSystem):
     flat[:: n + 1] += system.mass_diag
     flat[1 :: n + 1] += system.mass_off
     flat[n :: n + 1] += system.mass_off
-    return a.dot
+    return a
 
 
 def _gmres_cycle(matvec, precond, r: np.ndarray, target: float, steps: int):
@@ -164,30 +160,40 @@ def _gmres_cycle(matvec, precond, r: np.ndarray, target: float, steps: int):
 
 
 def _gmres_solve(system: AssembledSystem) -> tuple[np.ndarray, float]:
-    """Restarted, preconditioned GMRES until the backward error is <= RESIDUAL_TOL.
-
+    """Restarted, preconditioned GMRES until the backward error
+    |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), checked before each cycle,
+    is <= RESIDUAL_TOL. Up to _DENSE_N unknowns the start is the LAPACK
+    solution of _system_array, which passes it with no cycle; above, zero.
     Each cycle solves for the correction from the true residual b - Ax,
     until GMRES's own residual falls by _GMRES_CYCLE_RTOL or GMRES_RESTART
     iterations are spent; the true one can stall above that at rounding.
-    The true residual, formed once per cycle, gives the backward error
-    |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf) and starts the next cycle.
     """
-    precond = _strang_preconditioner(system)
-    matvec = _system_operator(system)
+    scale = _diagonal_scale(system)
     norm_a = _norm_inf_estimate(system)
     norm_b = float(np.abs(system.load).max(initial=0.0))
-    coeffs, gap, iterations = np.zeros(system.n), system.load, 0
+    coeffs, gap = np.zeros(system.n), system.load
+    if system.n <= _DENSE_N:
+        a = _system_array(system)
+        try:
+            coeffs = np.linalg.solve(a, system.load)
+        except np.linalg.LinAlgError:
+            raise SingularSystemError("LAPACK found the system matrix exactly singular") from None
+        gap = system.load - a @ coeffs
+    precond, iterations = None, 0
+    matvec = lambda x: system_matvec(system, x)
     while True:
-        target = _GMRES_CYCLE_RTOL * math.sqrt(float(gap @ gap))
-        step, k = _gmres_cycle(matvec, precond, gap, target, min(GMRES_RESTART, _GMRES_MAX_INNER - iterations))
-        coeffs, iterations = coeffs + step, iterations + k
-        gap = system.load - matvec(coeffs)
-        scale = norm_a * float(np.abs(coeffs).max(initial=0.0)) + norm_b
-        res = float(np.abs(gap).max()) / scale if scale else 0.0
+        denom = norm_a * float(np.abs(coeffs).max(initial=0.0)) + norm_b
+        res = float(np.abs(gap).max()) / denom if denom else 0.0
         if res <= RESIDUAL_TOL:
             return coeffs, res
         if iterations >= _GMRES_MAX_INNER or not math.isfinite(res):
             raise IterativeFailure("GMRES did not converge", iterations, res)
+        if precond is None:
+            precond = _strang_preconditioner(system, scale)
+        target = _GMRES_CYCLE_RTOL * math.sqrt(float(gap @ gap))
+        step, k = _gmres_cycle(matvec, precond, gap, target, min(GMRES_RESTART, _GMRES_MAX_INNER - iterations))
+        coeffs, iterations = coeffs + step, iterations + k
+        gap = system.load - matvec(coeffs)
 
 
 def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float) -> Solution:
@@ -208,8 +214,10 @@ def solve_standard(system: AssembledSystem) -> Solution:
     RESIDUAL_TOL in the inf-norm backward error.
 
     Raises SingularSystemError(row, value) for a zero or non-finite scaled
-    diagonal and IterativeFailure(iterations, residual) past _GMRES_MAX_INNER
-    iterations or at the first cycle whose backward error is not finite.
+    diagonal, SingularSystemError without a row when LAPACK meets a zero
+    pivot up to _DENSE_N unknowns, and IterativeFailure(iterations,
+    residual) past _GMRES_MAX_INNER iterations or at the first cycle whose
+    backward error is not finite.
     """
     if system.pair is not None:
         raise ArgumentError("solve_standard needs a system assembled as 'standard'")

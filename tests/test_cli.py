@@ -41,9 +41,13 @@ DEGENERATE_SCALE = -1.0 / 0.051821321143524765
 # moved err_mu by at most 9.9e-8 and err_l2 by 1.0e-8 relative and no rate;
 # both were retaken when every load, mass and endpoint integral became exact
 # (the series of assembly._hat_moments), which moved the chi study's err_mu by
-# at most 4.5e-11, the graded study's err_l2 by 1.2e-10 relative, and no rate
-CHI_RECON_SHA256 = "f19a90172638471e9c71af39bf69ef5595d9e70fcf110470a071cade4d99e702"
-GRADED_STANDARD_SHA256 = "5d29e0533925c1e066c344e9124e68d65669e7b8032aaafed080cc5f12915dad"
+# at most 4.5e-11, the graded study's err_l2 by 1.2e-10 relative, and no rate;
+# both were retaken when systems of n <= 63 unknowns took the LAPACK solution
+# and the n = 127 level's GMRES its FFT preconditioner, which moved the chi
+# study's err_mu by at most 9.5e-11, the graded study's err_energy by 1.5e-11
+# relative, and no rate
+CHI_RECON_SHA256 = "bd5c5bd7c9f1c44cbd7cfc6af784a20dc91e112de2e223ffaef554e56e35dd29"
+GRADED_STANDARD_SHA256 = "95a421202011cebb9eb049e70df97dc5addf73f65676e5db765763f4eaab46ed"
 
 
 def _tiny(**overrides):
@@ -635,10 +639,11 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count():
     # reconstruction cells whose solves must not round differently when BLAS
     # splits its work across threads. The first reaches m = 256. The second,
     # chi(0,0.5), takes Gauss-Jacobi rules with a nonzero right exponent for
-    # its splitting constant and a GMRES cycle of several iterations per
-    # solve. Its digest was taken when scipy still supplied the tridiagonal
-    # eigensolver and the triangular solve; with reference m = 512 (not 256)
-    # the bytes move if either is swapped for np.linalg.eig or np.linalg.solve.
+    # its splitting constant, the LAPACK solution on its levels (n <= 31) and
+    # a GMRES cycle of several iterations on its references. Its digest was
+    # taken when scipy still supplied the tridiagonal eigensolver and the
+    # triangular solve; with reference m = 512 (not 256) the bytes move if
+    # either is swapped for np.linalg.eig or np.linalg.solve.
     # The third is a graded standard study up to m = 512, whose dense leads
     # are scaled blocks of one table per cell.
     studies = [
@@ -770,6 +775,30 @@ def test_graded_study_leaves_nothing_behind():
         finally:
             tracemalloc.stop()
         assert left < 64 * 1024, (study.method, left)
+
+
+def test_no_level_holds_the_previous_levels_solution(monkeypatch):
+    # levels run finest first; a level that still held the previous level's
+    # Solution, and with it that level's dense lead, would peak above the
+    # finest level (1.77 against 1.72 finest blocks at m = 1024)
+    peaks, assemble = [], cli.assemble_system
+
+    def level_start(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return assemble(*args)
+
+    monkeypatch.setattr(cli, "assemble_system", level_start)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = run_experiment(dataclasses.replace(_graded(5.0, (1.25,)), k_max=10))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert reports[0].error is None
+    finest, *later = peaks[1:]  # peaks[0] is the exact solution's, before any level
+    assert len(later) == 7 and max(later) <= finest, (finest, later)
 
 
 def test_graded_studies_in_two_threads_print_serial_bytes():

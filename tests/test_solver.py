@@ -12,6 +12,7 @@ from fracfem.assembly import (
     ProblemSpec,
     assemble_system,
 )
+from fracfem.cli import ExperimentConfig, run_experiment
 from fracfem.errors import ArgumentError, DomainError, IterativeFailure, SingularSystemError
 from fracfem.fields import (
     parse_field,
@@ -74,8 +75,10 @@ def _mu_h(system, coeffs):
     return system.pair.c0 * (system.pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))
 
 
-def test_fft_path_matches_dense():
-    # the FFT/GMRES path on a system small enough for the dense solve
+def test_fft_path_matches_dense(monkeypatch):
+    # the FFT/GMRES path from a zero start on a system small enough for the
+    # LAPACK start
+    monkeypatch.setattr(solver_mod, "_DENSE_N", 0)
     spec = ProblemSpec(alpha=1.75, q=source_bump(), f=source_bump())
     mesh = build_mesh(64)
     system = assemble_system(spec, mesh, "reconstruction")
@@ -145,29 +148,13 @@ def test_gmres_converges_at_large_m(monkeypatch):
         assert len(calls) <= 10, (m, len(calls))
 
 
-def _count_operator(monkeypatch):
-    # matvecs of either path: each call of the operator _gmres_solve builds
-    calls = []
-    operator = solver_mod._system_operator
-
-    def counted(system):
-        matvec = operator(system)
-
-        def apply(x):
-            calls.append(x.size)
-            return matvec(x)
-
-        return apply
-
-    monkeypatch.setattr(solver_mod, "_system_operator", counted)
-    return calls
-
-
 @pytest.mark.parametrize("m", [64, 256])
 @pytest.mark.parametrize("case", ["chi_recon", "graded_standard", "mixed_recon"])
 def test_dense_and_fft_paths_agree(monkeypatch, case, m):
-    # one preconditioner, applied by gemv on dense arrays or by FFT: the same
-    # system takes as many matvecs (to one) and gives the same coefficients
+    # the same system from the LAPACK start and from the zero start, whose
+    # GMRES cycles apply the system matrix-free and the preconditioner by FFT:
+    # both meet the backward error and the LU oracle, and only the zero
+    # start applies system_matvec
     spec, mesh, method = {
         "chi_recon": (ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)"), f=source_bump()),
                       build_mesh(m), "reconstruction"),
@@ -180,23 +167,21 @@ def test_dense_and_fft_paths_agree(monkeypatch, case, m):
     system = assemble_system(spec, mesh, method)
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
-    calls = _count_operator(monkeypatch)
-    counts = []
-    for dense_n in (system.n, system.n - 1):  # the dense path, then the FFT path
+    calls = _count_matvecs(monkeypatch)
+    for dense_n in (system.n, system.n - 1):  # the LAPACK start, then the zero start
         monkeypatch.setattr(solver_mod, "_DENSE_N", dense_n)
         calls.clear()
         coeffs, res = solver_mod._gmres_solve(system)
         assert res <= RESIDUAL_TOL
         assert np.max(np.abs(coeffs - expect)) <= 1e-9 * scale
-        counts.append(len(calls))
-    assert abs(counts[0] - counts[1]) <= 1, counts
+        assert (len(calls) > 0) == (dense_n < system.n), len(calls)
 
 
 @pytest.mark.parametrize("delta", [1.0, 5.0], ids=["uniform", "graded"])
-def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
+def test_strang_preconditioner_matches_its_definition(delta):
     # D^(-1/2) C^(-1)[:n, :n] D^(-1/2), with C the circulant of length N, the
     # power of two >= n + 1, whose first column takes the middle row of
-    # D^(-1/2) A D^(-1/2), mass bands included; both ways of applying it
+    # D^(-1/2) A D^(-1/2), mass bands included, applied by FFT
     spec = ProblemSpec(alpha=1.5, q=parse_field("4 + x"), f=source_bump())
     system = assemble_system(spec, build_mesh(48, delta), "standard")
     full = full_matrix(system)
@@ -207,11 +192,33 @@ def test_strang_preconditioner_matches_its_definition(monkeypatch, delta):
     column[(k - np.arange(n)) % size] = full[k] * scale[k] * scale
     circulant = column[(np.arange(size)[:, None] - np.arange(size)) % size]
     expect = scale[:, None] * np.linalg.inv(circulant)[:n, :n] * scale
-    for dense_n in (n, n - 1):
-        monkeypatch.setattr(solver_mod, "_DENSE_N", dense_n)
-        precond = solver_mod._strang_preconditioner(system)
-        got = np.column_stack([precond(e) for e in np.eye(n)])
-        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+    precond = solver_mod._strang_preconditioner(system, solver_mod._diagonal_scale(system))
+    got = np.column_stack([precond(e) for e in np.eye(n)])
+    np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12 * np.abs(expect).max())
+
+
+def test_small_systems_run_no_gmres_cycle(monkeypatch):
+    # levels 3:6 of a chi(0,0.5) reconstruction study, n = 7 to 63, pass the
+    # backward-error check at their LAPACK start; only the reference solve,
+    # n = 511, runs GMRES cycles
+    solves, solve, cycle = [], solver_mod._gmres_solve, solver_mod._gmres_cycle
+
+    def counted_solve(system):
+        solves.append([system.n, 0])
+        return solve(system)
+
+    def counted_cycle(*args):
+        solves[-1][1] += 1
+        return cycle(*args)
+
+    monkeypatch.setattr(solver_mod, "_gmres_solve", counted_solve)
+    monkeypatch.setattr(solver_mod, "_gmres_cycle", counted_cycle)
+    reports = run_experiment(ExperimentConfig(
+        alphas=(1.5,), example="b", q_kind="custom", q_expr="chi(0,0.5)", q_hint=0.0,
+        method="recon", k_min=3, k_max=6, reference_m=512))
+    assert reports[0].error is None
+    assert sorted(n for n, cycles in solves if cycles == 0) == [7, 15, 31, 63]
+    assert [n for n, cycles in solves if cycles > 0] == [511]
 
 
 def test_one_true_residual_per_cycle(monkeypatch):
@@ -370,6 +377,28 @@ def test_non_finite_diagonal_is_reported_singular():
     with pytest.raises(SingularSystemError) as info:
         solve_standard(_diagonal_system([1.0, 2.0, -np.inf]))
     assert (info.value.row, info.value.value) == (2, np.inf)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", range(3, 8))
+def test_exactly_singular_small_system_is_reported_singular(n):
+    # two equal rows and a nonzero diagonal: LAPACK meets a zero pivot, and
+    # the solve ends in a typed error, not numpy's LinAlgError
+    lead = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    lead[1] = lead[0]
+    system = AssembledSystem(
+        mesh=build_mesh(n + 1),
+        lead=Lead(dense=lead),
+        mass_diag=np.zeros(n),
+        mass_off=np.zeros(n - 1),
+        load=np.arange(1.0, n + 1),
+        r_vec=None,
+        s_vec=None,
+        pair=None,
+    )
+    with pytest.raises(SingularSystemError) as info:
+        solve_standard(system)
+    assert (info.value.row, info.value.value) == (None, None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
