@@ -7,8 +7,8 @@ so the power rule gives an exact solution for every source, since each is
 a power sum. With a potential, errors are measured against a
 reconstruction solve on a fine uniform mesh. L2 and sup errors against a
 closed form are taken on the study mesh's own cells, cut at the closed
-form's anchors; the fine mesh serves the energy norm, and the L2 and sup
-sampling of a reference between its nodes.
+form's anchors; the fine mesh serves the energy norm (the spec's lead or the
+reference system's) and the L2 and sup sampling of a reference between nodes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DIRICHLET, Lead, ProblemSpec
+from .assembly import DIRICHLET, Lead, ProblemSpec, assemble_system
 from .errors import ArgumentError
 from .fraccalc import PowerSum, legendre_panel, rl_integral_powersum
 from .mesh import Mesh, PwLinear, build_mesh
@@ -49,7 +49,7 @@ class ExactSolution:
 
 def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
     """Closed-form solution for q = 0, with ``mesh``, by default
-    build_mesh(REFERENCE_M), for the energy norm."""
+    build_mesh(REFERENCE_M), and the spec's lead there for the energy norm."""
     if not spec.q.is_zero:
         raise ArgumentError("closed-form solutions require q = 0")
     frac = rl_integral_powersum(spec.alpha, spec.f)
@@ -57,7 +57,7 @@ def exact_q0(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
     u = frac.scaled(-1.0) + PowerSum.monomial(mu, spec.singular_exponent)
     u_r = frac.scaled(-1.0) + PowerSum.monomial(mu, 2.0)
     mesh = build_mesh(REFERENCE_M) if mesh is None else mesh
-    return ExactSolution(u, u_r, mu, mesh, Lead.of(mesh, spec.alpha))
+    return ExactSolution(u, u_r, mu, mesh, spec.lead(mesh))
 
 
 def reference_solution(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolution:
@@ -65,13 +65,14 @@ def reference_solution(spec: ProblemSpec, mesh: Mesh | None = None) -> ExactSolu
     packaged as a reference.
 
     The study meshes it serves should stay at least 8 times coarser. The
-    solve's leading block also serves the energy norm.
+    solved system's leading block also serves the energy norm.
     """
     mesh = build_mesh(REFERENCE_M) if mesh is None else mesh
     if mesh.m < 16:
         raise ArgumentError(f"reference mesh is too coarse, m={mesh.m}")
-    sol = solve_reconstruction(spec, mesh)
-    return ExactSolution(sol, sol.fe, sol.mu_h, mesh, sol.lead)
+    system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
+    return ExactSolution(sol, sol.fe, sol.mu_h, mesh, system.lead)
 
 
 @dataclass(frozen=True)

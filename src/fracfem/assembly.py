@@ -7,11 +7,11 @@ The leading block uses the closed form
 
 obtained by integrating pairs of one-sided power functions, with s = alpha/2.
 On uniform meshes the block is Toeplitz and is kept as its stencil; a system
-holds its block as one ``Lead`` in either format. On other meshes the far
-field, hats two or more elements apart, is a one-signed Peano kernel: across
-dyadic column blocks well separated from a row element it is interpolated at
-Chebyshev points, a low-rank product, and the hats near the element take
-Gauss rules pair by pair.
+holds its block as one ``Lead`` in the format ``ProblemSpec.lead`` alone picks.
+On other meshes the far field, hats two or more elements apart, is a
+one-signed Peano kernel: across dyadic column blocks well separated from a row
+element it is interpolated at Chebyshev points, a low-rank product, and the
+hats near the element take Gauss rules pair by pair.
 """
 
 from __future__ import annotations
@@ -187,11 +187,13 @@ class ProblemSpec:
         table's size takes the table, scaled in place, and keeps a copy of
         its leading n // 2 block as the next table; a coarser level takes a
         scaled copy of a block, and a finer one rebuilds the table, with the
-        same bits. Uniform meshes, and gradings whose table nodes would pass
-        2^_TABLE_LOG2, take ``Lead.of``."""
+        same bits. The one picker of a lead's format: uniform meshes take
+        lead_stencil, gradings whose table nodes pass 2^_TABLE_LOG2 assemble_lead."""
         delta = mesh.delta
-        if mesh.is_uniform or delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
-            return Lead.of(mesh, self.alpha)
+        if mesh.is_uniform:
+            return Lead(stencil=lead_stencil(mesh, self.alpha))
+        if delta * np.log2(mesh.m + 1.0) > _TABLE_LOG2:
+            return Lead(dense=assemble_lead(mesh, self.alpha))
         n, scale = mesh.m - 1, float(mesh.m) ** (delta * (self.alpha - 1.0))
         table = self._lead_tables.get(delta)
         if table is not None and table.shape[0] > n:
@@ -402,9 +404,6 @@ def assemble_lead(mesh: Mesh, alpha) -> np.ndarray:
     element-pair moments above, by the tier of their separation ratio or,
     past the top tier, by graded panels. Nothing is kept after the call.
     """
-    h = np.diff(mesh.nodes).min()
-    if h * h == 0.0:  # the near band divides by products of neighbouring widths
-        raise DomainError(f"mesh element width {h:.3g} squares to zero (grading exponent {mesh.delta})")
     return _lead_rows(mesh.nodes, alpha, {})
 
 
@@ -765,13 +764,6 @@ def _endpoint_terms(q: PowerSum, a: float, slot=0) -> list:
     return terms
 
 
-def endpoint_weight_vector(mesh: Mesh, q: PowerSum, alpha) -> np.ndarray:
-    """Vector s with s_j = (I_0^alpha q phi_j)(1), the load of
-    (1 - x)^(alpha - 1) q / Gamma(alpha), exact term by term (_endpoint_terms)."""
-    rise, fall = _hat_moments(_endpoint_terms(q, frac_order(alpha)), mesh.nodes, {})[0]
-    return rise[:-1] + fall[1:]
-
-
 @dataclass(frozen=True)
 class SingularPair:
     """Splitting data u = u_r + mu * u_s for the reconstruction method.
@@ -839,13 +831,6 @@ class Lead:
     def __post_init__(self):
         if (self.stencil is None) == (self.dense is None):
             raise ArgumentError("a lead block holds exactly one of stencil and dense")
-
-    @classmethod
-    def of(cls, mesh: Mesh, alpha) -> Lead:
-        """The stencil on a uniform mesh, the dense block on a graded one."""
-        if mesh.is_uniform:
-            return cls(stencil=lead_stencil(mesh, alpha))
-        return cls(dense=assemble_lead(mesh, alpha))
 
     @cached_property
     def _spectrum(self) -> np.ndarray:

@@ -92,12 +92,18 @@ class ExperimentConfig:
             raise ArgumentError("q 'custom' needs a q expression")
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not isinstance(value, kind):
+            if isinstance(value, bool) or not isinstance(value, kind):  # a JSON true is an int too
                 raise ArgumentError(f"{name} has the wrong type: {value!r}")
         if not 2 <= self.k_min <= self.k_max:
             raise ArgumentError(f"levels need 2 <= k_min <= k_max, got {self.k_min}:{self.k_max}")
-        if not (math.isfinite(self.delta) and self.delta >= 1.0):
-            raise ArgumentError(f"grading exponent must be a finite number >= 1, got {self.delta}")
+        for name, m in (("k_max", 2**self.k_max), ("reference_m", self.reference_m)):
+            basis = 8 * (GMRES_RESTART + 1) * (m - 1)  # bytes of the GMRES basis on m elements
+            if basis > _ARRAY_BYTES:
+                raise ArgumentError(
+                    f"{name}={getattr(self, name)} needs a {basis >> 20} MiB GMRES basis on "
+                    f"m={m}, over the {_ARRAY_BYTES >> 20} MiB limit"
+                )
+        Mesh(2**self.k_max, self.delta)  # the finest level, whose size the basis bounds: Mesh refuses its grading
         if self.fmt not in ("csv", "markdown"):
             raise ArgumentError(f"format must be csv or markdown, got {self.fmt!r}")
         if self.method == "recon_mixed" and min(self.alphas) <= 1.5:
@@ -112,19 +118,6 @@ class ExperimentConfig:
                 f"k_max={self.k_max} with grading exponent {self.delta} needs a {block >> 20} MiB "
                 f"lead block, over the {_ARRAY_BYTES >> 20} MiB limit"
             )
-        width = (2.0**-self.k_max) ** self.delta  # first element of the finest level
-        if width * width == 0.0:  # as assemble_lead refuses it, but before any work
-            raise DomainError(
-                f"k_max={self.k_max} with grading exponent {self.delta:g} makes the first element "
-                f"width {width:.3g}, which squares to zero"
-            )
-        for name, m in (("k_max", 2**self.k_max), ("reference_m", self.reference_m)):
-            basis = 8 * (GMRES_RESTART + 1) * (m - 1)  # bytes of the GMRES basis on m elements
-            if basis > _ARRAY_BYTES:
-                raise ArgumentError(
-                    f"{name}={getattr(self, name)} needs a {basis >> 20} MiB GMRES basis on "
-                    f"m={m}, over the {_ARRAY_BYTES >> 20} MiB limit"
-                )
         # parse custom fields once, and refuse them, before any output opens
         ProblemSpec.check_fields(self.potential, self.source)
         for name, hint, field in (("f_hint", self.f_hint, self.source), ("q_hint", self.q_hint, self.potential)):
@@ -240,16 +233,14 @@ def _run_cell(config: ExperimentConfig, spec: ProblemSpec, levels: list, fine: M
     so a graded study builds one lead table, measured against the exact
     solution on the ``fine`` mesh."""
     exact = (reference_solution if config.needs_reference else exact_q0)(spec, fine)
+    method, solve = (("standard", solve_standard) if config.method == "standard"
+                     else ("reconstruction", solve_reconstruction))
     rows = []
     for k, mesh in levels:
-        if config.method == "standard":
-            sol = solve_standard(assemble_system(spec, mesh, "standard"))
-        else:
-            sol = solve_reconstruction(spec, mesh)
+        sol = solve(assemble_system(spec, mesh, method))  # the system, and its lead, die here
         norms = error_norms(sol, exact)
         err_mu = None if sol.mu_h is None else abs(exact.mu - sol.mu_h)
         rows.append(LevelRow(k, 1.0 / mesh.m, norms.l2, norms.energy, norms.linf, err_mu))
-        del sol  # released with its lead before the next level assembles
     return rows[::-1]
 
 

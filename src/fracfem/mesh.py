@@ -1,4 +1,5 @@
-"""Meshes on [0, 1] and the conforming piecewise-linear space.
+"""Meshes on [0, 1], the one owner of the grading limit, and the conforming
+piecewise-linear space.
 
 Trial and test functions vanish at both endpoints, so a function is stored
 through its m - 1 interior nodal values only.
@@ -44,8 +45,10 @@ class Mesh:
             raise ArgumentError(f"grading exponent must be a finite number >= 1, got {delta}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "delta", delta)
-        if self.nodes[1] == 0.0:
-            raise ArgumentError(f"grading exponent {delta:g} makes the node (1/{m})^{delta:g} underflow to 0")
+        width = (np.array([1.0 / m]) ** delta)[0]  # nodes[1] bit for bit, unlike a scalar power; no nodes built
+        if width * width == 0.0:  # the lead's near band divides by products of neighbouring widths
+            raise DomainError(f"grading exponent {delta:g} on m={m} makes the first element width {width:.3g}, "
+                              "which squares to zero")
 
     @cached_property
     def nodes(self) -> np.ndarray:

@@ -6,7 +6,8 @@ circulant embedded at a power-of-two length; the kernel needs only numpy and
 BLAS. Up to _DENSE_N unknowns GMRES starts from the LAPACK solution of the
 fused dense system, which already meets the backward-error check, so no cycle
 runs; above it GMRES starts from zero. Wherever a cycle runs, the system is
-applied matrix-free by system_matvec and the preconditioner by FFT.
+applied matrix-free by system_matvec and the preconditioner by FFT. Both
+methods take the system that assemble_system built, which alone holds a lead.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, Lead, ProblemSpec, SingularPair, assemble_system
+from .assembly import AssembledSystem, SingularPair
 from .errors import ArgumentError, IterativeFailure, SingularSystemError
-from .mesh import Mesh, PwLinear
+from .mesh import PwLinear
 
 # backward-error tolerance: |Ax - b| measured against |A||x| + |b|
 RESIDUAL_TOL = 1e-12
@@ -39,11 +40,10 @@ class Solution:
     """Galerkin solution of either method: ``fe`` is u_h for the standard
     method and u_r_h for the reconstruction method, whose solution is
     u_h = u_r_h + mu_h * u_s; ``mu_h`` and ``pair`` are None for the
-    standard method. ``lead`` is the leading block of the solved system."""
+    standard method. The solved system keeps its leading block."""
 
     fe: PwLinear
     residual: float
-    lead: Lead
     mu_h: float | None = None
     pair: SingularPair | None = None
 
@@ -204,9 +204,9 @@ def _solution(system: AssembledSystem, coeffs: np.ndarray, res: float) -> Soluti
     and one fixed rule per term of q anchored inside (0, 1)."""
     fe, pair = PwLinear(system.mesh, coeffs), system.pair
     if pair is None:
-        return Solution(fe, res, system.lead)
+        return Solution(fe, res)
     mu_h = pair.c0 * (pair.f_frac_at_one - float(np.dot(system.s_vec, coeffs)))
-    return Solution(fe, res, system.lead, mu_h, pair)
+    return Solution(fe, res, mu_h, pair)
 
 
 def solve_standard(system: AssembledSystem) -> Solution:
@@ -224,8 +224,9 @@ def solve_standard(system: AssembledSystem) -> Solution:
     return _solution(system, *_gmres_solve(system))
 
 
-def solve_reconstruction(spec: ProblemSpec, mesh: Mesh) -> Solution:
-    """Assemble and solve the reconstruction system as solve_standard does,
-    with the same raises, then recover mu_h."""
-    system = assemble_system(spec, mesh, "reconstruction")
+def solve_reconstruction(system: AssembledSystem) -> Solution:
+    """Solve the reconstruction system as solve_standard does, with the same
+    raises, then recover mu_h."""
+    if system.pair is None:
+        raise ArgumentError("solve_reconstruction needs a system assembled as 'reconstruction'")
     return _solution(system, *_gmres_solve(system))

@@ -303,15 +303,15 @@ def test_criterion_6(capsys):
 
     # the recovered strength scale is exact and mesh independent when q = 0
     spec0 = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
-    mus = {solve_reconstruction(spec0, build_mesh(m)).mu_h for m in (8, 64)}
-    pair_value = solve_reconstruction(spec0, build_mesh(16)).pair.f_frac_at_one
+    mus = {solve_reconstruction(assemble_system(spec0, build_mesh(m), "reconstruction")).mu_h for m in (8, 64)}
+    pair_value = solve_reconstruction(assemble_system(spec0, build_mesh(16), "reconstruction")).pair.f_frac_at_one
     checks.append((mus == {pair_value}, f"strength scale drift: {mus}"))
 
     # the GMRES solve agrees with a dense solve of the same system
     mesh = build_mesh(256)
     system = assemble_system(spec, mesh, "reconstruction")
     direct = np.linalg.solve(full_matrix(system), system.load)
-    iterative = solve_reconstruction(spec, mesh)
+    iterative = solve_reconstruction(system)
     scale = float(np.max(np.abs(direct)))
     gap = float(np.max(np.abs(iterative.fe.coeffs - direct)))
     checks.append((gap <= 1e-8 * scale, f"dense solve vs GMRES {gap:.1e}"))

@@ -17,7 +17,7 @@ from fracfem.analysis import (
     rates,
     reference_solution,
 )
-from fracfem.assembly import Lead, ProblemSpec
+from fracfem.assembly import ProblemSpec
 from fracfem.errors import ArgumentError, UnsupportedFormError
 from fracfem.fraccalc import PowerSum
 from fracfem.fields import SOURCES, source_bump, source_step, zero_field
@@ -117,8 +117,8 @@ def test_error_norms_vanish_on_identical_fields():
     mesh = build_mesh(64)
     coeffs = np.sin(np.pi * mesh.nodes[1:-1])
     pw = PwLinear(mesh, coeffs)
-    approx = Solution(pw, 0.0, None)
-    exact = ExactSolution(pw, pw, 0.0, mesh, Lead.of(mesh, 1.5))
+    approx = Solution(pw, 0.0)
+    exact = ExactSolution(pw, pw, 0.0, mesh, ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump()).lead(mesh))
     norms = error_norms(approx, exact)
     assert norms.l2 == 0.0 and norms.energy == 0.0 and norms.linf == 0.0
 
@@ -156,8 +156,8 @@ def test_node_exact_norms_match_gauss_sampling(delta, m, refine, extra, alpha, s
     coarse, fine = build_mesh(m, delta), build_mesh(m * refine + extra)
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
-    lead = Lead.of(fine, alpha)
-    approx = Solution(u_r_h, 0.0, None, mu_h=0.0)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(fine)
+    approx = Solution(u_r_h, 0.0, mu_h=0.0)
     exact = ExactSolution(None, u_r, 0.0, fine, lead)
     got = error_norms(approx, exact)
     l2, energy, linf = error_norms_gauss(u_r_h, u_r, coarse, fine, lead)
@@ -175,10 +175,10 @@ def test_nested_error_norms_take_the_union_bits(delta, m, refine, extra, alpha, 
     coarse, fine = build_mesh(m, delta), build_mesh(m * refine + extra)
     if delta == 1.0 and extra == 0:
         assert np.isin(coarse.nodes, fine.nodes).all()
-    lead = Lead.of(fine, alpha)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(fine)
     u_r_h = PwLinear(coarse, rng.uniform(-1.0, 1.0, coarse.m - 1))
     u_r = PwLinear(fine, rng.uniform(-1.0, 1.0, fine.m - 1))
-    recon = Solution(u_r_h, 0.0, None, mu_h=0.0)
+    recon = Solution(u_r_h, 0.0, mu_h=0.0)
     exact = ExactSolution(None, u_r, 0.0, fine, lead)
     assert error_norms(recon, exact) == error_norms_union(recon, exact)
 
@@ -203,7 +203,7 @@ def test_closed_form_error_norms_match_dense_sampling(delta, k, alpha, example, 
     if method == "standard":
         sol = solve_standard(assemble_system(spec, mesh, "standard"))
     else:
-        sol = solve_reconstruction(spec, mesh)
+        sol = solve_reconstruction(assemble_system(spec, mesh, "reconstruction"))
     exact = exact_q0(spec, build_mesh(512))
     got = error_norms(sol, exact)
     dense = error_l2_dense(sol.fe, exact.u if sol.mu_h is None else exact.u_r)
@@ -241,7 +241,7 @@ def test_mu_h_is_exact_without_potential(alpha, m, delta, mixed, example):
     if mixed:
         alpha = 1.5 + 0.5 * (alpha - 1.0)  # mixed conditions need alpha in (3/2, 2)
     spec = ProblemSpec(alpha, zero_field(), SOURCES[example](), "mixed" if mixed else "dirichlet")
-    sol = solve_reconstruction(spec, build_mesh(m, delta))
+    sol = solve_reconstruction(assemble_system(spec, build_mesh(m, delta), "reconstruction"))
     assert sol.mu_h == exact_q0(spec, build_mesh(16)).mu
 
 

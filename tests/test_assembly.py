@@ -19,7 +19,6 @@ from fracfem.assembly import (
     assemble_lead,
     assemble_system,
     build_singular_pair,
-    endpoint_weight_vector,
     lead_stencil,
     load_vector,
     mass_bands,
@@ -466,9 +465,11 @@ def test_lead_far_field_on_irregular_meshes(nodes):
 
 
 def test_refused_width_names_the_grading():
-    # (1/64)^160 = 2^-960 is a normal float, but its square is not
-    with pytest.raises(DomainError, match=r"squares to zero \(grading exponent 160.0\)$"):
-        assemble_lead(build_mesh(64, 160.0), 1.5)
+    # (1/64)^160 = 2^-960 is a normal float, but its square is not: the mesh
+    # is refused before any block divides by it
+    with pytest.raises(DomainError, match=r"^grading exponent 160 on m=64 makes the first element width "
+                                          r"1.03e-289, which squares to zero$"):
+        build_mesh(64, 160.0)
 
 
 @pytest.mark.parametrize("alpha", [1.001, 1.5, 1.999])
@@ -670,7 +671,7 @@ LEAD_CASES = dict(
 @given(**LEAD_CASES, seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_lead_matvec_matches_dense(alpha, m, delta, seed):
-    lead = Lead.of(build_mesh(m, delta), alpha)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(build_mesh(m, delta))
     assert (lead.stencil is not None) == (delta == 1.0)
     dense = dense_lead(lead)
     x = np.random.default_rng(seed).standard_normal(m - 1)
@@ -681,14 +682,14 @@ def test_lead_matvec_matches_dense(alpha, m, delta, seed):
 @given(**LEAD_CASES)
 @settings(max_examples=60, deadline=None)
 def test_lead_abs_row_sum_bounds_rows(alpha, m, delta):
-    lead = Lead.of(build_mesh(m, delta), alpha)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(build_mesh(m, delta))
     assert lead.abs_row_sum() >= np.max(np.sum(np.abs(dense_lead(lead)), axis=1))
 
 
 @given(**LEAD_CASES)
 @settings(max_examples=60, deadline=None)
 def test_lead_diagonal_is_a_fresh_copy(alpha, m, delta):
-    lead = Lead.of(build_mesh(m, delta), alpha)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(build_mesh(m, delta))
     kept = dense_lead(lead)
     x = np.linspace(-1.0, 1.0, m - 1)
     product = lead.matvec(x)
@@ -702,7 +703,7 @@ def test_lead_diagonal_is_a_fresh_copy(alpha, m, delta):
 @given(**LEAD_CASES)
 @settings(max_examples=60, deadline=None)
 def test_lead_diagonal_and_rows_match_dense(alpha, m, delta):
-    lead = Lead.of(build_mesh(m, delta), alpha)
+    lead = ProblemSpec(alpha=alpha, q=zero_field(), f=source_bump()).lead(build_mesh(m, delta))
     dense = dense_lead(lead)
     assert np.array_equal(lead.diagonal(), np.diag(dense))
     for i in {0, (m - 1) // 2, m - 2}:
@@ -815,8 +816,13 @@ def test_powersum_load_matches_per_term_loop_bit_for_bit(m, ps, delta):
     assert _gap(got[rows], want, got) <= 1e-14
 
 
+def _endpoint_vector(mesh, q, alpha):
+    """s_j = (I_0^alpha q phi_j)(1), as the reconstruction system carries it."""
+    return assemble_system(ProblemSpec(alpha=alpha, q=q, f=source_bump()), mesh, "reconstruction").s_vec
+
+
 def test_endpoint_weight_vector_frozen():
-    s = endpoint_weight_vector(build_mesh(4), source_bump(), 1.5)
+    s = _endpoint_vector(build_mesh(4), source_bump(), 1.5)
     np.testing.assert_allclose(
         s,
         [0.04231542832479732, 0.0475486405345039, 0.025988141759332364],
@@ -828,11 +834,11 @@ def test_endpoint_weight_vector_matches_quadrature():
     mesh = build_mesh(8)
     alpha = 1.75
     q = source_bump()
-    s = endpoint_weight_vector(mesh, q, alpha)
+    s = _endpoint_vector(mesh, q, alpha)
     for j in (1, 5, 7):
         oracle = endpoint_weight_entry_quad(mesh.nodes, q, j, alpha)
         assert s[j - 1] == pytest.approx(oracle, rel=1e-10)
-    assert not endpoint_weight_vector(mesh, zero_field(), alpha).any()
+    assert not _endpoint_vector(mesh, zero_field(), alpha).any()
 
 
 # a potential that jumps inside elements: 0.3 and 0.7 are nodes of no
@@ -867,7 +873,7 @@ CUT_MESHES = pytest.mark.parametrize(
 @CUT_MESHES
 @pytest.mark.parametrize("alpha", [1.3, 1.7])
 def test_endpoint_weight_vector_cut_at_interior_anchors(mesh, alpha):
-    s = endpoint_weight_vector(mesh, INTERIOR_JUMPS, alpha)
+    s = _endpoint_vector(mesh, INTERIOR_JUMPS, alpha)
     for j in range(1, mesh.m):
         want = endpoint_weight_entry_quad(mesh.nodes, INTERIOR_JUMPS, j, alpha, (0.3, 0.7))
         assert s[j - 1] == pytest.approx(want, rel=1e-10)
@@ -910,7 +916,7 @@ def test_integer_endpoint_vector_matches_the_decimal_oracle(case, alpha, k, anch
     m, delta = case
     mesh, q = build_mesh(m, delta), fraccalc.PowerSum.from_terms([(1.0, anchor, float(k))])
     rows = _sampled(m - 1) if m > 64 else range(m - 1)
-    got = endpoint_weight_vector(mesh, q, alpha)
+    got = _endpoint_vector(mesh, q, alpha)
     assert _gap(got[rows], [endpoint_entry_decimal(mesh.nodes, q, j + 1, alpha) for j in rows], got) <= 1e-14
 
 
@@ -956,7 +962,7 @@ def test_square_root_potential_moments_are_exact(m):
     assert _gap(diag, [hat_moment_decimal(x, (j, j), 0.5) for j in range(1, m)]) <= 1e-14
     assert _gap(off, [hat_moment_decimal(x, (j, j + 1), 0.5) for j in range(1, m - 1)]) <= 1e-14
     want = [endpoint_weight_entry_quad(x, q, j, alpha, left_exponent=0.5) for j in range(1, m)]
-    assert _gap(endpoint_weight_vector(mesh, q, alpha), want) <= 1e-14
+    assert _gap(_endpoint_vector(mesh, q, alpha), want) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [8, 64])
@@ -966,7 +972,7 @@ def test_square_root_endpoint_vector_matches_quadrature(m, alpha, delta):
     # the split at x = 1/2 against quad absorbing both end powers
     mesh, q = build_mesh(m, delta), parse_field("x^0.5+chi(0.5,1)")
     want = [endpoint_weight_entry_quad(mesh.nodes, q, j, alpha, (0.5,), left_exponent=0.5) for j in range(1, m)]
-    assert _gap(endpoint_weight_vector(mesh, q, alpha), want) <= 1e-13
+    assert _gap(_endpoint_vector(mesh, q, alpha), want) <= 1e-13
 
 
 @pytest.mark.parametrize("delta", [1.0, 5.0])
@@ -980,8 +986,8 @@ def test_assembly_reaches_no_gauss_rule(monkeypatch, q, delta):
     mesh = build_mesh(64, delta)
     monkeypatch.setattr(fraccalc, "gauss_legendre", refuse)
     monkeypatch.setattr(fraccalc, "gauss_jacobi", refuse)
-    for out in (load_vector(mesh, spec.q), *mass_bands(mesh, spec.q), endpoint_weight_vector(mesh, spec.q, 1.4),
-                assemble_system(spec, mesh, "reconstruction").r_vec):
+    system = assemble_system(spec, mesh, "reconstruction")
+    for out in (load_vector(mesh, spec.q), *mass_bands(mesh, spec.q), system.s_vec, system.r_vec):
         assert np.all(np.isfinite(out))
 
 
@@ -990,7 +996,7 @@ def test_fractional_power_inside_is_refused():
     with pytest.raises(UnsupportedFormError, match=r"\(x - 0.3\)_\+\^0.5"):
         ProblemSpec(alpha=1.3, q=q, f=source_bump())
     with pytest.raises(UnsupportedFormError):
-        endpoint_weight_vector(build_mesh(8), q, 1.3)
+        assembly._endpoint_terms(q, 1.3)
     # integer powers inside, and any power at 0 or 1, are accepted
     ok = fraccalc.PowerSum.from_terms([(1.0, 0.3, 2.0), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5)])
     assert ProblemSpec(alpha=1.3, q=ok, f=source_bump()).singular_pair.c0 > 0.0
@@ -1136,8 +1142,8 @@ def test_singular_pair_is_cached_on_the_spec():
     spec = ProblemSpec(alpha=1.5, q=parse_field("chi(0,0.5)"), f=source_bump())
     twin = ProblemSpec(alpha=1.5, q=spec.q, f=spec.f)
     key = hash(spec)
-    first = solve_reconstruction(spec, build_mesh(16))
-    second = solve_reconstruction(spec, build_mesh(32))
+    first = solve_reconstruction(assemble_system(spec, build_mesh(16), "reconstruction"))
+    second = solve_reconstruction(assemble_system(spec, build_mesh(32), "reconstruction"))
     assert first.pair is spec.singular_pair
     assert second.pair is spec.singular_pair
     # the cached pair is not a field: equality and hashing ignore it

@@ -286,7 +286,10 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert captured.out.startswith(CSV_COLUMNS)
     # values of the wrong type end in a one-line error that names them
     for raw, named in (({"alphas": 1.5}, "1.5"), ({"k_min": "3"}, "'3'"),
-                       ({"q_hint": "0"}, "'0'"), ({"out": 3}, "out")):
+                       ({"q_hint": "0"}, "'0'"), ({"out": 3}, "out"),
+                       # a JSON true is a Python int, and no number
+                       ({"delta": True, "levels": "3:4"}, "delta has the wrong type: True"),
+                       ({"f_hint": True}, "f_hint has the wrong type: True")):
         bad.write_text(json.dumps(raw))
         assert main(["--config", str(bad)]) == 2
         captured = capsys.readouterr()
@@ -384,14 +387,14 @@ def test_non_finite_grading_exponent_is_rejected_up_front(delta, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_too_steep_grading_is_refused_in_one_line(capsys, monkeypatch, tmp_path):
-    # only configs are built: at delta = 200 the first width of m = 16
-    # squares to zero, which the lead's near band would divide by; the
-    # config names the width and delta before any level runs or the output
-    # opens (m = 8: 2^-600, whose square is zero too, is never reached)
+    # only configs are built: at delta = 200 the first width of m = 16,
+    # 2^-800, squares to zero, which the lead's near band would divide by;
+    # the config's finest mesh names the width, m and delta before any level
+    # runs or the output opens (m = 8: 2^-600, whose square is zero too, is
+    # never reached)
     studies = []
     monkeypatch.setattr(cli, "run_experiment", lambda config: studies.append(config) or [])
-    width = np.diff(build_mesh(16, 200.0).nodes).min()
-    message = f"k_max=4 with grading exponent 200 makes the first element width {width:.3g}, which squares to zero"
+    message = f"grading exponent 200 on m=16 makes the first element width {2.0**-800:.3g}, which squares to zero"
     with pytest.raises(DomainError, match=f"^{message}$"):
         ExperimentConfig(delta=200.0, k_min=3, k_max=4)
     assert ExperimentConfig(delta=100.0, k_min=3, k_max=5).k_max == 5  # 2^-500 squares to a subnormal
@@ -778,9 +781,10 @@ def test_graded_study_leaves_nothing_behind():
 
 
 def test_no_level_holds_the_previous_levels_solution(monkeypatch):
-    # levels run finest first; a level that still held the previous level's
-    # Solution, and with it that level's dense lead, would peak above the
-    # finest level (1.77 against 1.72 finest blocks at m = 1024)
+    # levels run finest first, and only a level's system holds its dense
+    # lead; a level that still held the previous level's lead would peak
+    # above the finest level (1.77 against 1.72 finest blocks at m = 1024,
+    # when each Solution kept its lead)
     peaks, assemble = [], cli.assemble_system
 
     def level_start(*args):

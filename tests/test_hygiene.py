@@ -287,7 +287,7 @@ def unresolved_names(text: str, spaces: dict) -> list[str]:
 
 
 def test_checker_flags_an_unresolved_readme_name():
-    text = ("`analysis.error_norms` `ExactSolution.lead` `fracfem.mesh.Mesh.m` `Lead.of(mesh, alpha)` "
+    text = ("`analysis.error_norms` `ExactSolution.lead` `fracfem.mesh.Mesh.m` `ProblemSpec.lead(mesh)` "
             "`analysis.error_norm` `fracfem.fields.no_such` `Mesh.width` `np.nothing` `lead.nothing()`")
     assert unresolved_names(text, _public_namespace()) == [
         "analysis.error_norm",
@@ -300,3 +300,47 @@ def test_readme_names_resolve():
     # a renamed or deleted function, class or field leaves no stale name in the README
     readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
     assert unresolved_names(readme, _public_namespace()) == []
+
+
+LEAD_BUILDERS = {"lead_stencil", "assemble_lead", "Lead"}
+
+
+def lead_builder_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing qualified name, callee) of every call to a lead builder."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in LEAD_BUILDERS:
+                    found.append((".".join(scope), name))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_one_owner_picks_leads_and_refuses_gradings():
+    from fracfem.cli import ExperimentConfig
+    from fracfem.errors import DomainError
+    from fracfem.mesh import build_mesh
+
+    snippet = "class Lead:\n    @classmethod\n    def of(cls, mesh):\n        return Lead(stencil=lead_stencil(mesh))\n"
+    assert lead_builder_calls(snippet) == [("Lead.of", "Lead"), ("Lead.of", "lead_stencil")]
+    # ProblemSpec.lead alone picks a lead's format
+    calls = [(path.name, *call) for path in MODULES for call in lead_builder_calls(path.read_text(encoding="utf-8"))]
+    assert {scope for _, scope, _ in calls} == {"ProblemSpec.lead"}, calls
+    assert {name for _, _, name in calls} == LEAD_BUILDERS
+    # Mesh alone refuses a first width that squares to zero; the config
+    # builds its finest mesh instead of restating the rule
+    with pytest.raises(DomainError) as mesh_error:
+        build_mesh(16, 200.0)
+    with pytest.raises(DomainError) as config_error:
+        ExperimentConfig(delta=200.0, k_min=3, k_max=4)
+    assert str(config_error.value) == str(mesh_error.value)
+    assert [p.name for p in MODULES if "squares to zero" in p.read_text(encoding="utf-8")] == ["mesh.py"]

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfem.assembly import Lead, assemble_lead
+from fracfem import assembly
+from fracfem.assembly import ProblemSpec
 from fracfem.errors import ArgumentError, DomainError
+from fracfem.fields import source_bump, zero_field
 from fracfem.mesh import Mesh, PwLinear, build_mesh
 
 from .oracles import (
@@ -40,11 +42,13 @@ def test_graded_nodes_follow_power_law():
 def test_uniformity_follows_the_grading():
     assert build_mesh(4).is_uniform and Mesh(4, 1).is_uniform
     assert not build_mesh(4, delta=1.5).is_uniform
-    # a graded mesh takes the dense block, a uniform one the stencil
-    lead = Lead.of(build_mesh(4, 1.5), 1.5)
+    # a graded mesh takes a dense block, here the scaled table on the nodes
+    # j^1.5, and a uniform one the stencil
+    spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
+    lead = spec.lead(build_mesh(4, 1.5))
     assert lead.stencil is None
-    assert np.array_equal(lead.dense, assemble_lead(build_mesh(4, 1.5), 1.5))
-    assert Lead.of(build_mesh(4), 1.5).dense is None
+    assert np.array_equal(lead.dense, 4.0 ** (1.5 * 0.5) * assembly._lead_rows(np.arange(5.0) ** 1.5, 1.5, {}))
+    assert spec.lead(build_mesh(4)).dense is None
 
 
 def test_build_mesh_records_its_grading():
@@ -86,8 +90,9 @@ def test_build_mesh_validation():
             Mesh(m)
     with pytest.raises(ArgumentError, match="delta='x'"):
         Mesh(8, "x")
-    # at m = 256, delta = 160 the first nodes underflow to 0
-    with pytest.raises(ArgumentError, match=r"grading exponent 160 .*\(1/256\)\^160 underflow"):
+    # at m = 256, delta = 160 the first node underflows to 0
+    with pytest.raises(DomainError, match=r"^grading exponent 160 on m=256 makes the first element width 0, "
+                                          r"which squares to zero$"):
         build_mesh(256, 160.0)
 
 

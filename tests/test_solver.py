@@ -48,7 +48,7 @@ def test_standard_solve_matches_dense_lu():
     expect = np.linalg.solve(full_matrix(system), system.load)
     np.testing.assert_allclose(sol.fe.coeffs, expect, rtol=1e-10)
     assert sol.residual <= RESIDUAL_TOL
-    assert sol.mu_h is None and sol.pair is None and sol.lead is system.lead
+    assert sol.mu_h is None and sol.pair is None
     # nodal evaluation returns the computed coefficients
     np.testing.assert_allclose(sol(system.mesh.nodes[1:-1]), sol.fe.coeffs, rtol=1e-14)
 
@@ -58,13 +58,15 @@ def test_standard_solver_rejects_reconstruction_system():
     system = assemble_system(spec, build_mesh(8), "reconstruction")
     with pytest.raises(ArgumentError):
         solve_standard(system)
+    with pytest.raises(ArgumentError):
+        solve_reconstruction(assemble_system(spec, build_mesh(8), "standard"))
 
 
 def test_reconstruction_matches_dense_lu():
     spec = ProblemSpec(alpha=1.5, q=source_bump(), f=source_bump())
     mesh = build_mesh(128)
-    sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
     expect = np.linalg.solve(full_matrix(system), system.load)
     np.testing.assert_allclose(sol.fe.coeffs, expect, rtol=1e-10)
     assert sol.mu_h == pytest.approx(_mu_h(system, expect), rel=1e-10)
@@ -102,8 +104,8 @@ def test_fft_path_matches_dense(monkeypatch):
 def test_fft_path_matches_dense_above_dense_limit(alpha, bc):
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump(), bc=bc)
     mesh = build_mesh(2048)
-    sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
@@ -116,7 +118,7 @@ def test_gmres_agrees_with_lu():
     mesh = build_mesh(256)
     system = assemble_system(spec, mesh, "reconstruction")
     expect = np.linalg.solve(full_matrix(system), system.load)
-    iterative = solve_reconstruction(spec, mesh)
+    iterative = solve_reconstruction(system)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(iterative.fe.coeffs - expect)) <= 1e-8 * scale
     mu = _mu_h(system, expect)
@@ -143,7 +145,7 @@ def test_gmres_converges_at_large_m(monkeypatch):
     calls = _count_matvecs(monkeypatch)
     for m in (1000, 3000, 8192, 65536):
         calls.clear()
-        sol = solve_reconstruction(spec, build_mesh(m))
+        sol = solve_reconstruction(assemble_system(spec, build_mesh(m), "reconstruction"))
         assert sol.residual <= RESIDUAL_TOL, m
         assert len(calls) <= 10, (m, len(calls))
 
@@ -241,9 +243,9 @@ def test_gmres_converges_through_restarts(monkeypatch, alpha, delta, m):
     monkeypatch.setattr(solver_mod, "GMRES_RESTART", 3)
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
     mesh = build_mesh(m, delta)
-    sol = solve_reconstruction(spec, mesh)
-    assert sol.residual <= RESIDUAL_TOL
     system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
+    assert sol.residual <= RESIDUAL_TOL
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
@@ -274,10 +276,10 @@ def test_gmres_on_graded_meshes(alpha, delta, m):
     # the scaled Strang circulant follows the grading; a dense solve checks it to m = 1024
     spec = ProblemSpec(alpha=alpha, q=source_bump(), f=source_bump())
     mesh = build_mesh(m, delta)
-    sol = solve_reconstruction(spec, mesh)
+    system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
     assert sol.residual <= RESIDUAL_TOL
     if m <= 1024:
-        system = assemble_system(spec, mesh, "reconstruction")
         expect = np.linalg.solve(full_matrix(system), system.load)
         scale = float(np.max(np.abs(expect)))
         assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
@@ -297,8 +299,8 @@ def test_gmres_path_agrees_with_lu(alpha, mixed, delta, m, q_sign):
     q = zero_field() if q_sign == 0.0 else parse_field(f"{q_sign} * x * (1 - x)")
     spec = ProblemSpec(alpha=alpha, q=q, f=source_bump(), bc=bc)
     mesh = build_mesh(m, delta)
-    sol = solve_reconstruction(spec, mesh)
     system = assemble_system(spec, mesh, "reconstruction")
+    sol = solve_reconstruction(system)
     expect = np.linalg.solve(full_matrix(system), system.load)
     scale = float(np.max(np.abs(expect)))
     assert np.max(np.abs(sol.fe.coeffs - expect)) <= 1e-9 * scale
@@ -322,7 +324,7 @@ def test_solution_is_linear_in_the_source(alpha, mixed, delta, m, scale):
     both = f + g.scaled(scale)
     mesh = build_mesh(m, delta)
     u_f, u_g, u_fg = (
-        solve_reconstruction(ProblemSpec(alpha=alpha, q=q, f=src, bc=bc), mesh)
+        solve_reconstruction(assemble_system(ProblemSpec(alpha=alpha, q=q, f=src, bc=bc), mesh, "reconstruction"))
         for src in (f, g, both)
     )
     combined = u_f.fe.coeffs + scale * u_g.fe.coeffs
@@ -336,7 +338,7 @@ def test_strength_scale_is_mesh_independent_without_potential():
     spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
     values = []
     for m in (8, 64):
-        sol = solve_reconstruction(spec, build_mesh(m))
+        sol = solve_reconstruction(assemble_system(spec, build_mesh(m), "reconstruction"))
         # with q = 0 the coupling vector vanishes and mu_h = (I^alpha f)(1)
         assert sol.mu_h == sol.pair.f_frac_at_one
         values.append(sol.mu_h)
@@ -404,13 +406,13 @@ def test_exactly_singular_small_system_is_reported_singular(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m, delta", [(64, 160.0), (64, 100.0)])
 def test_extreme_gradings_end_in_a_typed_error(m, delta):
-    # at m = 64 the first widths, below 1e-154, square to zero in the lead's
-    # near band, and the lead names the width and delta before anything divides
-    spec = ProblemSpec(alpha=1.5, q=zero_field(), f=source_bump())
-    mesh = build_mesh(m, delta)
-    width = np.diff(mesh.nodes).min()
-    with pytest.raises(DomainError, match=f"width {width:.3g} .*grading exponent {delta}"):
-        solve_standard(assemble_system(spec, mesh, "standard"))
+    # at m = 64 the first widths, 2^-960 and 2^-600, would square to zero in
+    # the lead's near band, and the mesh names the width, m and delta before
+    # any system is assembled
+    width = 2.0 ** (-6.0 * delta)
+    with pytest.raises(DomainError, match=f"^grading exponent {delta:g} on m={m} makes the first element width "
+                                          f"{width:.3g}, which squares to zero$"):
+        build_mesh(m, delta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
